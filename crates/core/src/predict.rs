@@ -17,6 +17,17 @@
 //! [`PredictionMode::GreedyMultinomial`] (paper-literal greedy).
 //! Item instantiations are independent and parallelised over items, as noted
 //! at the end of §3.4.
+//!
+//! # Bit identity of the cached logs
+//!
+//! [`Predictor::new`] takes `ln(max(ψ^MAP, 1e-12))` once per table entry,
+//! and [`Predictor::cluster_responsibility`] takes `ln κ_um` once per
+//! answer rather than once per (answer, cluster). Each cached log is the
+//! exact value the inline expression would produce, and every sum still
+//! runs over the same operands in the same order (labels in set order,
+//! communities in index order, answers in CSR order), so responsibilities
+//! and predictions are bit-identical to recomputing every log in place —
+//! the unit tests compare against that form with `f64::to_bits`.
 
 use crate::config::{CpaConfig, PredictionMode};
 use crate::params::VariationalParams;
@@ -27,27 +38,38 @@ use cpa_math::matrix::Mat;
 use cpa_math::simplex::{log_normalize, log_sum_exp};
 use rayon::prelude::*;
 
+/// Probabilities are floored here before their log is taken, and `κ`
+/// entries at or below it are left out of the community mixture.
+const LOG_FLOOR: f64 = 1e-12;
+
 /// Everything prediction needs from a fitted model.
 pub struct Predictor<'a> {
     params: &'a VariationalParams,
     estimate: &'a TruthEstimate,
     mode: PredictionMode,
-    psi_map: Mat,
+    /// `ln(max(ψ^MAP_tmc, 1e-12))`, row `t·M+m` — the only form in which
+    /// prediction reads `ψ^MAP`.
+    ln_psi_map: Mat,
     phi_truth_map: Mat,
 }
 
 impl<'a> Predictor<'a> {
-    /// Builds a predictor (precomputes the MAP estimates of `ψ` and `φ`).
+    /// Builds a predictor (precomputes the log MAP estimate of `ψ` and the
+    /// MAP estimate of `φ`).
     pub fn new(
         params: &'a VariationalParams,
         estimate: &'a TruthEstimate,
         mode: PredictionMode,
     ) -> Self {
+        let mut ln_psi_map = params.psi_map();
+        for x in ln_psi_map.as_mut_slice() {
+            *x = x.max(LOG_FLOOR).ln();
+        }
         Self {
             params,
             estimate,
             mode,
-            psi_map: params.psi_map(),
+            ln_psi_map,
             phi_truth_map: params.phi_truth_map(),
         }
     }
@@ -55,24 +77,29 @@ impl<'a> Predictor<'a> {
     /// Cluster responsibilities `r_i` for one item (log-space normalised).
     pub fn cluster_responsibility(&self, answers: &AnswerMatrix, item: usize) -> Vec<f64> {
         let p = self.params;
-        let tt = p.t;
-        let mm = p.m;
-        const FLOOR: f64 = 1e-12;
-        let mut logits: Vec<f64> = (0..tt)
-            .map(|t| p.phi.get(item, t).max(FLOOR).ln())
+        let mut logits: Vec<f64> = (0..p.t)
+            .map(|t| p.phi.get(item, t).max(LOG_FLOOR).ln())
             .collect();
+        // `(m, ln κ_um)` for the answering worker's communities above the
+        // floor, and the per-cluster log-sum-exp operands; both buffers are
+        // reused across answers.
+        let mut ln_kappa: Vec<(usize, f64)> = Vec::with_capacity(p.m);
+        let mut terms: Vec<f64> = Vec::with_capacity(p.m);
         for (worker, labels) in answers.item_answers(item) {
-            let kappa_row = p.kappa.row(*worker as usize);
+            ln_kappa.clear();
+            for (m, &k) in p.kappa.row(*worker as usize).iter().enumerate().take(p.m) {
+                if k <= LOG_FLOOR {
+                    continue;
+                }
+                ln_kappa.push((m, k.ln()));
+            }
             for (t, logit) in logits.iter_mut().enumerate() {
                 // ln Σ_m κ_um p(x|ψ_tm^MAP) via log-sum-exp over communities.
-                let mut terms = Vec::with_capacity(mm);
-                for (m, &k) in kappa_row.iter().enumerate().take(mm) {
-                    if k <= FLOOR {
-                        continue;
-                    }
-                    let psi_row = self.psi_map.row(p.tm(t, m));
-                    let lp: f64 = labels.iter().map(|c| psi_row[c].max(FLOOR).ln()).sum();
-                    terms.push(k.ln() + lp);
+                terms.clear();
+                for &(m, ln_k) in &ln_kappa {
+                    let ln_psi = self.ln_psi_map.row(p.tm(t, m));
+                    let lp: f64 = labels.iter().map(|c| ln_psi[c]).sum();
+                    terms.push(ln_k + lp);
                 }
                 *logit += log_sum_exp(&terms);
             }
@@ -249,6 +276,65 @@ mod tests {
         let known = KnownLabels::none(sim.dataset.num_items());
         let (_, est) = run_batch_vi(&cfg, &mut params, &sim.dataset.answers, &known);
         (params, est, sim, cfg)
+    }
+
+    /// The responsibility kernel with every log taken inline, once per
+    /// (answer, cluster, community, label): the reference the cached-log
+    /// kernel must match bit for bit.
+    fn reference_cluster_responsibility(
+        params: &VariationalParams,
+        answers: &AnswerMatrix,
+        item: usize,
+    ) -> Vec<f64> {
+        const FLOOR: f64 = 1e-12;
+        let psi_map = params.psi_map();
+        let mut logits: Vec<f64> = (0..params.t)
+            .map(|t| params.phi.get(item, t).max(FLOOR).ln())
+            .collect();
+        for (worker, labels) in answers.item_answers(item) {
+            let kappa_row = params.kappa.row(*worker as usize);
+            for (t, logit) in logits.iter_mut().enumerate() {
+                let mut terms = Vec::with_capacity(params.m);
+                for (m, &k) in kappa_row.iter().enumerate().take(params.m) {
+                    if k <= FLOOR {
+                        continue;
+                    }
+                    let psi_row = psi_map.row(params.tm(t, m));
+                    let lp: f64 = labels.iter().map(|c| psi_row[c].max(FLOOR).ln()).sum();
+                    terms.push(k.ln() + lp);
+                }
+                *logit += log_sum_exp(&terms);
+            }
+        }
+        log_normalize(&mut logits);
+        logits
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn cached_logs_match_the_inline_reference_bit_for_bit() {
+        let (mut params, est, sim, cfg) = fitted();
+        let answers = &sim.dataset.answers;
+        // One answering worker's κ row gets entries below, at and just
+        // above the floor: the first two must drop out of the mixture.
+        let worker = (0..answers.num_items())
+            .find_map(|i| answers.item_answers(i).first().map(|(w, _)| *w as usize))
+            .expect("some item has answers");
+        let row = params.kappa.row_mut(worker);
+        row[0] = 0.0;
+        row[1] = 1e-12;
+        row[2] = 2e-12;
+        let predictor = Predictor::new(&params, &est, cfg.prediction);
+        for i in 0..answers.num_items() {
+            assert_eq!(
+                bits(&predictor.cluster_responsibility(answers, i)),
+                bits(&reference_cluster_responsibility(&params, answers, i)),
+                "item {i}"
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!
 //! Online prediction (§4.1) reuses the §3.4 instantiation with the current
 //! globals — the most recent parameter values summarise all data so far.
+//! It also reuses the soft-truth estimate the step computed for its ζ
+//! target: ζ is the only parameter the step changes after that point, and
+//! ζ is not an input of [`estimate_truth_with`], so the step's estimate is
+//! the current one, bit for bit.
 
 use crate::config::CpaConfig;
 use crate::parallel::{map_phase, ScratchPool, WorkerMessage};
@@ -27,6 +31,7 @@ use cpa_data::stream::{learning_rate, WorkerBatch};
 use cpa_math::matrix::Mat;
 use cpa_math::rng::seeded;
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// Fixed width of the message chunks the REDUCE-side λ target is assembled
 /// from. The chunking does not depend on the thread count and the partials
@@ -48,6 +53,10 @@ pub struct OnlineCpa {
     pool: Option<rayon::ThreadPool>,
     /// Reusable per-thread MAP-phase buffers (steady state allocates none).
     scratch: ScratchPool,
+    /// The soft-truth estimate of the current `(params, seen, known)`: set
+    /// by every `partial_fit`, and computed on first use after `new`,
+    /// `set_known` and `restore`, so construction does no extra work.
+    estimate: OnceLock<TruthEstimate>,
 }
 
 impl OnlineCpa {
@@ -79,6 +88,7 @@ impl OnlineCpa {
             batch_count: 0,
             pool,
             scratch: ScratchPool::new(),
+            estimate: OnceLock::new(),
         }
     }
 
@@ -86,6 +96,7 @@ impl OnlineCpa {
     pub fn set_known(&mut self, known: KnownLabels) {
         assert_eq!(known.len(), self.params.num_items);
         self.known = known;
+        self.estimate = OnceLock::new();
     }
 
     /// Number of batches absorbed so far.
@@ -266,7 +277,8 @@ impl OnlineCpa {
         }
 
         // ζ target (Eq. 10) from the current soft-truth estimate restricted
-        // to the batch items.
+        // to the batch items. Every input of the estimate is final here, so
+        // it is kept as the engine's current estimate.
         let estimate = estimate_truth_with(p, &self.seen, &self.known, self.pool.as_ref());
         let mut zeta_hat = Mat::filled(tt, p.num_labels, self.cfg.eta0);
         for &i in &batch.items {
@@ -280,13 +292,13 @@ impl OnlineCpa {
             }
         }
         p.zeta.scaled_add(1.0 - omega, &zeta_hat, omega);
+        self.estimate = OnceLock::from(estimate);
     }
 
     /// Online prediction (§4.1): instantiate labels for all items from the
     /// current globals and the answers seen so far.
     pub fn predict_all(&self) -> Vec<LabelSet> {
-        let estimate = self.current_estimate();
-        let predictor = Predictor::new(&self.params, &estimate, self.cfg.prediction);
+        let predictor = Predictor::new(&self.params, self.truth_estimate(), self.cfg.prediction);
         match &self.pool {
             Some(pool) => pool.install(|| predictor.predict_all(&self.seen)),
             None => predictor.predict_all(&self.seen),
@@ -295,7 +307,15 @@ impl OnlineCpa {
 
     /// The soft-truth estimate under the current posterior and seen answers.
     pub fn current_estimate(&self) -> TruthEstimate {
-        estimate_truth_with(&self.params, &self.seen, &self.known, self.pool.as_ref())
+        self.truth_estimate().clone()
+    }
+
+    /// The retained estimate, computed here if nothing has set it since
+    /// the last reset.
+    fn truth_estimate(&self) -> &TruthEstimate {
+        self.estimate.get_or_init(|| {
+            estimate_truth_with(&self.params, &self.seen, &self.known, self.pool.as_ref())
+        })
     }
 }
 
@@ -384,6 +404,7 @@ impl crate::engine::Engine for OnlineCpa {
             batch_count,
             pool,
             scratch: ScratchPool::new(),
+            estimate: OnceLock::new(),
         })
     }
 }
@@ -525,6 +546,68 @@ mod tests {
             scores.last().unwrap() >= &(scores[0] - 0.05),
             "quality collapsed: {scores:?}"
         );
+    }
+
+    /// Every number of an estimate as bits, with the lengths that delimit
+    /// its rows.
+    fn estimate_bits(e: &TruthEstimate) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for row in &e.soft {
+            bits.push(row.len() as u64);
+            for &(c, v) in row {
+                bits.extend([c as u64, v.to_bits()]);
+            }
+        }
+        for v in [&e.expected_size, &e.worker_weight, &e.community_reliability] {
+            bits.push(v.len() as u64);
+            bits.extend(v.iter().map(|x| x.to_bits()));
+        }
+        bits
+    }
+
+    /// The engine's `estimate()` and `predict_all()` against a from-scratch
+    /// estimate and predictor over `params()` and `seen_answers()`.
+    fn assert_estimate_is_current(online: &OnlineCpa, when: &str) {
+        use crate::engine::Engine;
+        let fresh =
+            estimate_truth_with(online.params(), online.seen_answers(), &online.known, None);
+        assert_eq!(
+            estimate_bits(&Engine::estimate(online)),
+            estimate_bits(&fresh),
+            "estimate {when}"
+        );
+        let predictor = Predictor::new(online.params(), &fresh, online.cfg.prediction);
+        assert_eq!(
+            Engine::predict_all(online),
+            predictor.predict_all(online.seen_answers()),
+            "predictions {when}"
+        );
+    }
+
+    #[test]
+    fn retained_estimate_tracks_steps_known_labels_and_restore() {
+        use crate::engine::Engine;
+        let sim = simulate(&DatasetProfile::movie().scaled(0.05), 95);
+        let d = &sim.dataset;
+        for threads in [0, 3] {
+            let cfg = CpaConfig::default()
+                .with_truncation(6, 8)
+                .with_seed(95)
+                .with_threads(threads);
+            let mut online =
+                OnlineCpa::new(cfg, d.num_items(), d.num_workers(), d.num_labels(), 0.875);
+            assert_estimate_is_current(&online, "before any batch");
+            let stream = WorkerStream::new(d, 20, &mut seeded(96));
+            for (b, batch) in stream.iter().enumerate() {
+                online.partial_fit(&d.answers, batch);
+                assert_estimate_is_current(&online, &format!("after batch {b}, {threads} threads"));
+            }
+            let known = (0..5).map(|i| (i, d.truth[i].clone()));
+            online.set_known(KnownLabels::from_pairs(d.num_items(), known));
+            assert_estimate_is_current(&online, "after set_known");
+            let restored = OnlineCpa::restore(online.snapshot()).expect("checkpoint restores");
+            assert_estimate_is_current(&restored, "after restore");
+        }
     }
 
     #[test]

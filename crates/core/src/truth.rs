@@ -16,6 +16,16 @@
 //!
 //! Items with *observed* truths (test questions, §3.2) bypass the soft
 //! estimate and enter Eq. 7 exactly as in the paper.
+//!
+//! # Bit identity of the shared log term
+//!
+//! A worker's informativeness sums `q_t·p·ln(p/mg)` over every (cluster,
+//! label). For a label the worker never used, `p` and `mg` are the same in
+//! every such label of a cluster, so the term is taken once per cluster and
+//! that one value is added per label, still in label order. It equals the
+//! value the inline expression would produce, and the summation order is
+//! unchanged, so the estimate is bit-identical to taking every log in place
+//! — the unit tests compare against that form with `f64::to_bits`.
 
 use crate::params::VariationalParams;
 use cpa_data::answers::AnswerMatrix;
@@ -321,10 +331,16 @@ fn one_worker_informativeness(
                 *mg += v;
             }
         }
+        // Counts are sums of positive masses, so a zero marginal count
+        // means the label has a zero count in every cluster.
+        let unused: Vec<bool> = marginal.iter().map(|&mg| mg == 0.0).collect();
         let mtot = total + 1.0;
         for mg in marginal.iter_mut() {
             *mg = (*mg + smooth) / mtot;
         }
+        // `0.0 + smooth == smooth`, so these are exactly the smoothed
+        // marginal and (below) conditional of every unused label.
+        let unused_mg = smooth / mtot;
         let mut mi = 0.0;
         for t in 0..tt {
             if mass[t] <= 0.0 {
@@ -332,10 +348,16 @@ fn one_worker_informativeness(
             }
             let q_t = mass[t] / total;
             let denom = mass[t] + 1.0;
+            let term = |p: f64, mg: f64| (p > 0.0 && mg > 0.0).then(|| q_t * p * (p / mg).ln());
+            let unused_term = term(smooth / denom, unused_mg);
             for (lbl, &mg) in marginal.iter().enumerate() {
-                let p = (counts[t * c + lbl] + smooth) / denom;
-                if p > 0.0 && mg > 0.0 {
-                    mi += q_t * p * (p / mg).ln();
+                let contribution = if unused[lbl] {
+                    unused_term
+                } else {
+                    term((counts[t * c + lbl] + smooth) / denom, mg)
+                };
+                if let Some(x) = contribution {
+                    mi += x;
                 }
             }
         }
@@ -472,6 +494,113 @@ mod tests {
             ans.insert(i, 2, LabelSet::from_labels(4, [0]));
         }
         (p, ans)
+    }
+
+    /// Per-worker informativeness with every log taken inline, once per
+    /// (cluster, label): the reference the shared-term kernel must match
+    /// bit for bit.
+    fn reference_worker_informativeness(
+        params: &VariationalParams,
+        answers: &AnswerMatrix,
+        u: usize,
+    ) -> f64 {
+        let tt = params.t;
+        let c = params.num_labels;
+        let smooth = 1.0 / c as f64;
+        let wa = answers.worker_answers(u);
+        if wa.is_empty() {
+            return 0.0;
+        }
+        let mut counts = vec![0.0f64; tt * c];
+        for (item, labels) in wa {
+            for (t, &p) in params.phi.row(*item as usize).iter().enumerate() {
+                if p <= 1e-9 {
+                    continue;
+                }
+                for lbl in labels.iter() {
+                    counts[t * c + lbl] += p;
+                }
+            }
+        }
+        let mass: Vec<f64> = (0..tt)
+            .map(|t| counts[t * c..(t + 1) * c].iter().sum())
+            .collect();
+        let total: f64 = mass.iter().sum();
+        if total <= 0.0 {
+            return 0.0;
+        }
+        let mut marginal = vec![0.0; c];
+        for t in 0..tt {
+            for (mg, &v) in marginal.iter_mut().zip(&counts[t * c..(t + 1) * c]) {
+                *mg += v;
+            }
+        }
+        let mtot = total + 1.0;
+        for mg in marginal.iter_mut() {
+            *mg = (*mg + smooth) / mtot;
+        }
+        let mut mi = 0.0;
+        for t in 0..tt {
+            if mass[t] <= 0.0 {
+                continue;
+            }
+            let q_t = mass[t] / total;
+            let denom = mass[t] + 1.0;
+            for (lbl, &mg) in marginal.iter().enumerate() {
+                let p = (counts[t * c + lbl] + smooth) / denom;
+                if p > 0.0 && mg > 0.0 {
+                    mi += q_t * p * (p / mg).ln();
+                }
+            }
+        }
+        mi.max(0.0)
+    }
+
+    #[test]
+    fn shared_log_term_matches_the_inline_reference_bit_for_bit() {
+        use cpa_data::profile::DatasetProfile;
+        use cpa_data::simulate::simulate;
+        let sim = simulate(&DatasetProfile::movie().scaled(0.08), 31);
+        let mut answers = sim.dataset.answers.clone();
+        let c = answers.num_labels();
+        let cfg = CpaConfig::default().with_truncation(8, 10).with_seed(31);
+        let mut params = VariationalParams::init(
+            &cfg,
+            answers.num_items(),
+            answers.num_workers(),
+            c,
+            &mut seeded(cfg.seed),
+        );
+        let known = KnownLabels::none(answers.num_items());
+        crate::inference::run_batch_vi(&cfg, &mut params, &answers, &known);
+        let active: Vec<usize> = (0..answers.num_workers())
+            .filter(|&u| !answers.worker_answers(u).is_empty())
+            .take(2)
+            .collect();
+        let (all_labels, zero_mass) = (active[0], active[1]);
+        // One worker answers one of its items with every label...
+        let item = answers.worker_answers(all_labels)[0].0 as usize;
+        answers.remove(item, all_labels);
+        answers.insert(item, all_labels, LabelSet::from_labels(c, 0..c));
+        // ...and another's items carry no mass on cluster 0.
+        let items: Vec<usize> = answers
+            .worker_answers(zero_mass)
+            .iter()
+            .map(|(i, _)| *i as usize)
+            .collect();
+        for i in items {
+            let row = params.phi.row_mut(i);
+            row[0] = 0.0;
+            cpa_math::simplex::normalize_in_place(row);
+        }
+        let got = per_worker_informativeness(&params, &answers, None);
+        for (u, x) in got.iter().enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                reference_worker_informativeness(&params, &answers, u).to_bits(),
+                "worker {u}"
+            );
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   (and as the universal fallback), or the `cpa_data::codec` binary
 //!   encoding after a `CPAW` preamble handshake — old JSON clients keep
 //!   working against binary-capable servers unchanged;
-//! - [`FleetServer`] — accepts N concurrent clients on the workspace
-//!   thread pool, funnels every **mutation** into one `Fleet::apply` driver
+//! - [`FleetServer`] — accepts N concurrent clients on named handler
+//!   threads, funnels every **mutation** into one `Fleet::apply` driver
 //!   (one global op order, the queue arrival contract enforced per ingest),
 //!   answers **reads** handler-side from the fleet's epoch-published
 //!   `cpa_serve::ReadView` (cached value *and* encoded bytes, once per

@@ -3,20 +3,26 @@
 //!
 //! # Architecture
 //!
-//! `serve` fans out over the workspace thread pool (the PR 2 `rayon` shim —
-//! real OS threads) into `max_clients + 2` long-lived roles:
+//! `serve` runs `max_clients + 2` long-lived roles, each on its own named
+//! thread inside one `std::thread::scope`:
 //!
-//! - one **driver** owns the fleet and is the only thread that touches it:
-//!   it drains a single mpsc op channel and runs every op through
-//!   [`cpa_serve::Fleet::apply`] — so **mutations** from all connections
-//!   are applied in one global arrival order, with the full queue arrival
-//!   contract (worker partition, range checks) enforced per `Ingest`;
-//! - one **acceptor** polls the listener (non-blocking + shutdown flag) and
-//!   hands accepted sockets to the handler pool;
-//! - `max_clients` **handlers** each serve one connection at a time:
-//!   read a frame, decode the op, answer it (see the read path below), and
-//!   write the reply. Requests on one connection are handled strictly in
-//!   order, so replies stream back **per-connection FIFO**.
+//! - one **driver** (`cpa-driver`) owns the fleet and is the only thread
+//!   that touches it: it drains a single mpsc op channel and runs every op
+//!   through [`cpa_serve::Fleet::apply`] — so **mutations** from all
+//!   connections are applied in one global arrival order, with the full
+//!   queue arrival contract (worker partition, range checks) enforced per
+//!   `Ingest`;
+//! - one **acceptor** (`cpa-acceptor`) polls the listener (non-blocking +
+//!   shutdown flag) and hands accepted sockets to the handlers;
+//! - `max_clients` **handlers** (`cpa-handler-0`, `cpa-handler-1`, …) each
+//!   serve one connection at a time: read a frame, decode the op, answer
+//!   it (see the read path below), and write the reply. Requests on one
+//!   connection are handled strictly in order, so replies stream back
+//!   **per-connection FIFO**.
+//!
+//! No role thread has a data-parallel pool installed, so engine work on the
+//! driver fans out exactly as wide as the fleet's own `threads` setting
+//! (serial for `threads: 1`).
 //!
 //! # Read path
 //!
@@ -98,11 +104,11 @@ use crate::codec::{self, Negotiated, WireFormat, WirePolicy};
 use crate::error::TransportError;
 use crate::frame::{read_frame_bytes_polling, write_frame_bytes};
 use cpa_serve::{Fleet, FleetOp, FleetReply, ItemEstimate, ReadKind, ReadView, ViewHandle};
-use rayon::prelude::*;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread;
 use std::time::Duration;
 
 /// How long blocked reads and idle polls wait before re-checking the
@@ -202,26 +208,6 @@ impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
         self.0.active.fetch_sub(1, Ordering::AcqRel);
     }
-}
-
-/// One long-lived task of the serve fan-out.
-enum Role {
-    Driver {
-        fleet: Fleet,
-        op_rx: Receiver<Submitted>,
-        record: bool,
-    },
-    Acceptor {
-        listener: TcpListener,
-        conn_tx: Sender<TcpStream>,
-    },
-    Handler {
-        op_tx: Sender<Submitted>,
-        policy: WirePolicy,
-        /// The served fleet's read-view handle; `None` when
-        /// [`ServerConfig::serve_reads_from_views`] is off.
-        views: Option<ViewHandle>,
-    },
 }
 
 /// One live read-delta subscription, as the driver tracks it: the items it
@@ -428,7 +414,7 @@ impl FleetServer {
     ///
     /// # Errors
     /// Fails if the listener cannot be switched to non-blocking accept
-    /// polling. Per-connection failures (disconnects, truncated or
+    /// polling or a role thread cannot be spawned. Per-connection failures (disconnects, truncated or
     /// malformed frames) are handled inside and never abort the server.
     pub fn serve(self, fleet: Fleet) -> Result<ServeOutcome, TransportError> {
         let handlers = self.config.max_clients.max(1);
@@ -438,204 +424,202 @@ impl FleetServer {
         let (conn_tx, conn_rx) = channel();
         let conn_rx = Mutex::new(conn_rx);
         let record = self.config.record_ops;
+        let policy = self.config.wire_policy;
         let views = self
             .config
             .serve_reads_from_views
             .then(|| fleet.view_handle());
-
-        let mut roles = vec![
-            Role::Driver {
-                fleet,
-                op_rx,
-                record,
-            },
-            Role::Acceptor {
-                listener: self.listener,
-                conn_tx,
-            },
-        ];
-        for _ in 0..handlers {
-            roles.push(Role::Handler {
-                op_tx: op_tx.clone(),
-                policy: self.config.wire_policy,
-                views: views.clone(),
-            });
-        }
-        // The driver must see the channel close once every handler exits:
-        // only the handler clones may keep it open.
-        drop(op_tx);
+        let listener = self.listener;
         let slots = SubscriptionSlots::new(handlers);
+        let (shutdown, conn_rx, slots) = (&shutdown, &conn_rx, &slots);
 
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(roles.len())
-            .build()
-            .expect("transport pool builds");
-        let outcomes: Vec<Option<ServeOutcome>> = pool.install(|| {
-            roles
-                .into_par_iter()
-                .map(|role| run_role(role, &shutdown, &conn_rx, &slots))
-                .collect()
-        });
-        outcomes
-            .into_iter()
-            .flatten()
-            .next()
-            .ok_or_else(|| TransportError::Malformed("driver produced no outcome".into()))
+        thread::scope(|scope| {
+            let spawned = (|| {
+                let driver = thread::Builder::new()
+                    .name("cpa-driver".into())
+                    .spawn_scoped(scope, move || run_driver(fleet, op_rx, record, shutdown))?;
+                thread::Builder::new()
+                    .name("cpa-acceptor".into())
+                    .spawn_scoped(scope, move || run_acceptor(listener, conn_tx, shutdown))?;
+                for n in 0..handlers {
+                    let (op_tx, views) = (op_tx.clone(), views.clone());
+                    thread::Builder::new()
+                        .name(format!("cpa-handler-{n}"))
+                        .spawn_scoped(scope, move || {
+                            run_handler(op_tx, policy, views, shutdown, conn_rx, slots)
+                        })?;
+                }
+                Ok::<_, std::io::Error>(driver)
+            })();
+            // The driver must see the op channel close once every handler
+            // exits: only the handlers' clones may keep it open.
+            drop(op_tx);
+            let driver = match spawned {
+                Ok(driver) => driver,
+                Err(e) => {
+                    // Whatever did start winds down from the flag.
+                    shutdown.store(true, Ordering::Relaxed);
+                    return Err(e.into());
+                }
+            };
+            match driver.join() {
+                Ok(outcome) => Ok(outcome),
+                Err(panic) => {
+                    // A dead driver never raises the flag itself: raise it
+                    // so the other roles wind down and the scope can join.
+                    shutdown.store(true, Ordering::Relaxed);
+                    std::panic::resume_unwind(panic)
+                }
+            }
+        })
     }
 }
 
-/// Runs one role to completion; only the driver returns an outcome.
-fn run_role(
-    role: Role,
+/// The driver role: the only thread that touches the fleet. Applies every
+/// submitted op in arrival order until a `Shutdown` op or until every
+/// handler has gone, then hands back the final fleet.
+fn run_driver(
+    mut fleet: Fleet,
+    op_rx: Receiver<Submitted>,
+    record: bool,
     shutdown: &AtomicBool,
-    conn_rx: &Mutex<Receiver<TcpStream>>,
-    slots: &SubscriptionSlots,
-) -> Option<ServeOutcome> {
-    match role {
-        Role::Driver {
-            mut fleet,
-            op_rx,
-            record,
-        } => {
-            let mut op_log = Vec::new();
-            let mut broadcast = Broadcast::new(record);
-            while let Ok(Submitted {
-                op,
-                reply_tx,
-                view_tx,
-            }) = op_rx.recv()
+) -> ServeOutcome {
+    let mut op_log = Vec::new();
+    let mut broadcast = Broadcast::new(record);
+    while let Ok(Submitted {
+        op,
+        reply_tx,
+        view_tx,
+    }) = op_rx.recv()
+    {
+        if let FleetOp::SubscribeOps { from_epoch } = op {
+            if record {
+                op_log.push(op.clone());
+            }
+            broadcast.subscribe_ops(&mut fleet, from_epoch, reply_tx);
+            continue;
+        }
+        if matches!(op, FleetOp::SubscribeReads { .. }) {
+            if record {
+                op_log.push(op.clone());
+            }
+            broadcast.subscribe_reads(&mut fleet, op, reply_tx, view_tx);
+            continue;
+        }
+        let stop = matches!(op, FleetOp::Shutdown);
+        if record {
+            op_log.push(op.clone());
+        }
+        let shipped = op.is_mutation().then(|| op.clone());
+        let reply = fleet.apply(op);
+        if let Some(op) = shipped {
+            if !matches!(reply, FleetReply::Error { .. }) {
+                // Ship the accepted mutation the moment its view is
+                // published (`apply` published it), and *before* the
+                // mutator's ack: a client that has seen its ack knows
+                // every subscription — op stream or read delta —
+                // already has the frame enqueued.
+                broadcast.mutation_applied(&fleet, &op);
+            }
+        }
+        let _ = reply_tx.send(reply);
+        if stop {
+            shutdown.store(true, Ordering::Relaxed);
+            break;
+        }
+    }
+    // Also covers the channel-closed path (all handlers gone).
+    // Dropping `broadcast` here closes every subscription's push
+    // channel; its handler unblocks, returns, and the subscriber
+    // sees a clean EOF — the end-of-stream signal that starts
+    // failover (followers) or wind-down (read caches).
+    shutdown.store(true, Ordering::Relaxed);
+    ServeOutcome { fleet, op_log }
+}
+
+/// The acceptor role: polls the non-blocking listener until shutdown and
+/// hands accepted sockets to the handlers. Returning drops `conn_tx`, the
+/// queue's only sender, which wakes every idle handler with a disconnect.
+fn run_acceptor(listener: TcpListener, conn_tx: Sender<TcpStream>, shutdown: &AtomicBool) {
+    // accept() fails transiently in normal operation — a client
+    // resetting mid-handshake (ECONNABORTED/ECONNRESET), a burst of
+    // fd exhaustion — and those must not take the server down.
+    // Only an error that persists across many consecutive polls is
+    // treated as a dead listener.
+    const MAX_CONSECUTIVE_ERRORS: u32 = 50;
+    let mut consecutive_errors = 0u32;
+    loop {
+        if shutdown.load(Ordering::Relaxed) {
+            break;
+        }
+        match listener.accept() {
+            Ok((stream, _)) => {
+                consecutive_errors = 0;
+                // Handlers read with a timeout (shutdown polling);
+                // writes stay blocking.
+                let _ = stream.set_nonblocking(false);
+                let _ = stream.set_nodelay(true);
+                if conn_tx.send(stream).is_err() {
+                    break;
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                consecutive_errors = 0;
+                thread::sleep(POLL_INTERVAL);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionAborted | std::io::ErrorKind::ConnectionReset
+                ) =>
             {
-                if let FleetOp::SubscribeOps { from_epoch } = op {
-                    if record {
-                        op_log.push(op.clone());
-                    }
-                    broadcast.subscribe_ops(&mut fleet, from_epoch, reply_tx);
-                    continue;
-                }
-                if matches!(op, FleetOp::SubscribeReads { .. }) {
-                    if record {
-                        op_log.push(op.clone());
-                    }
-                    broadcast.subscribe_reads(&mut fleet, op, reply_tx, view_tx);
-                    continue;
-                }
-                let stop = matches!(op, FleetOp::Shutdown);
-                if record {
-                    op_log.push(op.clone());
-                }
-                let shipped = op.is_mutation().then(|| op.clone());
-                let reply = fleet.apply(op);
-                if let Some(op) = shipped {
-                    if !matches!(reply, FleetReply::Error { .. }) {
-                        // Ship the accepted mutation the moment its view is
-                        // published (`apply` published it), and *before* the
-                        // mutator's ack: a client that has seen its ack knows
-                        // every subscription — op stream or read delta —
-                        // already has the frame enqueued.
-                        broadcast.mutation_applied(&fleet, &op);
-                    }
-                }
-                let _ = reply_tx.send(reply);
-                if stop {
+                // The *connection* died during the handshake, not
+                // the listener; keep accepting.
+                consecutive_errors = 0;
+            }
+            Err(_) => {
+                consecutive_errors += 1;
+                if consecutive_errors >= MAX_CONSECUTIVE_ERRORS {
+                    // A listener that has failed every poll for a
+                    // sustained stretch cannot accept anyone ever
+                    // again: wind the whole server down instead of
+                    // serving a half-alive endpoint.
                     shutdown.store(true, Ordering::Relaxed);
                     break;
                 }
+                thread::sleep(POLL_INTERVAL);
             }
-            // Also covers the channel-closed path (all handlers gone).
-            // Dropping `broadcast` here closes every subscription's push
-            // channel; its handler unblocks, returns, and the subscriber
-            // sees a clean EOF — the end-of-stream signal that starts
-            // failover (followers) or wind-down (read caches).
-            shutdown.store(true, Ordering::Relaxed);
-            Some(ServeOutcome { fleet, op_log })
         }
-        Role::Acceptor { listener, conn_tx } => {
-            // accept() fails transiently in normal operation — a client
-            // resetting mid-handshake (ECONNABORTED/ECONNRESET), a burst of
-            // fd exhaustion — and those must not take the server down.
-            // Only an error that persists across many consecutive polls is
-            // treated as a dead listener.
-            const MAX_CONSECUTIVE_ERRORS: u32 = 50;
-            let mut consecutive_errors = 0u32;
-            loop {
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        consecutive_errors = 0;
-                        // Handlers read with a timeout (shutdown polling);
-                        // writes stay blocking.
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_nodelay(true);
-                        if conn_tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        consecutive_errors = 0;
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::ConnectionAborted
-                                | std::io::ErrorKind::ConnectionReset
-                        ) =>
-                    {
-                        // The *connection* died during the handshake, not
-                        // the listener; keep accepting.
-                        consecutive_errors = 0;
-                    }
-                    Err(_) => {
-                        consecutive_errors += 1;
-                        if consecutive_errors >= MAX_CONSECUTIVE_ERRORS {
-                            // A listener that has failed every poll for a
-                            // sustained stretch cannot accept anyone ever
-                            // again: wind the whole server down instead of
-                            // serving a half-alive endpoint.
-                            shutdown.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                }
-            }
-            None
-        }
-        Role::Handler {
-            op_tx,
-            policy,
-            views,
-        } => {
-            // Block on the connection queue — no idle sleep-poll. This is
-            // shutdown-safe because the acceptor owns the only `conn_tx`
-            // and drops it within one poll interval of the shutdown flag
-            // rising, which wakes every handler parked here with a
-            // disconnect. The lock is held only while waiting for a
-            // connection, never while serving one, so `max_clients`
-            // connections are still served concurrently.
-            loop {
-                let received = conn_rx.lock().expect("connection queue poisoned").recv();
-                match received {
-                    Ok(stream) => {
-                        // Connection-level failures are that connection's
-                        // problem, never the server's.
-                        let _ = handle_connection(
-                            stream,
-                            &op_tx,
-                            shutdown,
-                            policy,
-                            views.as_ref(),
-                            slots,
-                        );
-                    }
-                    Err(_) => break,
-                }
-            }
-            None
-        }
+    }
+}
+
+/// A handler role: serves one connection at a time, taken from the
+/// acceptor's queue, until the queue disconnects. `views` is the served
+/// fleet's read-view handle, `None` when
+/// [`ServerConfig::serve_reads_from_views`] is off.
+fn run_handler(
+    op_tx: Sender<Submitted>,
+    policy: WirePolicy,
+    views: Option<ViewHandle>,
+    shutdown: &AtomicBool,
+    conn_rx: &Mutex<Receiver<TcpStream>>,
+    slots: &SubscriptionSlots,
+) {
+    // Block on the connection queue — no idle sleep-poll. This is
+    // shutdown-safe because the acceptor owns the only `conn_tx`
+    // and drops it within one poll interval of the shutdown flag
+    // rising, which wakes every handler parked here with a
+    // disconnect. The lock is held only while waiting for a
+    // connection (the guard is a temporary of the `let` statement),
+    // never while serving one, so `max_clients` connections are still
+    // served concurrently.
+    loop {
+        let received = conn_rx.lock().expect("connection queue poisoned").recv();
+        let Ok(stream) = received else { break };
+        // Connection-level failures are that connection's
+        // problem, never the server's.
+        let _ = handle_connection(stream, &op_tx, shutdown, policy, views.as_ref(), slots);
     }
 }
 

@@ -17,8 +17,14 @@
 //! frames, or violate the arrival contract get framed errors (with the
 //! offending worker named) or dropped connections — and the server keeps
 //! serving the next client.
+//!
+//! Contract 4 (threads): engine steps run on the named driver thread with
+//! no data-parallel width inherited from the server's own threads.
 
-use cpa::core::engine::DynEngine;
+use cpa::core::engine::{Checkpoint, CheckpointError, DynEngine, Engine};
+use cpa::core::truth::TruthEstimate;
+use cpa::data::answers::AnswerMatrix;
+use cpa::data::labels::LabelSet;
 use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::simulate;
 use cpa::data::stream::{WorkerBatch, WorkerStream};
@@ -26,7 +32,9 @@ use cpa::eval::runner::Method;
 use cpa::math::rng::seeded;
 use cpa::serve::{ops_from_jsonl, ops_to_jsonl, Fleet, FleetOp};
 use cpa::transport::{FleetClient, FleetServer, ServeOutcome, ServerConfig};
+use std::collections::HashSet;
 use std::sync::mpsc::channel;
+use std::sync::{Arc, Mutex};
 
 const SEED: u64 = 7719;
 
@@ -343,6 +351,102 @@ fn restore_over_the_wire_requires_and_uses_the_hook() {
     assert_eq!(preds, donor.predict_all());
     client.shutdown().expect("shutdown");
     running.join().expect("join");
+}
+
+/// Per `ingest`: the name of the thread it ran on, and how many distinct
+/// threads a 64-element parallel iterator spread over there.
+type ThreadLog = Arc<Mutex<Vec<(Option<String>, usize)>>>;
+
+/// An engine that records a [`ThreadLog`] entry on every `ingest` and
+/// otherwise delegates to `inner`.
+struct ThreadProbe {
+    inner: DynEngine,
+    log: ThreadLog,
+}
+
+impl Engine for ThreadProbe {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn ingest(&mut self, answers: &AnswerMatrix, batch: &WorkerBatch) {
+        use rayon::prelude::*;
+        let ids: Vec<std::thread::ThreadId> = (0..64)
+            .into_par_iter()
+            .map(|_| {
+                // Long enough that a wide pool's spawned workers claim
+                // chunks before the calling thread drains them all.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                std::thread::current().id()
+            })
+            .collect();
+        let width = ids.iter().collect::<HashSet<_>>().len();
+        let name = std::thread::current().name().map(str::to_owned);
+        self.log.lock().expect("probe log").push((name, width));
+        self.inner.ingest(answers, batch);
+    }
+
+    fn refit(&mut self) {
+        self.inner.refit();
+    }
+
+    fn predict_all(&self) -> Vec<LabelSet> {
+        self.inner.predict_all()
+    }
+
+    fn estimate(&self) -> TruthEstimate {
+        self.inner.estimate()
+    }
+
+    fn seen_answers(&self) -> &AnswerMatrix {
+        self.inner.seen_answers()
+    }
+
+    fn snapshot(&self) -> Checkpoint {
+        self.inner.snapshot()
+    }
+
+    fn restore(_: Checkpoint) -> Result<Self, CheckpointError> {
+        Err(CheckpointError::Invalid(
+            "a thread probe does not restore".into(),
+        ))
+    }
+}
+
+#[test]
+fn engine_steps_run_serially_on_the_named_driver_thread() {
+    let (d, batches) = fixture();
+    let (i, u, c) = (d.num_items(), d.num_workers(), d.num_labels());
+    let log = ThreadLog::default();
+    // One fleet thread: every shard step runs on the driver itself.
+    let fleet = Fleet::new(2, 1, i, u, c, |_| {
+        Box::new(ThreadProbe {
+            inner: Method::Mv.engine(i, u, c, SEED),
+            log: Arc::clone(&log),
+        }) as DynEngine
+    });
+    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
+    let mut client = FleetClient::connect(addr).expect("connect");
+    for op in ingest_ops(&d, &batches[..3]) {
+        let FleetOp::Ingest { workers, answers } = op else {
+            unreachable!()
+        };
+        client.ingest(workers, answers).expect("ingest");
+    }
+    client.shutdown().expect("shutdown");
+    running.join().expect("server joins");
+
+    let log = log.lock().expect("probe log");
+    assert!(!log.is_empty(), "no engine step was recorded");
+    for (name, width) in log.iter() {
+        assert_eq!(name.as_deref(), Some("cpa-driver"));
+        assert_eq!(
+            *width, 1,
+            "a one-thread fleet's step ran {width} threads wide"
+        );
+    }
 }
 
 #[allow(dead_code)]
