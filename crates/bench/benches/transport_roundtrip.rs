@@ -18,17 +18,15 @@
 //! A second family of series measures the **read-mostly** serving shape
 //! the epoch-published read views exist for: after preloading half the
 //! arrival stream and a refit, R reader clients (R ∈ {1, 2, 4}) hammer
-//! `Predict` concurrently while one writer streams further ingests at a
-//! ~5% share of the op mix. Each (K, R) pair runs twice — once with the
-//! view fast path (`read_path: "view"`, replies served handler-side from
-//! the current `ReadView`'s pre-encoded bytes) and once forced through
-//! the driver (`read_path: "driver"`, every read a driver round trip,
-//! the serialized baseline) — reported as reads/sec and mean per-read
-//! RTT in `read_series`. A third leg per (K, R) runs the view path with
-//! item-ranged reads (`read_op: "ranged32"`, 32 rotating items per
-//! `PredictItems` spliced from the per-shard row caches); every series
-//! also reports `dirty_shards`, the mean shards each timed-window write
-//! dirties under the incremental views.
+//! reads concurrently while one writer streams further ingests at a ~5%
+//! share of the op mix. Each (K, R) pair runs the view read path
+//! (`read_path: "view"`, replies spliced handler-side from the current
+//! `ReadView`'s per-shard row caches) twice: with full `Predict` reads
+//! (`read_op: "full"`) and with item-ranged reads (`read_op: "ranged32"`,
+//! 32 rotating items per `PredictItems`) — reported as reads/sec and mean
+//! per-read RTT in `read_series`. Every series also reports
+//! `dirty_shards`, the mean shards each timed-window write dirties under
+//! the incremental views.
 //!
 //! A fourth leg per (K, R) — `read_path: "follower"` — measures
 //! **replication**: the writes land on a leader whose `SubscribeOps`
@@ -82,8 +80,8 @@ struct ModeSeries {
 }
 
 /// One read-mostly contention run: R readers vs one ~5%-share writer,
-/// with reads either view-served or forced through the driver, and either
-/// full-universe `Predict` or 32-item rotating `PredictItems`.
+/// reading either full-universe `Predict` or 32-item rotating
+/// `PredictItems`.
 #[derive(Serialize)]
 struct ReadSeries {
     read_path: String,
@@ -103,10 +101,9 @@ struct ReadSeries {
     mean_read_rtt_micros: f64,
     /// Mean lag in epochs behind the writer's acked head — replication lag
     /// on the follower leg (sampled at every shipped frame), staleness on
-    /// the push leg (sampled at every applied delta). 0 for the
-    /// driver/view legs.
+    /// the push leg (sampled at every applied delta). 0 for the view legs.
     mean_lag_epochs: f64,
-    /// Worst lag observed, in epochs. 0 for the driver/view legs.
+    /// Worst lag observed, in epochs. 0 for the view legs.
     max_lag_epochs: f64,
     /// Mean pushed delta frame payload bytes per epoch (push leg only; 0
     /// elsewhere).
@@ -163,12 +160,11 @@ fn mean_dirty_shards(ops: &[cpa_serve::FleetOp], shards: usize) -> f64 {
     }
 }
 
-/// Boots a loopback server (view fast path on or off per the `leg`'s
-/// `read_path`), preloads half the arrival ops plus a refit, then times
-/// `readers` concurrent read clients racing one writer that streams a ~5%
-/// share of further ingests. `leg` is `(read_path, read_op)`: the path is
-/// `"view"` or `"driver"`, the op `"full"` whole-universe `Predict` or
-/// `"ranged32"` 32 rotating items per `PredictItems`.
+/// Boots a loopback server, preloads half the arrival ops plus a refit,
+/// then times `readers` concurrent read clients racing one writer that
+/// streams a ~5% share of further ingests. `read_op` is `"full"`
+/// (whole-universe `Predict`) or `"ranged32"` (32 rotating items per
+/// `PredictItems`).
 fn read_mostly_run(
     d: &cpa_data::dataset::Dataset,
     shards: usize,
@@ -176,16 +172,14 @@ fn read_mostly_run(
     ops: &[cpa_serve::FleetOp],
     readers: usize,
     reads_per_reader: usize,
-    leg: (&str, &str),
+    read_op: &str,
 ) -> ReadSeries {
-    let (read_path, read_op) = leg;
     assert!(ops.len() >= 2, "need arrival ops to preload and to contend");
     let fleet = fleet_for(Method::CpaSvi, d, shards, threads, SEED);
     let server = FleetServer::bind(
         "127.0.0.1:0",
         ServerConfig {
             max_clients: readers + 1,
-            serve_reads_from_views: read_path == "view",
             ..ServerConfig::default()
         },
     )
@@ -263,7 +257,7 @@ fn read_mostly_run(
     running.join().expect("server thread joins");
 
     ReadSeries {
-        read_path: read_path.to_string(),
+        read_path: "view".to_string(),
         read_op: read_op.to_string(),
         shards,
         readers,
@@ -319,7 +313,6 @@ fn follower_run(
         ServerConfig {
             // The pump + the readers.
             max_clients: readers + 1,
-            serve_reads_from_views: true,
             ..ServerConfig::default()
         },
     )
@@ -477,7 +470,6 @@ fn push_run(
             // R subscriptions (the slot cap is max_clients - 1, so this
             // grants exactly R) + the writer's connection.
             max_clients: readers + 1,
-            serve_reads_from_views: true,
             ..ServerConfig::default()
         },
     )
@@ -709,26 +701,20 @@ fn main() {
         }
     }
 
-    // Read-mostly contention: per (K, reader-count), the driver-serialized
-    // baseline first, then the view fast path, so the progress line can
-    // report the speedup directly.
+    // Read-mostly contention: per (K, reader-count), full then ranged reads
+    // on the view read path.
     let reads_per_reader: usize = env_or("CPA_BENCH_READS", 300).max(1);
     let mut read_series = Vec::new();
     for &shards in &SHARD_COUNTS {
         let threads = shards.min(max_threads);
         for readers in [1usize, 2, 4] {
-            let mut driver_rps = None;
-            for leg in [("driver", "full"), ("view", "full"), ("view", "ranged32")] {
-                let (read_path, read_op) = leg;
-                let s = read_mostly_run(d, shards, threads, &ops, readers, reads_per_reader, leg);
-                let baseline = *driver_rps.get_or_insert(s.reads_per_sec);
+            for read_op in ["full", "ranged32"] {
+                let s =
+                    read_mostly_run(d, shards, threads, &ops, readers, reads_per_reader, read_op);
                 eprintln!(
-                    "  K={shards} readers={readers} {read_path}/{read_op}: {:.0} reads/s, \
-                     {:.1}µs/read ({:.2}× driver-full), {:.2} dirty shards/write",
-                    s.reads_per_sec,
-                    s.mean_read_rtt_micros,
-                    s.reads_per_sec / baseline.max(1e-12),
-                    s.dirty_shards
+                    "  K={shards} readers={readers} view/{read_op}: {:.0} reads/s, \
+                     {:.1}µs/read, {:.2} dirty shards/write",
+                    s.reads_per_sec, s.mean_read_rtt_micros, s.dirty_shards
                 );
                 read_series.push(s);
             }

@@ -8,8 +8,7 @@
 //! target-specific fields with finite, positive timings. The transport
 //! report additionally carries a `read_series` block (the read-mostly
 //! contention runs), checked for schema and for the cross-series
-//! invariant that the view read path never regresses against the
-//! driver-serialized baseline. CI runs it after each bench smoke so a
+//! invariants between its read paths. CI runs it after each bench smoke so a
 //! bench that silently drops a field (or commits a half-written report)
 //! fails the build instead of rotting quietly.
 //!
@@ -160,20 +159,19 @@ const READ_SERIES_FIELDS: &[(&str, bool)] = &[
     ("full_read_bytes", false),
 ];
 
-/// `BENCH_transport.json` invariants over the read-mostly series: all
-/// read paths present per (shards, readers) pair, every entry well-formed,
-/// the view fast path at least holding the line against the
-/// driver-serialized baseline, item-ranged reads at K=4 no slower than
-/// whole-universe reads on the same view path, follower reads (served
-/// off a replica tailing the leader) in the same regime as leader view
-/// reads, and push delta frames at K=4 cheaper on the wire than a
-/// full-universe refetch per epoch.
-/// Loopback reads are RTT-dominated, so the regression check compares
-/// **mean reads/sec across all pairs** (with a 0.9× tolerance) and the
-/// RTT checks compare means across pairs, rather than gating each pair
-/// on one noisy sample. Replication lag is reported per entry
-/// (`mean_lag_epochs`/`max_lag_epochs`, finite and ≥ 0) but not gated —
-/// it measures the tail thread's scheduling, not the serve path.
+/// `BENCH_transport.json` invariants over the read-mostly series: every
+/// entry well-formed, and every `"view"`/`"full"` (shards, readers) point
+/// paired with a `"ranged32"`, a `"follower"` and a `"push"` leg such
+/// that item-ranged reads at K=4 are no slower than whole-universe reads
+/// on the same view path, follower reads (served off a replica tailing
+/// the leader) stay in the same regime as leader view reads, and push
+/// delta frames at K=4 are cheaper on the wire than a full-universe
+/// refetch per epoch.
+/// Loopback reads are RTT-dominated, so the RTT checks compare **means
+/// across pairs** rather than gating each pair on one noisy sample.
+/// Replication lag is reported per entry (`mean_lag_epochs`/
+/// `max_lag_epochs`, finite and ≥ 0) but not gated — it measures the
+/// tail thread's scheduling, not the serve path.
 fn check_read_series(report: &Value) -> Result<(), String> {
     let entries = report
         .get("read_series")
@@ -228,122 +226,47 @@ fn check_read_series(report: &Value) -> Result<(), String> {
                 && e.get("readers").and_then(Value::as_f64) == Some(readers)
         })
     };
-    let drivers: Vec<&Value> = entries
-        .iter()
-        .filter(|e| str_of(e, "read_path") == "driver" && str_of(e, "read_op") == "full")
-        .collect();
-    if drivers.is_empty() {
-        return Err("read_series has no \"driver\"/\"full\" baseline entries".to_string());
-    }
-    let mut driver_total = 0.0;
-    let mut view_total = 0.0;
-    for driver in &drivers {
-        let shards = field_f64(driver, "shards")?;
-        let readers = field_f64(driver, "readers")?;
-        let view = find("view", "full", shards, readers).ok_or_else(|| {
-            format!("read_series: no \"view\"/\"full\" entry for shards={shards} readers={readers}")
-        })?;
-        driver_total += field_f64(driver, "reads_per_sec")?;
-        view_total += field_f64(view, "reads_per_sec")?;
-    }
-    if view_total < 0.9 * driver_total {
-        return Err(format!(
-            "read_series: view read path regressed vs the driver baseline: \
-             {:.0} < 0.9 × {:.0} mean reads/s across {} pairs",
-            view_total / drivers.len() as f64,
-            driver_total / drivers.len() as f64,
-            drivers.len()
-        ));
-    }
-
     // Ranged reads exist to move O(probe) rows instead of O(items): at the
     // sharded K=4 configuration they must not be slower than full reads on
     // the same view path, comparing mean RTT across the reader counts.
-    let mut full_rtt = 0.0;
-    let mut ranged_rtt = 0.0;
-    let mut ranged_pairs = 0usize;
-    for entry in entries {
-        if str_of(entry, "read_path") != "view" || str_of(entry, "read_op") != "full" {
-            continue;
-        }
-        let shards = field_f64(entry, "shards")?;
-        if shards != 4.0 {
-            continue;
-        }
-        let readers = field_f64(entry, "readers")?;
-        let ranged = find("view", "ranged32", shards, readers).ok_or_else(|| {
-            format!("read_series: no \"view\"/\"ranged32\" entry for shards=4 readers={readers}")
-        })?;
-        full_rtt += field_f64(entry, "mean_read_rtt_micros")?;
-        ranged_rtt += field_f64(ranged, "mean_read_rtt_micros")?;
-        ranged_pairs += 1;
-    }
-    if ranged_pairs == 0 {
-        return Err("read_series has no \"view\"/\"ranged32\" entries at shards=4".to_string());
-    }
-    if ranged_rtt > full_rtt {
-        return Err(format!(
-            "read_series: ranged reads are slower than full reads at K=4: \
-             {:.1}µs > {:.1}µs mean RTT across {ranged_pairs} reader counts",
-            ranged_rtt / ranged_pairs as f64,
-            full_rtt / ranged_pairs as f64,
-        ));
-    }
-
-    // Replication: every (shards, readers) point carries a follower leg —
-    // reads served off a replica tailing the leader's op stream — and that
-    // leg stays in the same regime as reading the leader's own views (3×
-    // RTT: the follower's serve path is the identical view fast path, but
-    // on loopback its apply loop competes with its readers for the same
+    // Follower reads must stay within 3× the leader's view reads (the
+    // follower's serve path is the identical view read path, but on
+    // loopback its apply loop competes with its readers for the same
     // cores, so single-sample RTTs run hotter; the bound still fails if
-    // follower reads fall off the view path entirely. Lag is reported
-    // above, not gated).
-    let mut view_rtt = 0.0;
-    let mut follower_rtt = 0.0;
-    let mut follower_pairs = 0usize;
-    for entry in entries {
-        if str_of(entry, "read_path") != "view" || str_of(entry, "read_op") != "full" {
-            continue;
-        }
+    // follower reads fall off the view path entirely). Push legs must
+    // report real wire sizes, and at K=4 the single-shard delta frames
+    // must actually be cheaper than refetching the full universe every
+    // epoch — the economics the push path exists for. (One-way latency
+    // and staleness are reported, not gated: on a loopback single-core
+    // host they measure thread scheduling.)
+    let (mut full_k4, mut ranged_k4, mut k4_pairs) = (0.0, 0.0, 0usize);
+    let (mut view_rtt, mut follower_rtt, mut pairs) = (0.0, 0.0, 0usize);
+    let views = entries
+        .iter()
+        .filter(|e| str_of(e, "read_path") == "view" && str_of(e, "read_op") == "full");
+    for entry in views {
         let shards = field_f64(entry, "shards")?;
         let readers = field_f64(entry, "readers")?;
-        let follower = find("follower", "full", shards, readers).ok_or_else(|| {
-            format!(
-                "read_series: no \"follower\"/\"full\" entry for shards={shards} readers={readers}"
-            )
-        })?;
-        view_rtt += field_f64(entry, "mean_read_rtt_micros")?;
+        let leg = |path: &str, op: &str| {
+            find(path, op, shards, readers).ok_or_else(|| {
+                format!(
+                    "read_series: no {path:?}/{op:?} entry for shards={shards} readers={readers}"
+                )
+            })
+        };
+        let (ranged, follower, push) = (
+            leg("view", "ranged32")?,
+            leg("follower", "full")?,
+            leg("push", "full")?,
+        );
+        let rtt = field_f64(entry, "mean_read_rtt_micros")?;
+        if shards == 4.0 {
+            full_k4 += rtt;
+            ranged_k4 += field_f64(ranged, "mean_read_rtt_micros")?;
+            k4_pairs += 1;
+        }
+        view_rtt += rtt;
         follower_rtt += field_f64(follower, "mean_read_rtt_micros")?;
-        follower_pairs += 1;
-    }
-    if follower_pairs == 0 {
-        return Err("read_series has no \"view\"/\"full\" entries to pair followers with".into());
-    }
-    if follower_rtt > 3.0 * view_rtt {
-        return Err(format!(
-            "read_series: follower reads fell out of the leader view reads' regime: \
-             {:.1}µs > 3 × {:.1}µs mean RTT across {follower_pairs} pairs",
-            follower_rtt / follower_pairs as f64,
-            view_rtt / follower_pairs as f64,
-        ));
-    }
-
-    // Push subscriptions: every (shards, readers) point carries a push leg
-    // with real wire sizes, and at the sharded K=4 configuration the
-    // single-shard delta frames must actually be cheaper than refetching
-    // the full universe every epoch — the economics the push path exists
-    // for. (One-way latency and staleness are reported, not gated: on a
-    // loopback single-core host they measure thread scheduling.)
-    let mut push_pairs = 0usize;
-    for entry in entries {
-        if str_of(entry, "read_path") != "view" || str_of(entry, "read_op") != "full" {
-            continue;
-        }
-        let shards = field_f64(entry, "shards")?;
-        let readers = field_f64(entry, "readers")?;
-        let push = find("push", "full", shards, readers).ok_or_else(|| {
-            format!("read_series: no \"push\"/\"full\" entry for shards={shards} readers={readers}")
-        })?;
         let delta_bytes = field_f64(push, "bytes_per_epoch")?;
         let full_bytes = field_f64(push, "full_read_bytes")?;
         if delta_bytes <= 0.0 || full_bytes <= 0.0 {
@@ -359,10 +282,26 @@ fn check_read_series(report: &Value) -> Result<(), String> {
                  readers={readers}: {delta_bytes:.0}B/epoch > {full_bytes:.0}B"
             ));
         }
-        push_pairs += 1;
+        pairs += 1;
     }
-    if push_pairs == 0 {
-        return Err("read_series has no \"view\"/\"full\" entries to pair push legs with".into());
+    if k4_pairs == 0 {
+        return Err("read_series has no \"view\"/\"full\" entries at shards=4".into());
+    }
+    if ranged_k4 > full_k4 {
+        return Err(format!(
+            "read_series: ranged reads are slower than full reads at K=4: \
+             {:.1}µs > {:.1}µs mean RTT across {k4_pairs} reader counts",
+            ranged_k4 / k4_pairs as f64,
+            full_k4 / k4_pairs as f64,
+        ));
+    }
+    if follower_rtt > 3.0 * view_rtt {
+        return Err(format!(
+            "read_series: follower reads fell out of the leader view reads' regime: \
+             {:.1}µs > 3 × {:.1}µs mean RTT across {pairs} pairs",
+            follower_rtt / pairs as f64,
+            view_rtt / pairs as f64,
+        ));
     }
     Ok(())
 }

@@ -153,7 +153,6 @@ fn serve_main(args: Vec<String>) {
     let mut max_clients = 4usize;
     let mut op_log: Option<std::path::PathBuf> = None;
     let mut wire_policy = cpa_transport::WirePolicy::Auto;
-    let mut reads_via_driver = false;
     let mut subscribe_reads = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -215,13 +214,12 @@ fn serve_main(args: Vec<String>) {
                     )),
                 };
             }
-            "--reads-via-driver" => reads_via_driver = true,
             "--subscribe-reads" => subscribe_reads = true,
             "--help" | "-h" => {
                 println!(
                     "repro serve [--addr A] [--shards K] [--threads T] [--method M] \
                      [--scale F] [--seed S] [--max-clients N] [--op-log PATH] \
-                     [--wire auto|json|binary] [--reads-via-driver] [--subscribe-reads]"
+                     [--wire auto|json|binary] [--subscribe-reads]"
                 );
                 return;
             }
@@ -246,10 +244,6 @@ fn serve_main(args: Vec<String>) {
         max_clients,
         record_ops: op_log.is_some(),
         wire_policy,
-        // Default: Predict/Estimate answered from the epoch-published view
-        // in the connection handlers; the flag forces every read through
-        // the driver (the serialized baseline).
-        serve_reads_from_views: !reads_via_driver,
     };
     let server = cpa_transport::FleetServer::bind(&addr, config)
         .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
@@ -316,7 +310,7 @@ fn serve_main(args: Vec<String>) {
         let jsonl = cpa_serve::ops_to_jsonl(&outcome.op_log);
         match std::fs::write(&path, &jsonl) {
             Ok(()) => eprintln!(
-                "# op-log: {} ops written to {}",
+                "# op-log: {} accepted mutations written to {}",
                 outcome.op_log.len(),
                 path.display()
             ),

@@ -221,7 +221,6 @@ pub fn run_push_loopback(fleet: Fleet, ops: Vec<FleetOp>, format: WireFormat) ->
         ServerConfig {
             // The subscription (one of max_clients - 1 slots) + the writer.
             max_clients: 2,
-            serve_reads_from_views: true,
             ..ServerConfig::default()
         },
     )

@@ -46,11 +46,12 @@ pub struct ShardedRun {
     /// Answers ingested per second.
     pub answers_per_sec: f64,
     /// Seconds for the first `predict_all` after the fit — the cold path
-    /// that runs the full shard merge and fills the epoch's read view.
+    /// that computes every shard's slab into the epoch's read view.
     pub predict_cold_secs: f64,
-    /// Seconds for a repeat `predict_all` at the same epoch — the memoized
-    /// path reading the filled view cell (see `cpa_serve::view`).
-    pub predict_memo_secs: f64,
+    /// Seconds for a repeat `predict_all` at the same epoch — the warm
+    /// path that reuses the view's slabs and only gathers (see
+    /// `cpa_serve::view`).
+    pub predict_repeat_secs: f64,
     /// Seconds for an item-ranged `predict_items` over a 32-item probe at
     /// the same epoch — the per-shard-slab path that never touches items
     /// outside the probe's shards.
@@ -90,15 +91,15 @@ pub fn sharded_run(
     let fit_secs = start.elapsed().as_secs_f64();
     let answers = fleet.num_answers_seen();
 
-    // First predict after the fit pays the shard merge (and fills the
-    // epoch's read view); a repeat at the same epoch is the memoized path.
+    // First predict after the fit computes every shard's slab (into the
+    // epoch's read view); a repeat at the same epoch reuses the slabs.
     let t = std::time::Instant::now();
     let predictions = fleet.predict_all();
     let predict_cold_secs = t.elapsed().as_secs_f64();
     let t = std::time::Instant::now();
     let again = fleet.predict_all();
-    let predict_memo_secs = t.elapsed().as_secs_f64();
-    assert_eq!(again, predictions, "memoized predict diverged");
+    let predict_repeat_secs = t.elapsed().as_secs_f64();
+    assert_eq!(again, predictions, "repeat predict diverged");
 
     // An item-ranged read at the same epoch: a slice of the full read,
     // answered from the per-shard slabs the full read already filled.
@@ -116,7 +117,7 @@ pub fn sharded_run(
         fit_secs,
         answers_per_sec: answers as f64 / fit_secs.max(1e-9),
         predict_cold_secs,
-        predict_memo_secs,
+        predict_repeat_secs,
         predict_ranged_secs,
     }
 }
@@ -182,7 +183,7 @@ pub fn run(cfg: &EvalConfig) -> Report {
                 f3(m.f1),
                 format!("{:.0}", run.answers_per_sec),
                 format!("{:.3}", run.predict_cold_secs * 1e3),
-                format!("{:.3}", run.predict_memo_secs * 1e3),
+                format!("{:.3}", run.predict_repeat_secs * 1e3),
                 format!("{:.3}", run.predict_ranged_secs * 1e3),
                 f3(j),
             ]);
@@ -197,9 +198,10 @@ pub fn run(cfg: &EvalConfig) -> Report {
     ));
     r.note("batches enter through a live queue (cpa_data::queue), the serving ingest path");
     r.note(
-        "predict_ms = first predict after the fit (full shard merge, fills the epoch's read \
-         view); repredict_ms = repeat at the same epoch (memoized view cell); ranged_ms = \
-         32-item `predict_items` at the same epoch (per-shard slab path)",
+        "predict_ms = first predict after the fit (computes every shard's slab into the \
+         epoch's read view); repredict_ms = repeat at the same epoch (reuses the slabs, \
+         gathers only); ranged_ms = 32-item `predict_items` at the same epoch (per-shard \
+         slab path)",
     );
     r
 }

@@ -18,13 +18,13 @@
 //! `Refit`/`Restore` dirty all), and the new view carries the clean
 //! shards' already-filled per-shard slabs forward by `Arc` — zero
 //! recompute, zero copy. Reads (`Predict`/`Estimate`, full or
-//! item-ranged) are answered **from the published view**, not by
-//! re-driving the shards: the first read of an epoch computes only the
-//! dirty shards' slabs and fills the view's cells, every later read of
-//! that epoch is a cache hit — in-process callers get memoized
-//! `predict_all`/`estimate_all`/`predict_items`/`estimate_items`, and
-//! transport connection handlers serve reads concurrently with mutations
-//! without a driver round trip (see `cpa-transport`).
+//! item-ranged) are answered **from the published view's per-shard
+//! slabs**, not by re-driving the shards: the first read of an epoch
+//! computes only the dirty shards' slabs, every later read of that epoch
+//! reuses them — in-process `predict_all`/`estimate_all` gather from them,
+//! and transport connection handlers splice reads from rows encoded once
+//! per (epoch, shard, codec), concurrently with mutations and without a
+//! driver round trip (see `cpa-transport`).
 //!
 //! # Determinism contract
 //!
@@ -272,11 +272,11 @@ impl Fleet {
     ///   degenerates to stepping every shard), numbering it
     ///   `batches_ingested + 1`;
     /// - `Refit` refits every shard concurrently (dirties all);
-    /// - `Predict` / `Estimate` are reads, answered from (and memoized in)
-    ///   the current epoch's published [`crate::view::ReadView`] — the
-    ///   first read of an epoch computes only the per-shard slabs the view
-    ///   is missing (clean shards' slabs were carried forward at publish),
-    ///   later reads of the same epoch are cache hits;
+    /// - `Predict` / `Estimate` are reads, merged from the per-shard slabs
+    ///   of the current epoch's published [`crate::view::ReadView`] — the
+    ///   first read of an epoch computes only the slabs the view is missing
+    ///   (clean shards' slabs were carried forward at publish), later reads
+    ///   of the same epoch reuse them;
     /// - `PredictItems` / `EstimateItems` are item-ranged reads: they fill
     ///   only the slabs of the shards owning the requested items and echo
     ///   the request order (duplicates allowed; an out-of-range item
@@ -325,17 +325,15 @@ impl Fleet {
             }
             FleetOp::Predict => {
                 let view = self.views.current();
-                let predictions = view.predictions_or_init(|| self.merge_predictions(&view));
                 FleetReply::Predictions {
-                    predictions: (*predictions).clone(),
+                    predictions: self.merge_predictions(&view),
                     epoch: view.epoch(),
                 }
             }
             FleetOp::Estimate => {
                 let view = self.views.current();
-                let estimate = view.estimate_or_init(|| self.merge_estimate(&view));
                 FleetReply::Estimated {
-                    estimate: (*estimate).clone(),
+                    estimate: self.merge_estimate(&view),
                     epoch: view.epoch(),
                 }
             }
@@ -709,15 +707,13 @@ impl Fleet {
         replies
     }
 
-    /// Merged consensus predictions in global item order, **memoized per
-    /// epoch**: the first call after a mutation computes only the shard
-    /// slabs the current [`crate::view::ReadView`] is missing (clean
-    /// shards' slabs were carried forward at publish) and fills the merged
-    /// cell; repeated calls at the same epoch are cache hits (any accepted
-    /// mutation publishes the next view, which is what invalidates).
+    /// Merged consensus predictions in global item order, gathered from
+    /// the per-shard slabs of the current [`crate::view::ReadView`]: the
+    /// first call after a mutation computes only the slabs the view is
+    /// missing (clean shards' slabs were carried forward at publish);
+    /// repeated calls at the same epoch reuse every slab and only gather.
     pub fn predict_all(&self) -> Vec<LabelSet> {
-        let view = self.views.current();
-        (*view.predictions_or_init(|| self.merge_predictions(&view))).clone()
+        self.merge_predictions(&self.views.current())
     }
 
     /// Consensus predictions for exactly `items`, echoed in request order
@@ -887,7 +883,7 @@ impl Fleet {
         }
     }
 
-    /// The merged-cell fill behind [`Fleet::predict_all`]: ensure every
+    /// The merge behind [`Fleet::predict_all`] and `Predict`: ensure every
     /// shard's slab is on `view` (computing only the missing ones), then
     /// gather each item's label set from the shard that owns it.
     fn merge_predictions(&self, view: &ReadView) -> Vec<LabelSet> {
@@ -902,8 +898,8 @@ impl Fleet {
             .collect()
     }
 
-    /// Merged soft-truth estimate in global item order, **memoized per
-    /// epoch** exactly like [`Fleet::predict_all`].
+    /// Merged soft-truth estimate in global item order, gathered from the
+    /// per-shard slabs exactly like [`Fleet::predict_all`].
     ///
     /// Per-item fields (`soft`, `expected_size`) come from the owning shard.
     /// A worker's weight is the answer-count-weighted mean of its weights in
@@ -911,11 +907,10 @@ impl Fleet {
     /// weight 1). `community_reliability` is left empty: community structure
     /// is a per-shard notion — read it from [`Fleet::shard`] estimates.
     pub fn estimate_all(&self) -> TruthEstimate {
-        let view = self.views.current();
-        (*view.estimate_or_init(|| self.merge_estimate(&view))).clone()
+        self.merge_estimate(&self.views.current())
     }
 
-    /// The merged-cell fill behind [`Fleet::estimate_all`], over the
+    /// The merge behind [`Fleet::estimate_all`] and `Estimate`, over the
     /// per-shard estimate slabs (computing only the missing ones).
     fn merge_estimate(&self, view: &ReadView) -> TruthEstimate {
         let all: Vec<usize> = (0..self.num_shards()).collect();

@@ -25,11 +25,11 @@
 //!   bumps the fleet epoch and publishes an immutable
 //!   [`view::ReadView`] through an `Arc`-swapped [`view::ViewHandle`], so
 //!   `Predict`/`Estimate` — all-items or item-ranged
-//!   (`PredictItems`/`EstimateItems`) — are answered (and their replies
-//!   cached, value and encoded bytes alike, once per epoch) without
-//!   re-driving the shards — and, over `cpa-transport`, without a driver
-//!   round trip. Publication is **incremental**: shards untouched by a
-//!   mutation carry their filled `Arc` slabs into the next epoch's view.
+//!   (`PredictItems`/`EstimateItems`) — are answered from per-shard slabs
+//!   and reply rows cached once per epoch, without re-driving the shards —
+//!   and, over `cpa-transport`, without a driver round trip. Publication
+//!   is **incremental**: shards untouched by a mutation carry their filled
+//!   `Arc` cells into the next epoch's view.
 //! - [`push`] — the read-delta subscription cache: a [`push::ReadCache`]
 //!   built from a `SubscribeReads` bootstrap applies the per-mutation
 //!   delta frames a leader pushes (rows for only the dirty shards'
@@ -93,7 +93,7 @@ pub use protocol::{ops_from_jsonl, ops_to_jsonl, FleetOp, FleetReply, ItemEstima
 pub use push::{AppliedDelta, PushError, ReadCache};
 pub use replica::{Applied, Follower, OpFeed, OpLogTailFeed, ReplicaError, ShippedOp};
 pub use router::{ShardIndex, ShardRouter};
-pub use view::{ReadKind, ReadView, ReplyRef, ViewHandle, WIRE_SLOTS};
+pub use view::{ReadKind, ReadView, ViewHandle, WIRE_SLOTS};
 
 #[cfg(test)]
 mod tests {
@@ -104,6 +104,7 @@ mod tests {
     use cpa_data::simulate::simulate;
     use cpa_data::stream::{MemorySource, WorkerStream};
     use cpa_math::rng::seeded;
+    use std::sync::Arc;
 
     fn cfg() -> CpaConfig {
         CpaConfig::default().with_truncation(4, 5).with_seed(31)
@@ -180,13 +181,19 @@ mod tests {
         assert_eq!(fleet.epoch(), fleet.batches_ingested() as u64 + 1);
         let epoch = fleet.epoch();
 
-        // Reads never bump the epoch, and fill the published view's cells
-        // exactly once (the memoized in-process path).
+        // Reads never bump the epoch, and fill every shard's slab of the
+        // published view exactly once.
         let preds = fleet.predict_all();
         assert_eq!(fleet.epoch(), epoch);
         let view = fleet.view_handle().current();
         assert_eq!(view.epoch(), epoch);
-        assert_eq!(*view.predictions().expect("cell filled by read"), preds);
+        let slabs: Vec<_> = (0..fleet.num_shards())
+            .map(|s| view.shard_predictions(s).expect("slab filled by read"))
+            .collect();
+        assert_eq!(fleet.predict_all(), preds);
+        for (s, slab) in slabs.iter().enumerate() {
+            assert!(Arc::ptr_eq(slab, &view.shard_predictions(s).unwrap()));
+        }
         match fleet.apply(FleetOp::Predict) {
             FleetReply::Predictions {
                 predictions,

@@ -20,7 +20,8 @@
 //!   pushes every accepted mutation as an epoch-tagged
 //!   [`FleetReply::OpApplied`](crate::FleetReply)
 //!   frame the moment its view is published, and each frame's epoch tag is
-//!   verified against the epoch the follower's own apply produced;
+//!   checked against the epoch the follower's apply would produce before
+//!   the op is applied;
 //! - **live on-disk op-log** — [`OpLogTailFeed`] tails a growing JSONL
 //!   op-log through the tolerant `cpa_data::io::oplog_tail_jsonl` reader
 //!   (a partially-appended final record is a clean resumable boundary, not
@@ -48,7 +49,7 @@ use std::time::{Duration, Instant};
 
 /// One op delivered to a follower: the mutation plus, when the feed knows
 /// it (subscription frames do, raw log tails don't), the epoch the leader's
-/// apply produced — verified against the follower's own apply.
+/// apply produced — checked against the follower's state before applying.
 #[derive(Debug, Clone)]
 pub struct ShippedOp {
     /// The epoch this op created on the leader, if the feed carries tags.
@@ -111,13 +112,15 @@ pub enum ReplicaError {
         /// The follower fleet's rejection message.
         message: String,
     },
-    /// The epoch the follower's apply produced differs from the epoch tag
-    /// the leader pushed — a gap or reorder in the shipped stream.
+    /// The epoch tag the leader pushed is not the epoch applying the op
+    /// would produce — a gap, a reorder or a foreign lineage in the shipped
+    /// stream. The op was not applied.
     EpochMismatch {
         /// The epoch tag on the shipped frame.
         pushed: u64,
-        /// The epoch the follower's apply actually produced.
-        applied: u64,
+        /// The epoch applying the op would produce: the follower's epoch
+        /// plus one, or a `Restore` manifest's recorded epoch.
+        expected: u64,
         /// The op's stable name.
         op: &'static str,
     },
@@ -132,12 +135,13 @@ impl std::fmt::Display for ReplicaError {
             }
             ReplicaError::EpochMismatch {
                 pushed,
-                applied,
+                expected,
                 op,
             } => write!(
                 f,
-                "shipped {op} op tagged epoch {pushed} but applying produced \
-                 epoch {applied} — gap or reorder in the shipped stream"
+                "shipped {op} op tagged epoch {pushed} but the follower expected \
+                 epoch {expected} — gap, reorder or foreign lineage in the shipped \
+                 stream; not applied"
             ),
         }
     }
@@ -203,14 +207,17 @@ impl Follower {
     }
 
     /// Applies one shipped op. Non-mutations (reads recorded in a raw log,
-    /// the **leader's** `Shutdown`) are skipped; mutations go through
-    /// [`Fleet::apply`] and, when the frame carries an epoch tag, the
-    /// resulting epoch is verified against it.
+    /// the **leader's** `Shutdown`) are skipped. When the frame carries an
+    /// epoch tag, it is checked *before* the mutation is applied: a
+    /// `Restore` must carry its manifest's epoch, any other mutation the
+    /// follower's epoch plus one. Mutations that pass go through
+    /// [`Fleet::apply`].
     ///
     /// # Errors
+    /// [`ReplicaError::EpochMismatch`] on a tag the op would not produce
+    /// (gap, reorder or foreign lineage in the stream), and
     /// [`ReplicaError::Rejected`] if the replica fleet rejects the op
-    /// (divergent state), [`ReplicaError::EpochMismatch`] on a tag/apply
-    /// disagreement (gap or reorder in the stream).
+    /// (divergent state). Either way the replica fleet is left untouched.
     pub fn apply_shipped(&mut self, shipped: ShippedOp) -> Result<Applied, ReplicaError> {
         let ShippedOp { epoch, op } = shipped;
         if let Some(pushed) = epoch {
@@ -220,21 +227,25 @@ impl Follower {
             return Ok(Applied::Skipped);
         }
         let name = op.name();
+        if let Some(pushed) = epoch {
+            let expected = match &op {
+                FleetOp::Restore { manifest } => manifest.epoch,
+                _ => self.fleet.epoch() + 1,
+            };
+            if pushed != expected {
+                return Err(ReplicaError::EpochMismatch {
+                    pushed,
+                    expected,
+                    op: name,
+                });
+            }
+        }
         match self.fleet.apply(op) {
             FleetReply::Error { message } => Err(ReplicaError::Rejected { op: name, message }),
             _ => {
-                let applied = self.fleet.epoch();
-                if let Some(pushed) = epoch {
-                    if pushed != applied {
-                        return Err(ReplicaError::EpochMismatch {
-                            pushed,
-                            applied,
-                            op: name,
-                        });
-                    }
-                }
                 // Post-restore lineages can jump the epoch backwards; the
                 // head tracks the lineage the fleet is actually on.
+                let applied = self.fleet.epoch();
                 self.head = self.head.max(applied);
                 Ok(Applied::Mutation(applied))
             }
@@ -383,7 +394,9 @@ mod tests {
     #[test]
     fn epoch_gaps_and_rejections_are_named_errors() {
         let mut follower = Follower::new(tiny_fleet());
-        // A frame tagged 2 against an epoch-0 follower is a gap.
+        let before = follower.fleet().snapshot().to_json();
+        // A frame tagged 2 against an epoch-0 follower is a gap, refused
+        // before it applies: the replica keeps exactly the leader's state.
         let err = follower
             .apply_shipped(ShippedOp::tagged(2, ingest(0, 0)))
             .unwrap_err();
@@ -392,14 +405,36 @@ mod tests {
                 err,
                 ReplicaError::EpochMismatch {
                     pushed: 2,
-                    applied: 1,
+                    expected: 1,
                     ..
                 }
             ),
             "{err}"
         );
+        assert_eq!(follower.fleet().snapshot().to_json(), before);
+        // A `Restore` must carry its manifest's epoch (a foreign lineage
+        // otherwise), and is refused the same way.
+        let manifest = follower.fleet().snapshot();
+        let err = follower
+            .apply_shipped(ShippedOp::tagged(1, FleetOp::Restore { manifest }))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ReplicaError::EpochMismatch {
+                    pushed: 1,
+                    expected: 0,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(follower.fleet().snapshot().to_json(), before);
         // Re-shipping an already-arrived worker violates the arrival
         // contract on the replica: a named rejection, not a panic.
+        follower
+            .apply_shipped(ShippedOp::tagged(1, ingest(0, 0)))
+            .unwrap();
         let err = follower
             .apply_shipped(ShippedOp::tagged(2, ingest(0, 1)))
             .unwrap_err();

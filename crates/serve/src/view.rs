@@ -10,28 +10,31 @@
 //!   current view with [`ViewHandle::current`] — one `Arc` clone, no lock
 //!   held afterwards — and answer `Predict`/`Estimate` (full or
 //!   item-ranged) from it without touching the fleet or its driver thread;
-//! - the view's payload cells are **lazily filled, once per epoch**:
-//!   publication after a mutation costs one small allocation, and merges
-//!   run only when the epoch is actually read. The first read of an epoch
-//!   pays the work; every later read of the same epoch is a cache hit.
+//! - the view's cells are **lazily filled, once per epoch**: publication
+//!   after a mutation costs one small allocation, and shard slabs are
+//!   computed only when the epoch is actually read. The first read of an
+//!   epoch pays the work; every later read of the same epoch is a cache
+//!   hit.
+//!
+//! # Two cells per shard
+//!
+//! Every cell is held **per shard**: shard `s`'s `predict_all` / `estimate`
+//! slab lives in its own `Arc`, alongside its per-item pre-encoded reply
+//! rows per wire slot. There are no all-items cells: `cpa-transport`
+//! answers a full `Predict` by splicing every shard's cached rows in item
+//! order, exactly as it splices ranged reads and push deltas, and the
+//! in-process merges gather from the slabs.
 //!
 //! # Incremental publication (dirty shards)
 //!
-//! Cells are held **per shard**: shard `s`'s `predict_all` / `estimate`
-//! slab lives in its own `Arc`, alongside per-item pre-encoded reply rows
-//! per wire slot. When a mutation dirties only some shards (an `Ingest`
-//! whose batch routed to 1 of K shards dirties exactly that shard;
-//! `Refit` / `Restore` dirty all), `ViewHandle::publish` **carries the
-//! clean shards' filled `Arc` cells forward unchanged** into the new
-//! epoch's view — same allocation, zero recompute, zero copy (the carried
-//! `Arc`s are pointer-identical across epochs). Only the dirty shards'
-//! slabs are recomputed on the new epoch's first read, so that read costs
-//! O(items/K) after a single-shard ingest instead of O(items).
-//!
-//! The *merged* all-items cells (and their whole-reply encodings) are
-//! never carried: any accepted mutation invalidates at least one shard,
-//! and the merge is a gather over the per-shard slabs — cheap once the
-//! slabs are warm.
+//! When a mutation dirties only some shards (an `Ingest` whose batch
+//! routed to 1 of K shards dirties exactly that shard; `Refit` / `Restore`
+//! dirty all), `ViewHandle::publish` **carries the clean shards' filled
+//! `Arc` cells forward unchanged** into the new epoch's view — same
+//! allocation, zero recompute, zero copy (the carried `Arc`s are
+//! pointer-identical across epochs). Only the dirty shards' slabs are
+//! recomputed on the new epoch's first read, so that read costs O(items/K)
+//! after a single-shard ingest instead of O(items).
 //!
 //! # Consistency
 //!
@@ -53,17 +56,16 @@
 //! backwards — clients caching by epoch across a restore must treat the
 //! restore as a new lineage.
 
-use crate::protocol::FleetOp;
 use crate::router::ShardIndex;
 use cpa_core::truth::TruthEstimate;
 use cpa_data::labels::LabelSet;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// Number of wire-encoding slots each read reply is cached under — one per
-/// wire codec (`cpa-transport` maps its JSON codec to slot 0 and the binary
-/// codec to slot 1). `cpa-serve` itself never encodes; it only provides the
-/// per-epoch cells.
+/// Number of wire-encoding slots each shard's reply rows are cached under —
+/// one per wire codec (`cpa-transport` maps its JSON codec to slot 0 and
+/// the binary codec to slot 1). `cpa-serve` itself never encodes; it only
+/// provides the per-epoch cells.
 pub const WIRE_SLOTS: usize = 2;
 
 /// Which read a [`ReadView`] cell answers.
@@ -79,79 +81,11 @@ pub enum ReadKind {
 }
 
 impl ReadKind {
-    /// Classifies an op as a view-servable **all-items** read, or `None`
-    /// for everything else (mutations, the item-ranged reads — which carry
-    /// a payload and are classified by [`ReadKind::of_ranged`] —
-    /// `Snapshot`, and `Shutdown`).
-    pub fn of(op: &FleetOp) -> Option<ReadKind> {
-        match op {
-            FleetOp::Predict => Some(ReadKind::Predictions),
-            FleetOp::Estimate => Some(ReadKind::Estimate),
-            _ => None,
-        }
-    }
-
-    /// Classifies an op as a view-servable **item-ranged** read, returning
-    /// the kind and the requested items.
-    pub fn of_ranged(op: &FleetOp) -> Option<(ReadKind, &[usize])> {
-        match op {
-            FleetOp::PredictItems { items } => Some((ReadKind::Predictions, items)),
-            FleetOp::EstimateItems { items } => Some((ReadKind::Estimate, items)),
-            _ => None,
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             ReadKind::Predictions => 0,
             ReadKind::Estimate => 1,
         }
-    }
-}
-
-/// A borrowed, epoch-tagged read reply: serializes **byte-identically** to
-/// the matching owned [`FleetReply`](crate::protocol::FleetReply) variant while holding the view's
-/// payload `Arc` instead of a deep clone — the encode-from-a-borrow path
-/// transport handlers use to fill a view's encoded-reply cell.
-#[derive(Debug)]
-pub enum ReplyRef {
-    /// Serializes as `FleetReply::Predictions`.
-    Predictions {
-        /// The view's merged predictions cell.
-        predictions: Arc<Vec<LabelSet>>,
-        /// The view's epoch.
-        epoch: u64,
-    },
-    /// Serializes as `FleetReply::Estimated`.
-    Estimated {
-        /// The view's merged estimate cell.
-        estimate: Arc<TruthEstimate>,
-        /// The view's epoch.
-        epoch: u64,
-    },
-}
-
-impl Serialize for ReplyRef {
-    // Mirrors the derive's externally-tagged enum encoding of the owned
-    // `FleetReply` variants, field for field in declaration order.
-    fn serialize(&self) -> serde::Value {
-        let (tag, fields) = match self {
-            ReplyRef::Predictions { predictions, epoch } => (
-                "Predictions",
-                vec![
-                    ("predictions".to_string(), (**predictions).serialize()),
-                    ("epoch".to_string(), epoch.serialize()),
-                ],
-            ),
-            ReplyRef::Estimated { estimate, epoch } => (
-                "Estimated",
-                vec![
-                    ("estimate".to_string(), (**estimate).serialize()),
-                    ("epoch".to_string(), epoch.serialize()),
-                ],
-            ),
-        };
-        serde::Value::Object(vec![(tag.to_string(), serde::Value::Object(fields))])
     }
 }
 
@@ -189,11 +123,11 @@ impl ShardCells {
 
 /// One epoch's immutable read state: the epoch number, the shared
 /// [`ShardIndex`], per-shard cells (slabs + pre-encoded reply rows), and
-/// merged all-items cells (values + whole-reply encodings per wire slot).
+/// the set of shards the publishing mutation dirtied.
 ///
-/// Views are only ever constructed (and their value cells only ever filled)
-/// by the owning `Fleet` or a transport handler encoding from them; readers
-/// observe them through [`ViewHandle::current`].
+/// Views are only ever constructed (and their slabs only ever filled) by
+/// the owning `Fleet`; transport handlers fill the row cells from the
+/// slabs. Readers observe views through [`ViewHandle::current`].
 #[derive(Debug)]
 pub struct ReadView {
     epoch: u64,
@@ -203,9 +137,6 @@ pub struct ReadView {
     /// exactly the slabs a reader of the previous epoch must refresh. A
     /// fresh or restored view dirties every shard.
     dirty: Vec<usize>,
-    predictions: OnceLock<Arc<Vec<LabelSet>>>,
-    estimate: OnceLock<Arc<TruthEstimate>>,
-    encoded: [OnceLock<Arc<Vec<u8>>>; 2 * WIRE_SLOTS],
 }
 
 impl ReadView {
@@ -218,16 +149,13 @@ impl ReadView {
             dirty: (0..index.num_shards()).collect(),
             index,
             shards,
-            predictions: OnceLock::new(),
-            estimate: OnceLock::new(),
-            encoded: Default::default(),
         }
     }
 
     /// The epoch-`E+1` view after a mutation that dirtied `dirty`: clean
     /// shards' filled cells are carried forward by `Arc` clone
-    /// (pointer-identical, zero recompute); dirty shards' cells — and all
-    /// merged cells — start empty.
+    /// (pointer-identical, zero recompute); dirty shards' cells start
+    /// empty.
     pub(crate) fn carried(epoch: u64, prev: &ReadView, dirty: &[bool]) -> Self {
         assert_eq!(dirty.len(), prev.shards.len(), "dirty set vs shard count");
         let shards = prev
@@ -251,9 +179,6 @@ impl ReadView {
                 .enumerate()
                 .filter_map(|(s, &is_dirty)| is_dirty.then_some(s))
                 .collect(),
-            predictions: OnceLock::new(),
-            estimate: OnceLock::new(),
-            encoded: Default::default(),
         }
     }
 
@@ -273,16 +198,6 @@ impl ReadView {
     /// view reports every shard dirty (nothing carried).
     pub fn dirty_shards(&self) -> &[usize] {
         &self.dirty
-    }
-
-    /// The merged predictions, if this epoch's merge has run.
-    pub fn predictions(&self) -> Option<Arc<Vec<LabelSet>>> {
-        self.predictions.get().cloned()
-    }
-
-    /// The merged soft-truth estimate, if this epoch's merge has run.
-    pub fn estimate(&self) -> Option<Arc<TruthEstimate>> {
-        self.estimate.get().cloned()
     }
 
     /// Shard `s`'s raw `predict_all` slab, if filled this epoch (possibly
@@ -321,67 +236,6 @@ impl ReadView {
             .clone()
     }
 
-    /// Fills (or reads) the merged predictions cell — called by the fleet,
-    /// which owns the engines the merge reads.
-    pub(crate) fn predictions_or_init(
-        &self,
-        init: impl FnOnce() -> Vec<LabelSet>,
-    ) -> Arc<Vec<LabelSet>> {
-        self.predictions.get_or_init(|| Arc::new(init())).clone()
-    }
-
-    /// Fills (or reads) the merged estimate cell — called by the fleet.
-    pub(crate) fn estimate_or_init(
-        &self,
-        init: impl FnOnce() -> TruthEstimate,
-    ) -> Arc<TruthEstimate> {
-        self.estimate.get_or_init(|| Arc::new(init())).clone()
-    }
-
-    /// Builds the borrowed, epoch-tagged reply for `kind` from the filled
-    /// merged cells — it serializes byte-identically to the owned
-    /// [`FleetReply`](crate::protocol::FleetReply) without cloning the payload — or `None` if this
-    /// epoch's merge has not run yet (the reader should fall back to the
-    /// fleet driver, whose `apply` fills the cell).
-    pub fn reply_ref(&self, kind: ReadKind) -> Option<ReplyRef> {
-        match kind {
-            ReadKind::Predictions => self.predictions().map(|predictions| ReplyRef::Predictions {
-                predictions,
-                epoch: self.epoch,
-            }),
-            ReadKind::Estimate => self.estimate().map(|estimate| ReplyRef::Estimated {
-                estimate,
-                epoch: self.epoch,
-            }),
-        }
-    }
-
-    /// The cached encoded reply bytes for `kind` under wire `slot`, if some
-    /// reader already encoded this epoch's reply under that codec.
-    ///
-    /// # Panics
-    /// Panics if `slot >= WIRE_SLOTS`.
-    pub fn encoded(&self, kind: ReadKind, slot: usize) -> Option<Arc<Vec<u8>>> {
-        assert!(slot < WIRE_SLOTS, "wire slot {slot} out of range");
-        self.encoded[kind.index() * WIRE_SLOTS + slot]
-            .get()
-            .cloned()
-    }
-
-    /// Publishes encoded reply bytes for `kind` under wire `slot` and
-    /// returns the cell's content (the given bytes, or whatever another
-    /// reader raced in first — both encode the same reply value, so the
-    /// bytes are identical either way).
-    ///
-    /// # Panics
-    /// Panics if `slot >= WIRE_SLOTS`.
-    pub fn fill_encoded(&self, kind: ReadKind, slot: usize, bytes: Vec<u8>) -> Arc<Vec<u8>> {
-        assert!(slot < WIRE_SLOTS, "wire slot {slot} out of range");
-        self.encoded[kind.index() * WIRE_SLOTS + slot]
-            .get_or_init(|| Arc::new(bytes))
-            .clone()
-    }
-
     /// Shard `s`'s pre-encoded per-item reply rows for `kind` under wire
     /// `slot` — one encoded value per owned item, in
     /// [`ShardIndex::items_of`] order — if some reader already encoded
@@ -398,8 +252,9 @@ impl ReadView {
 
     /// Publishes shard `s`'s pre-encoded per-item reply rows for `kind`
     /// under wire `slot` (one per owned item, in
-    /// [`ShardIndex::items_of`] order) and returns the cell's content —
-    /// the fill-once discipline of [`ReadView::fill_encoded`], per shard.
+    /// [`ShardIndex::items_of`] order) and returns the cell's content: the
+    /// given rows, or whatever another reader raced in first — both encode
+    /// the same slab, so the bytes are identical either way.
     ///
     /// # Panics
     /// Panics if `slot >= WIRE_SLOTS`, or if the row count does not match
@@ -487,98 +342,11 @@ impl ViewHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::FleetReply;
     use crate::router::ShardRouter;
     use cpa_data::labels::LabelSet;
 
     fn index(k: usize, items: usize) -> Arc<ShardIndex> {
         Arc::new(ShardIndex::new(ShardRouter::new(k), items))
-    }
-
-    #[test]
-    fn read_kind_classifies_only_view_servable_reads() {
-        assert_eq!(ReadKind::of(&FleetOp::Predict), Some(ReadKind::Predictions));
-        assert_eq!(ReadKind::of(&FleetOp::Estimate), Some(ReadKind::Estimate));
-        assert_eq!(
-            ReadKind::of(&FleetOp::PredictItems { items: vec![0] }),
-            None
-        );
-        assert_eq!(ReadKind::of(&FleetOp::Refit), None);
-        assert_eq!(ReadKind::of(&FleetOp::Snapshot), None);
-        assert_eq!(ReadKind::of(&FleetOp::Shutdown), None);
-        match ReadKind::of_ranged(&FleetOp::PredictItems { items: vec![2, 2] }) {
-            Some((ReadKind::Predictions, items)) => assert_eq!(items, &[2, 2]),
-            other => panic!("unexpected classification {other:?}"),
-        }
-        match ReadKind::of_ranged(&FleetOp::EstimateItems { items: vec![] }) {
-            Some((ReadKind::Estimate, items)) => assert!(items.is_empty()),
-            other => panic!("unexpected classification {other:?}"),
-        }
-        assert!(ReadKind::of_ranged(&FleetOp::Predict).is_none());
-    }
-
-    #[test]
-    fn cells_fill_once_and_reply_refs_serialize_like_owned_replies() {
-        let view = ReadView::new(7, index(2, 3));
-        assert!(view.reply_ref(ReadKind::Predictions).is_none());
-        let first = view.predictions_or_init(|| vec![LabelSet::from_labels(3, vec![1]); 3]);
-        // A second init closure never runs: the cell is fill-once.
-        let again = view.predictions_or_init(|| unreachable!("cell already filled"));
-        assert!(Arc::ptr_eq(&first, &again));
-        let reply_ref = view.reply_ref(ReadKind::Predictions).expect("filled");
-        let owned = FleetReply::Predictions {
-            predictions: (*first).clone(),
-            epoch: 7,
-        };
-        // The borrowed reply is byte-identical to the owned one under both
-        // the JSON text encoding and the binary document encoding.
-        assert_eq!(
-            serde_json::to_string(&reply_ref).unwrap(),
-            serde_json::to_string(&owned).unwrap()
-        );
-        assert_eq!(
-            cpa_data::codec::to_bytes(&reply_ref),
-            cpa_data::codec::to_bytes(&owned)
-        );
-    }
-
-    #[test]
-    fn estimate_reply_ref_matches_owned_encoding() {
-        let view = ReadView::new(3, index(1, 2));
-        let est = view.shard_estimate_or_init(0, || TruthEstimate {
-            soft: vec![vec![(0, 0.5)], vec![(1, 0.25)]],
-            expected_size: vec![1.0, 2.0],
-            worker_weight: vec![0.5],
-            community_reliability: vec![],
-        });
-        let merged = view.estimate_or_init(|| (*est).clone());
-        let reply_ref = view.reply_ref(ReadKind::Estimate).expect("filled");
-        let owned = FleetReply::Estimated {
-            estimate: (*merged).clone(),
-            epoch: 3,
-        };
-        assert_eq!(
-            serde_json::to_string(&reply_ref).unwrap(),
-            serde_json::to_string(&owned).unwrap()
-        );
-        assert_eq!(
-            cpa_data::codec::to_bytes(&reply_ref),
-            cpa_data::codec::to_bytes(&owned)
-        );
-    }
-
-    #[test]
-    fn encoded_cells_are_per_kind_and_slot() {
-        let view = ReadView::new(1, index(1, 1));
-        assert!(view.encoded(ReadKind::Predictions, 0).is_none());
-        let bytes = view.fill_encoded(ReadKind::Predictions, 0, vec![1, 2, 3]);
-        assert_eq!(*bytes, vec![1, 2, 3]);
-        // Other slots and kinds are independent cells.
-        assert!(view.encoded(ReadKind::Predictions, 1).is_none());
-        assert!(view.encoded(ReadKind::Estimate, 0).is_none());
-        // Racing fills keep the first value.
-        let kept = view.fill_encoded(ReadKind::Predictions, 0, vec![9]);
-        assert_eq!(*kept, vec![1, 2, 3]);
     }
 
     #[test]
@@ -598,13 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn publish_carries_clean_shard_cells_and_drops_dirty_and_merged_ones() {
+    fn publish_carries_clean_shard_cells_and_drops_dirty_ones() {
         let handle = ViewHandle::new(0, index(2, 5));
         let before = handle.current();
         let clean = before.shard_predictions_or_init(0, || vec![LabelSet::empty(2); 5]);
         let stale = before.shard_predictions_or_init(1, || vec![LabelSet::empty(2); 5]);
-        before.predictions_or_init(|| vec![LabelSet::empty(2); 5]);
-        before.fill_encoded(ReadKind::Predictions, 0, vec![1]);
         before.fill_rows(
             ReadKind::Predictions,
             0,
@@ -624,14 +390,10 @@ mod tests {
         assert!(after.rows(ReadKind::Predictions, 0, 0).is_some());
         // Dirty shard 1: dropped.
         assert!(after.shard_predictions(1).is_none());
-        drop(stale);
-        // Merged cells never carry across a mutation.
-        assert!(after.predictions().is_none());
-        assert!(after.encoded(ReadKind::Predictions, 0).is_none());
         // The old view is untouched by the swap — readers that grabbed it
         // keep a consistent epoch-0 token.
         assert_eq!(before.epoch(), 0);
-        assert!(before.predictions().is_some());
+        assert!(Arc::ptr_eq(&stale, &before.shard_predictions(1).unwrap()));
 
         // Reset (the Restore publication) drops everything, clean or not.
         handle.reset(9, index(2, 5));

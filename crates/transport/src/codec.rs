@@ -37,6 +37,7 @@
 
 use crate::error::TransportError;
 use crate::frame;
+use cpa_serve::ReadKind;
 use std::io::{Read, Write};
 use std::sync::atomic::AtomicBool;
 
@@ -89,9 +90,9 @@ pub enum WirePolicy {
     BinaryOnly,
 }
 
-/// The `cpa_serve::view::ReadView` encoded-reply slot this codec caches
-/// under: JSON → 0, binary → 1. `cpa_serve::WIRE_SLOTS` is sized to match,
-/// so every codec gets its own per-epoch byte cache on the read fast path.
+/// The `cpa_serve::view::ReadView` row-cache slot this codec caches under:
+/// JSON → 0, binary → 1. `cpa_serve::WIRE_SLOTS` is sized to match, so
+/// every codec gets its own per-epoch row cache on the read path.
 pub fn wire_slot(format: WireFormat) -> usize {
     match format {
         WireFormat::Json => 0,
@@ -138,153 +139,130 @@ pub fn decode<T: serde::Deserialize>(
     }
 }
 
-/// Assembles the encoded body of an item-ranged read reply
-/// (`PredictedItems` / `EstimatedItems`) by **splicing pre-encoded
-/// per-item rows** — the cached-row fast path behind
-/// `FleetOp::PredictItems` / `EstimateItems`. `rows` holds one standalone
-/// encode of the reply's per-item element per requested item, in request
-/// order (the handler slices them out of the view's per-shard row caches).
-///
-/// The assembled body decodes to exactly the owned
-/// `FleetReply::{PredictedItems, EstimatedItems}` value: under JSON it is
-/// byte-identical to [`encode`]-ing the owned reply (the shim emits
-/// compact JSON in field declaration order, which this mirrors); under the
-/// binary codec it spends a few extra bytes re-introducing interned keys
-/// (spliced fragments are standalone — see `cpa_data::codec::raw`) but
-/// decodes to the identical value.
-pub fn assemble_ranged_reply(
-    format: WireFormat,
-    variant: &str,
-    rows_field: &str,
-    items: &[usize],
-    rows: &[&[u8]],
-    epoch: u64,
-) -> Vec<u8> {
-    debug_assert_eq!(items.len(), rows.len(), "one row per requested item");
-    match format {
-        WireFormat::Json => {
-            let body: usize = rows.iter().map(|r| r.len() + 1).sum();
-            let mut out = String::with_capacity(body + 16 * items.len() + 64);
-            out.push_str("{\"");
-            out.push_str(variant);
-            out.push_str("\":{\"items\":[");
-            for (k, item) in items.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&item.to_string());
-            }
-            out.push_str("],\"");
-            out.push_str(rows_field);
-            out.push_str("\":[");
-            for (k, row) in rows.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(std::str::from_utf8(row).expect("JSON rows are UTF-8"));
-            }
-            out.push_str("],\"epoch\":");
-            out.push_str(&epoch.to_string());
-            out.push_str("}}");
-            out.into_bytes()
-        }
-        WireFormat::Binary => {
-            use cpa_data::codec::raw;
-            let mut out = Vec::with_capacity(rows.iter().map(|r| r.len()).sum::<usize>() + 64);
-            raw::push_object(&mut out, 1);
-            raw::push_key(&mut out, variant);
-            raw::push_object(&mut out, 3);
-            raw::push_key(&mut out, "items");
-            raw::push_value(&mut out, &serde::Serialize::serialize(&items.to_vec()));
-            raw::push_key(&mut out, rows_field);
-            raw::push_array(&mut out, rows.len());
-            for row in rows {
-                out.extend_from_slice(row);
-            }
-            raw::push_key(&mut out, "epoch");
-            raw::push_uint(&mut out, epoch);
-            out
-        }
-    }
+/// Which reply envelope [`splice_reply`] wraps its rows in, beyond the
+/// [`ReadKind`] that names the rows.
+#[derive(Debug, Clone, Copy)]
+pub enum Envelope<'a> {
+    /// A full read: `Predictions { predictions, epoch }`, one row per item
+    /// in item order. Predictions only — a full `Estimated` reply is not
+    /// made of per-item rows.
+    Full,
+    /// An item-ranged read: `PredictedItems` / `EstimatedItems { items,
+    /// <rows>, epoch }`, one row per requested item.
+    Ranged(&'a [usize]),
+    /// A push delta: `PredictedDelta` / `EstimatedDelta { items, <rows>,
+    /// dirty_shards, epoch }`; `items == []` is the legal empty delta that
+    /// only advances the epoch.
+    Delta {
+        /// The items the delta carries rows for, ascending.
+        items: &'a [usize],
+        /// The shards contributing those rows, ascending.
+        dirty_shards: &'a [usize],
+    },
 }
 
-/// Assembles the encoded body of a push-subscription delta reply
-/// (`PredictedDelta` / `EstimatedDelta`) by splicing pre-encoded per-item
-/// rows, exactly like [`assemble_ranged_reply`] but with the delta frame's
-/// two extra fields: `dirty_shards` (the shards the publishing mutation
-/// dirtied, intersected with the subscription) before `epoch`. `items` and
-/// `rows` cover only the subscription's items that live on those shards, in
-/// ascending item order; an empty delta (`items == []`) is legal and tells
-/// the subscriber "epoch advanced, nothing you watch changed".
+/// Replaces `out` with the encoded body of a read reply built by
+/// **splicing pre-encoded rows** into `envelope` — the one splicer behind
+/// every view-served read reply (full, item-ranged and push delta).
+/// `rows` yields one standalone encode of the reply's per-item element
+/// (a `LabelSet` for [`ReadKind::Predictions`], an `ItemEstimate` for
+/// [`ReadKind::Estimate`]) per row, in reply order, under `format`.
 ///
-/// The assembled body decodes to exactly the owned
-/// `FleetReply::{PredictedDelta, EstimatedDelta}` value, and under JSON is
-/// byte-identical to [`encode`]-ing it.
-pub fn assemble_delta_reply(
+/// The body decodes to exactly the owned `FleetReply`: under JSON it is
+/// byte-identical to [`encode`]-ing that reply (the shim emits compact
+/// JSON in field declaration order, which this mirrors); under the binary
+/// codec it spends a few extra bytes re-introducing interned keys
+/// (spliced fragments are standalone — see `cpa_data::codec::raw`) but
+/// decodes to the identical value.
+///
+/// # Panics
+/// Panics on [`Envelope::Full`] with [`ReadKind::Estimate`].
+pub fn splice_reply<'r>(
+    out: &mut Vec<u8>,
     format: WireFormat,
-    variant: &str,
-    rows_field: &str,
-    items: &[usize],
-    rows: &[&[u8]],
-    dirty_shards: &[usize],
+    kind: ReadKind,
+    envelope: Envelope<'_>,
+    rows: impl ExactSizeIterator<Item = &'r [u8]>,
     epoch: u64,
-) -> Vec<u8> {
-    debug_assert_eq!(items.len(), rows.len(), "one row per delta item");
+) {
+    use ReadKind::{Estimate, Predictions};
+    let (variant, items, dirty_shards) = match (envelope, kind) {
+        (Envelope::Full, Predictions) => ("Predictions", None, None),
+        (Envelope::Full, Estimate) => panic!("a full Estimate reply is not spliced from rows"),
+        (Envelope::Ranged(items), Predictions) => ("PredictedItems", Some(items), None),
+        (Envelope::Ranged(items), Estimate) => ("EstimatedItems", Some(items), None),
+        (
+            Envelope::Delta {
+                items,
+                dirty_shards,
+            },
+            Predictions,
+        ) => ("PredictedDelta", Some(items), Some(dirty_shards)),
+        (
+            Envelope::Delta {
+                items,
+                dirty_shards,
+            },
+            Estimate,
+        ) => ("EstimatedDelta", Some(items), Some(dirty_shards)),
+    };
+    let rows_field = match kind {
+        Predictions => "predictions",
+        Estimate => "rows",
+    };
+    out.clear();
     match format {
         WireFormat::Json => {
-            let body: usize = rows.iter().map(|r| r.len() + 1).sum();
-            let mut out = String::with_capacity(body + 16 * items.len() + 96);
-            out.push_str("{\"");
-            out.push_str(variant);
-            out.push_str("\":{\"items\":[");
-            for (k, item) in items.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
+            // Writing into a `Vec` cannot fail.
+            let list = |out: &mut Vec<u8>, key: &str, values: &[usize]| {
+                let _ = write!(out, "\"{key}\":[");
+                for (k, value) in values.iter().enumerate() {
+                    let _ = write!(out, "{}{value}", if k > 0 { "," } else { "" });
                 }
-                out.push_str(&item.to_string());
+                out.push(b']');
+            };
+            let _ = write!(out, "{{\"{variant}\":{{");
+            if let Some(items) = items {
+                list(out, "items", items);
+                out.push(b',');
             }
-            out.push_str("],\"");
-            out.push_str(rows_field);
-            out.push_str("\":[");
-            for (k, row) in rows.iter().enumerate() {
+            let _ = write!(out, "\"{rows_field}\":[");
+            for (k, row) in rows.enumerate() {
                 if k > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
-                out.push_str(std::str::from_utf8(row).expect("JSON rows are UTF-8"));
+                out.extend_from_slice(row);
             }
-            out.push_str("],\"dirty_shards\":[");
-            for (k, shard) in dirty_shards.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&shard.to_string());
+            out.push(b']');
+            if let Some(dirty_shards) = dirty_shards {
+                out.push(b',');
+                list(out, "dirty_shards", dirty_shards);
             }
-            out.push_str("],\"epoch\":");
-            out.push_str(&epoch.to_string());
-            out.push_str("}}");
-            out.into_bytes()
+            let _ = write!(out, ",\"epoch\":{epoch}}}}}");
         }
         WireFormat::Binary => {
             use cpa_data::codec::raw;
-            let mut out = Vec::with_capacity(rows.iter().map(|r| r.len()).sum::<usize>() + 96);
-            raw::push_object(&mut out, 1);
-            raw::push_key(&mut out, variant);
-            raw::push_object(&mut out, 4);
-            raw::push_key(&mut out, "items");
-            raw::push_value(&mut out, &serde::Serialize::serialize(&items.to_vec()));
-            raw::push_key(&mut out, rows_field);
-            raw::push_array(&mut out, rows.len());
+            let list = |out: &mut Vec<u8>, key: &str, values: &[usize]| {
+                raw::push_key(out, key);
+                raw::push_value(out, &serde::Serialize::serialize(&values.to_vec()));
+            };
+            let fields = 2 + usize::from(items.is_some()) + usize::from(dirty_shards.is_some());
+            raw::push_object(out, 1);
+            raw::push_key(out, variant);
+            raw::push_object(out, fields);
+            if let Some(items) = items {
+                list(out, "items", items);
+            }
+            raw::push_key(out, rows_field);
+            raw::push_array(out, rows.len());
             for row in rows {
                 out.extend_from_slice(row);
             }
-            raw::push_key(&mut out, "dirty_shards");
-            raw::push_value(
-                &mut out,
-                &serde::Serialize::serialize(&dirty_shards.to_vec()),
-            );
-            raw::push_key(&mut out, "epoch");
-            raw::push_uint(&mut out, epoch);
-            out
+            if let Some(dirty_shards) = dirty_shards {
+                list(out, "dirty_shards", dirty_shards);
+            }
+            raw::push_key(out, "epoch");
+            raw::push_uint(out, epoch);
         }
     }
 }
@@ -469,159 +447,117 @@ mod tests {
         }
     }
 
+    /// One standalone encode per row — what the view's row caches hold.
+    fn encoded<T: serde::Serialize>(format: WireFormat, rows: &[T]) -> Vec<Vec<u8>> {
+        rows.iter()
+            .map(|row| encode(format, row).unwrap())
+            .collect()
+    }
+
     #[test]
-    fn assembled_ranged_replies_decode_to_the_owned_reply() {
+    fn the_splicer_reproduces_every_spliced_reply_shape() {
         use cpa_data::labels::LabelSet;
         use cpa_serve::{FleetReply, ItemEstimate};
 
-        let predictions = vec![
-            LabelSet::from_labels(3, vec![1]),
-            LabelSet::from_labels(3, vec![0, 2]),
+        let predictions = [
+            LabelSet::from_labels(4, vec![0, 3]),
+            LabelSet::from_labels(4, vec![2]),
         ];
-        let items = vec![4usize, 9];
-        let owned = FleetReply::PredictedItems {
-            items: items.clone(),
-            predictions: predictions.clone(),
-            epoch: 12,
-        };
-        for format in [WireFormat::Json, WireFormat::Binary] {
-            let rows: Vec<Vec<u8>> = predictions
-                .iter()
-                .map(|p| encode(format, p).unwrap())
-                .collect();
-            let refs: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
-            let body =
-                assemble_ranged_reply(format, "PredictedItems", "predictions", &items, &refs, 12);
-            let back: FleetReply = decode(format, &body).unwrap();
-            assert_eq!(
-                serde_json::to_string(&back).unwrap(),
-                serde_json::to_string(&owned).unwrap(),
-                "{format:?}"
-            );
-            if format == WireFormat::Json {
-                // JSON assembly is byte-identical to encoding the owned
-                // reply; binary re-introduces interned keys (still decodes
-                // to the same value, checked above).
-                assert_eq!(body, encode(format, &owned).unwrap());
-            }
-        }
-
-        let est_rows = vec![
+        let estimates = [
             ItemEstimate {
-                soft: vec![(0, 0.75), (1, 0.25)],
-                expected_size: 1.0,
+                soft: vec![(1, 0.5), (3, 0.5)],
+                expected_size: 1.5,
             },
             ItemEstimate {
                 soft: vec![(2, 1.0)],
                 expected_size: 2.0,
             },
         ];
-        let owned = FleetReply::EstimatedItems {
-            items: items.clone(),
-            rows: est_rows.clone(),
-            epoch: 3,
-        };
+        let (all_items, dirty) = ([4usize, 9], [0usize, 2]);
         for format in [WireFormat::Json, WireFormat::Binary] {
-            let rows: Vec<Vec<u8>> = est_rows
-                .iter()
-                .map(|r| encode(format, r).unwrap())
-                .collect();
-            let refs: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
-            let body = assemble_ranged_reply(format, "EstimatedItems", "rows", &items, &refs, 3);
-            let back: FleetReply = decode(format, &body).unwrap();
-            assert_eq!(
-                serde_json::to_string(&back).unwrap(),
-                serde_json::to_string(&owned).unwrap(),
-                "{format:?}"
-            );
-        }
-
-        // The degenerate empty request assembles and decodes too.
-        let body = assemble_ranged_reply(
-            WireFormat::Binary,
-            "PredictedItems",
-            "predictions",
-            &[],
-            &[],
-            0,
-        );
-        assert!(decode::<FleetReply>(WireFormat::Binary, &body).is_ok());
-    }
-
-    #[test]
-    fn assembled_delta_replies_decode_to_the_owned_reply() {
-        use cpa_data::labels::LabelSet;
-        use cpa_serve::{FleetReply, ItemEstimate};
-
-        let predictions = vec![
-            LabelSet::from_labels(4, vec![0, 3]),
-            LabelSet::from_labels(4, vec![2]),
-        ];
-        let items = vec![1usize, 5];
-        let dirty = vec![0usize, 2];
-        let owned = FleetReply::PredictedDelta {
-            items: items.clone(),
-            predictions: predictions.clone(),
-            dirty_shards: dirty.clone(),
-            epoch: 7,
-        };
-        for format in [WireFormat::Json, WireFormat::Binary] {
-            let rows: Vec<Vec<u8>> = predictions
-                .iter()
-                .map(|p| encode(format, p).unwrap())
-                .collect();
-            let refs: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
-            let body = assemble_delta_reply(
-                format,
-                "PredictedDelta",
-                "predictions",
-                &items,
-                &refs,
-                &dirty,
-                7,
-            );
-            let back: FleetReply = decode(format, &body).unwrap();
-            assert_eq!(
-                serde_json::to_string(&back).unwrap(),
-                serde_json::to_string(&owned).unwrap(),
-                "{format:?}"
-            );
-            if format == WireFormat::Json {
-                assert_eq!(body, encode(format, &owned).unwrap());
+            // Every shape with two rows, then with none.
+            for n in [2, 0] {
+                let items = &all_items[..n];
+                let (p, e) = (predictions[..n].to_vec(), estimates[..n].to_vec());
+                let (p_rows, e_rows) = (encoded(format, &p), encoded(format, &e));
+                let (predicted, estimated) = (ReadKind::Predictions, ReadKind::Estimate);
+                let delta = Envelope::Delta {
+                    items,
+                    dirty_shards: &dirty,
+                };
+                let cases = [
+                    (
+                        FleetReply::Predictions {
+                            predictions: p.clone(),
+                            epoch: 7,
+                        },
+                        predicted,
+                        Envelope::Full,
+                        &p_rows,
+                    ),
+                    (
+                        FleetReply::PredictedItems {
+                            items: items.to_vec(),
+                            predictions: p.clone(),
+                            epoch: 7,
+                        },
+                        predicted,
+                        Envelope::Ranged(items),
+                        &p_rows,
+                    ),
+                    (
+                        FleetReply::EstimatedItems {
+                            items: items.to_vec(),
+                            rows: e.clone(),
+                            epoch: 7,
+                        },
+                        estimated,
+                        Envelope::Ranged(items),
+                        &e_rows,
+                    ),
+                    (
+                        FleetReply::PredictedDelta {
+                            items: items.to_vec(),
+                            predictions: p.clone(),
+                            dirty_shards: dirty.to_vec(),
+                            epoch: 7,
+                        },
+                        predicted,
+                        delta,
+                        &p_rows,
+                    ),
+                    (
+                        FleetReply::EstimatedDelta {
+                            items: items.to_vec(),
+                            rows: e.clone(),
+                            dirty_shards: dirty.to_vec(),
+                            epoch: 7,
+                        },
+                        estimated,
+                        delta,
+                        &e_rows,
+                    ),
+                ];
+                // One buffer across every case: each splice replaces it.
+                let mut body = vec![0xAB; 3];
+                for (owned, kind, envelope, rows) in cases {
+                    let at = format!("{format:?} {} with {n} rows", owned.name());
+                    let rows = rows.iter().map(Vec::as_slice);
+                    splice_reply(&mut body, format, kind, envelope, rows, 7);
+                    let back: FleetReply = decode(format, &body).unwrap();
+                    assert_eq!(
+                        serde_json::to_string(&back).unwrap(),
+                        serde_json::to_string(&owned).unwrap(),
+                        "{at}"
+                    );
+                    if format == WireFormat::Json {
+                        // JSON splicing is byte-identical to encoding the
+                        // owned reply; binary re-introduces interned keys
+                        // (still decodes to the same value, checked above).
+                        assert_eq!(body, encode(format, &owned).unwrap(), "{at}");
+                    }
+                }
             }
-        }
-
-        let est_rows = vec![ItemEstimate {
-            soft: vec![(1, 0.5), (3, 0.5)],
-            expected_size: 1.5,
-        }];
-        let owned = FleetReply::EstimatedDelta {
-            items: vec![2],
-            rows: est_rows.clone(),
-            dirty_shards: vec![1],
-            epoch: 9,
-        };
-        for format in [WireFormat::Json, WireFormat::Binary] {
-            let rows: Vec<Vec<u8>> = est_rows
-                .iter()
-                .map(|r| encode(format, r).unwrap())
-                .collect();
-            let refs: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
-            let body = assemble_delta_reply(format, "EstimatedDelta", "rows", &[2], &refs, &[1], 9);
-            let back: FleetReply = decode(format, &body).unwrap();
-            assert_eq!(
-                serde_json::to_string(&back).unwrap(),
-                serde_json::to_string(&owned).unwrap(),
-                "{format:?}"
-            );
-        }
-
-        // The empty delta — pure epoch bump — assembles and decodes too.
-        for format in [WireFormat::Json, WireFormat::Binary] {
-            let body =
-                assemble_delta_reply(format, "PredictedDelta", "predictions", &[], &[], &[], 4);
-            let back: FleetReply = decode(format, &body).unwrap();
-            assert_eq!(back.epoch(), Some(4), "{format:?}");
         }
     }
 

@@ -14,10 +14,10 @@
 //! - [`FleetServer`] — accepts N concurrent clients on named handler
 //!   threads, funnels every **mutation** into one `Fleet::apply` driver
 //!   (one global op order, the queue arrival contract enforced per ingest),
-//!   answers **reads** handler-side from the fleet's epoch-published
-//!   `cpa_serve::ReadView` (cached value *and* encoded bytes, once per
-//!   epoch per codec — no driver round trip), streams replies back
-//!   per-connection FIFO, and can record the applied op stream as a
+//!   answers warm **reads** handler-side by splicing per-item rows cached
+//!   in the fleet's epoch-published `cpa_serve::ReadView` (encoded once
+//!   per epoch, shard and codec — no driver round trip), streams replies
+//!   back per-connection FIFO, and can record the accepted mutations as a
 //!   replayable op-log;
 //! - [`FleetClient`] — a blocking client mirroring the `Fleet` method
 //!   surface, one framed round trip per call, with `*_tagged` variants

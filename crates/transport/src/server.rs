@@ -26,20 +26,22 @@
 //!
 //! # Read path
 //!
-//! `Predict` and `Estimate` never round-trip through the driver (unless
-//! [`ServerConfig::serve_reads_from_views`] is switched off): the handler
-//! answers them from the fleet's current epoch-published
-//! [`cpa_serve::ReadView`] — reads proceed fully concurrently with each
-//! other *and* with mutations the driver is applying. The first read of an
-//! epoch whose view is still empty falls through to the driver (whose
-//! `apply` fills the view's value cells); the first read under a given
-//! codec encodes the reply once into the view; every later read of that
-//! epoch is a zero-copy write of the cached bytes. Replies carry the view's
-//! epoch tag, so a client can replay the recorded mutation prefix up to
-//! that epoch and reproduce the served payload bit for bit
-//! (`cpa_serve::Fleet::replay_to_epoch`). Because a mutation's ack is sent
-//! only after the new view is published, a client that observed its own
-//! ack never reads an older epoch afterwards.
+//! A read is answered one of two ways. The handler **splices** `Predict`,
+//! `PredictItems` and `EstimateItems` from the fleet's current
+//! epoch-published [`cpa_serve::ReadView`]: each needed shard's reply rows
+//! are encoded once per (epoch, shard, codec) from its slab, and the reply
+//! is those cached rows in reply order inside the variant's envelope
+//! ([`codec::splice_reply`]) — so reads proceed fully concurrently with
+//! each other *and* with mutations the driver is applying. Everything else
+//! goes to the **driver**: a read whose slabs are still cold this epoch
+//! (the driver's `apply` fills them, so the next read splices), and every
+//! full `Estimate`, whose struct-of-arrays reply cannot be spliced from
+//! per-item rows and whose worker-weight merge reads engine answer counts.
+//! Replies carry the view's epoch tag, so a client can replay the recorded
+//! mutation prefix up to that epoch and reproduce the served payload bit
+//! for bit (`cpa_serve::Fleet::replay_to_epoch`). Because a mutation's ack
+//! is sent only after the new view is published, a client that observed
+//! its own ack never reads an older epoch afterwards.
 //!
 //! # Replication and push subscriptions
 //!
@@ -47,8 +49,9 @@
 //! **mutation-stream subscription**: the driver acks `Subscribed` with its
 //! head epoch, replays the recorded backlog past `from_epoch` (resume from
 //! behind the head requires [`ServerConfig::record_ops`]; without it the
-//! subscription is refused with a framed error), then pushes every
-//! subsequently accepted mutation as an epoch-tagged `OpApplied` frame —
+//! subscription is refused with a framed error, as is a `from_epoch` ahead
+//! of the head), then pushes every subsequently accepted mutation as an
+//! epoch-tagged `OpApplied` frame —
 //! enqueued the moment `apply` publishes the mutation's view, and *before*
 //! the mutator's own ack, so an acked epoch is always already on the wire
 //! to every subscriber. On server wind-down the driver drops every
@@ -62,7 +65,7 @@
 //! row at the current epoch), then after every accepted mutation pushes
 //! one delta frame carrying **only the dirty shards'** rows — spliced from
 //! the view's per-(epoch, shard, codec) row caches without re-encoding
-//! ([`codec::assemble_delta_reply`]), under the same enqueue-before-ack
+//! ([`codec::splice_reply`]), under the same enqueue-before-ack
 //! ordering as `OpApplied` (both are shipped from one place, the
 //! server-internal `Broadcast::mutation_applied`). A mutation that dirties none of the
 //! subscribed items' shards still pushes an (empty) delta, so the
@@ -87,12 +90,13 @@
 //! error where one can still be delivered and is dropped, and the next
 //! client is served normally — locked by `tests/transport_roundtrip.rs`.
 //!
-//! With `record_ops`, the driver records every op it applies, in order; the
-//! returned [`ServeOutcome::op_log`] serializes through
-//! `cpa_serve::ops_to_jsonl` and replays bit-identically through
-//! `cpa_serve::Fleet::replay`. Reads answered from the view never reach
-//! the driver, so the log is the mutation history (plus any reads that
-//! fell through) — exactly what replay needs, since reads mutate nothing.
+//! With `record_ops`, the driver keeps one epoch-tagged log of every
+//! accepted mutation — the backlog late op subscribers resume from, and
+//! the returned [`ServeOutcome::op_log`]. Reads, subscriptions, `Shutdown`
+//! and rejected ops mutate nothing, so they are not logged; the log
+//! serializes through `cpa_serve::ops_to_jsonl` and replays through
+//! `cpa_serve::Fleet::replay` to the live run's final snapshot, bit for
+//! bit.
 //!
 //! Each accepted connection negotiates its codec before the first op (see
 //! [`crate::codec`]): a `CPAW` preamble requests binary frames, anything
@@ -100,7 +104,7 @@
 //! what the server will grant; connections with different codecs are
 //! served concurrently and see identical fleet semantics.
 
-use crate::codec::{self, Negotiated, WireFormat, WirePolicy};
+use crate::codec::{self, Envelope, Negotiated, WireFormat, WirePolicy};
 use crate::error::TransportError;
 use crate::frame::{read_frame_bytes_polling, write_frame_bytes};
 use cpa_serve::{Fleet, FleetOp, FleetReply, ItemEstimate, ReadKind, ReadView, ViewHandle};
@@ -121,16 +125,12 @@ pub struct ServerConfig {
     /// Connections served concurrently (one handler thread each; further
     /// connections wait in the accept queue).
     pub max_clients: usize,
-    /// Record every applied op into [`ServeOutcome::op_log`].
+    /// Record every accepted mutation into [`ServeOutcome::op_log`] (and
+    /// keep it as the backlog op subscriptions resume from).
     pub record_ops: bool,
     /// Which wire codecs to grant ([`WirePolicy::Auto`] by default:
     /// binary to clients that ask, JSON to everyone else).
     pub wire_policy: WirePolicy,
-    /// Answer `Predict`/`Estimate` from the epoch-published read view in
-    /// the connection handler (the default; see the module docs). Switch
-    /// off to force every read through the driver — the pre-view serialized
-    /// behaviour, kept as the bench baseline and a debugging escape hatch.
-    pub serve_reads_from_views: bool,
 }
 
 impl Default for ServerConfig {
@@ -139,7 +139,6 @@ impl Default for ServerConfig {
             max_clients: 4,
             record_ops: false,
             wire_policy: WirePolicy::default(),
-            serve_reads_from_views: true,
         }
     }
 }
@@ -149,8 +148,9 @@ impl Default for ServerConfig {
 pub struct ServeOutcome {
     /// The fleet in its final state (after every applied op).
     pub fleet: Fleet,
-    /// Every op the driver applied, in application order (empty unless
-    /// [`ServerConfig::record_ops`] was set).
+    /// Every accepted mutation, in application order (empty unless
+    /// [`ServerConfig::record_ops`] was set). Replaying it on a fresh fleet
+    /// of the same construction reproduces [`ServeOutcome::fleet`].
     pub op_log: Vec<FleetOp>,
 }
 
@@ -234,10 +234,10 @@ struct Broadcast {
     op_subs: Vec<Sender<FleetReply>>,
     /// Live read subscriptions (see [`ReadSub`]).
     read_subs: Vec<ReadSub>,
-    /// `(epoch, op)` for every accepted mutation, kept (only while
-    /// recording) so a late op subscriber can resume from an earlier epoch
-    /// by backlog replay.
-    mutation_log: Vec<(u64, FleetOp)>,
+    /// `(epoch, op)` for every accepted mutation, kept only while
+    /// recording: the backlog a late op subscriber resumes from, and the
+    /// [`ServeOutcome::op_log`] the server hands back.
+    log: Vec<(u64, FleetOp)>,
 }
 
 impl Broadcast {
@@ -246,18 +246,27 @@ impl Broadcast {
             record,
             op_subs: Vec::new(),
             read_subs: Vec::new(),
-            mutation_log: Vec::new(),
+            log: Vec::new(),
         }
     }
 
     /// Registers a `SubscribeOps` connection: ack with the head epoch,
-    /// replay the recorded backlog past `from_epoch`, then go live.
+    /// replay the recorded backlog past `from_epoch`, then go live. A
+    /// `from_epoch` ahead of the head, or behind it without recording, is
+    /// refused with a framed error naming both epochs.
     fn subscribe_ops(&mut self, fleet: &mut Fleet, from_epoch: u64, reply_tx: Sender<FleetReply>) {
         let head = fleet.epoch();
-        if from_epoch < head && !self.record {
+        let refusal = if from_epoch > head {
+            Some("it is ahead of the server")
+        } else if from_epoch < head && !self.record {
+            Some("server is not recording ops")
+        } else {
+            None
+        };
+        if let Some(cause) = refusal {
             let _ = reply_tx.send(FleetReply::err(format!(
-                "cannot resume subscription from epoch {from_epoch}: server \
-                 is not recording ops (head is epoch {head})"
+                "cannot resume subscription from epoch {from_epoch}: {cause} \
+                 (head is epoch {head})"
             )));
             return;
         }
@@ -268,7 +277,7 @@ impl Broadcast {
             return;
         }
         let backlog_delivered = self
-            .mutation_log
+            .log
             .iter()
             .filter(|(epoch, _)| *epoch > from_epoch)
             .all(|(epoch, past)| {
@@ -327,24 +336,33 @@ impl Broadcast {
         }
     }
 
+    /// Whether accepted mutations must be kept: for the log, or for an op
+    /// subscriber. Otherwise the driver does not copy them at all.
+    fn keeps_ops(&self) -> bool {
+        self.record || !self.op_subs.is_empty()
+    }
+
     /// THE enqueue-before-ack point: called with every accepted mutation
     /// after `Fleet::apply` published its view and before the mutator's
-    /// ack is sent. Records the mutation (when recording), ships one
-    /// `OpApplied` to every op subscriber, warms the dirty shards read
-    /// subscribers need, and pushes the published view to every read
-    /// subscriber — whose handler encodes the delta under its own codec.
-    fn mutation_applied(&mut self, fleet: &Fleet, op: &FleetOp) {
-        let epoch = fleet.epoch();
-        if self.record {
-            self.mutation_log.push((epoch, op.clone()));
+    /// ack is sent. Ships one `OpApplied` to every op subscriber and
+    /// records the mutation (`op` is `Some` exactly when
+    /// [`Broadcast::keeps_ops`]), warms the dirty shards read subscribers
+    /// need, and pushes the published view to every read subscriber —
+    /// whose handler encodes the delta under its own codec.
+    fn mutation_applied(&mut self, fleet: &Fleet, op: Option<FleetOp>) {
+        if let Some(op) = op {
+            let epoch = fleet.epoch();
+            self.op_subs.retain(|sub| {
+                sub.send(FleetReply::OpApplied {
+                    epoch,
+                    op: op.clone(),
+                })
+                .is_ok()
+            });
+            if self.record {
+                self.log.push((epoch, op));
+            }
         }
-        self.op_subs.retain(|sub| {
-            sub.send(FleetReply::OpApplied {
-                epoch,
-                op: op.clone(),
-            })
-            .is_ok()
-        });
         self.push_read_deltas(fleet);
     }
 
@@ -425,10 +443,7 @@ impl FleetServer {
         let conn_rx = Mutex::new(conn_rx);
         let record = self.config.record_ops;
         let policy = self.config.wire_policy;
-        let views = self
-            .config
-            .serve_reads_from_views
-            .then(|| fleet.view_handle());
+        let views = fleet.view_handle();
         let listener = self.listener;
         let slots = SubscriptionSlots::new(handlers);
         let (shutdown, conn_rx, slots) = (&shutdown, &conn_rx, &slots);
@@ -477,14 +492,13 @@ impl FleetServer {
 
 /// The driver role: the only thread that touches the fleet. Applies every
 /// submitted op in arrival order until a `Shutdown` op or until every
-/// handler has gone, then hands back the final fleet.
+/// handler has gone, then hands back the final fleet and the recorded log.
 fn run_driver(
     mut fleet: Fleet,
     op_rx: Receiver<Submitted>,
     record: bool,
     shutdown: &AtomicBool,
 ) -> ServeOutcome {
-    let mut op_log = Vec::new();
     let mut broadcast = Broadcast::new(record);
     while let Ok(Submitted {
         op,
@@ -492,49 +506,43 @@ fn run_driver(
         view_tx,
     }) = op_rx.recv()
     {
-        if let FleetOp::SubscribeOps { from_epoch } = op {
-            if record {
-                op_log.push(op.clone());
+        match op {
+            FleetOp::SubscribeOps { from_epoch } => {
+                broadcast.subscribe_ops(&mut fleet, from_epoch, reply_tx);
             }
-            broadcast.subscribe_ops(&mut fleet, from_epoch, reply_tx);
-            continue;
-        }
-        if matches!(op, FleetOp::SubscribeReads { .. }) {
-            if record {
-                op_log.push(op.clone());
+            FleetOp::SubscribeReads { .. } => {
+                broadcast.subscribe_reads(&mut fleet, op, reply_tx, view_tx);
             }
-            broadcast.subscribe_reads(&mut fleet, op, reply_tx, view_tx);
-            continue;
-        }
-        let stop = matches!(op, FleetOp::Shutdown);
-        if record {
-            op_log.push(op.clone());
-        }
-        let shipped = op.is_mutation().then(|| op.clone());
-        let reply = fleet.apply(op);
-        if let Some(op) = shipped {
-            if !matches!(reply, FleetReply::Error { .. }) {
-                // Ship the accepted mutation the moment its view is
-                // published (`apply` published it), and *before* the
-                // mutator's ack: a client that has seen its ack knows
-                // every subscription — op stream or read delta —
-                // already has the frame enqueued.
-                broadcast.mutation_applied(&fleet, &op);
+            op => {
+                let stop = matches!(op, FleetOp::Shutdown);
+                let mutation = op.is_mutation();
+                let kept = (mutation && broadcast.keeps_ops()).then(|| op.clone());
+                let reply = fleet.apply(op);
+                if mutation && !matches!(reply, FleetReply::Error { .. }) {
+                    // Ship the accepted mutation the moment its view is
+                    // published (`apply` published it), and *before* the
+                    // mutator's ack: a client that has seen its ack knows
+                    // every subscription — op stream or read delta —
+                    // already has the frame enqueued.
+                    broadcast.mutation_applied(&fleet, kept);
+                }
+                let _ = reply_tx.send(reply);
+                if stop {
+                    break;
+                }
             }
-        }
-        let _ = reply_tx.send(reply);
-        if stop {
-            shutdown.store(true, Ordering::Relaxed);
-            break;
         }
     }
-    // Also covers the channel-closed path (all handlers gone).
-    // Dropping `broadcast` here closes every subscription's push
-    // channel; its handler unblocks, returns, and the subscriber
-    // sees a clean EOF — the end-of-stream signal that starts
-    // failover (followers) or wind-down (read caches).
+    // Raised here on both exits: the `Shutdown` op and the channel-closed
+    // path (all handlers gone). Dropping `broadcast`'s subscriptions
+    // closes every subscription's push channel; its handler unblocks,
+    // returns, and the subscriber sees a clean EOF — the end-of-stream
+    // signal that starts failover (followers) or wind-down (read caches).
     shutdown.store(true, Ordering::Relaxed);
-    ServeOutcome { fleet, op_log }
+    ServeOutcome {
+        fleet,
+        op_log: broadcast.log.into_iter().map(|(_, op)| op).collect(),
+    }
 }
 
 /// The acceptor role: polls the non-blocking listener until shutdown and
@@ -596,12 +604,11 @@ fn run_acceptor(listener: TcpListener, conn_tx: Sender<TcpStream>, shutdown: &At
 
 /// A handler role: serves one connection at a time, taken from the
 /// acceptor's queue, until the queue disconnects. `views` is the served
-/// fleet's read-view handle, `None` when
-/// [`ServerConfig::serve_reads_from_views`] is off.
+/// fleet's read-view handle.
 fn run_handler(
     op_tx: Sender<Submitted>,
     policy: WirePolicy,
-    views: Option<ViewHandle>,
+    views: ViewHandle,
     shutdown: &AtomicBool,
     conn_rx: &Mutex<Receiver<TcpStream>>,
     slots: &SubscriptionSlots,
@@ -619,12 +626,12 @@ fn run_handler(
         let Ok(stream) = received else { break };
         // Connection-level failures are that connection's
         // problem, never the server's.
-        let _ = handle_connection(stream, &op_tx, shutdown, policy, views.as_ref(), slots);
+        let _ = handle_connection(stream, &op_tx, shutdown, policy, &views, slots);
     }
 }
 
 /// Serves one connection: negotiate the codec, then frame in, answer —
-/// reads from the published view when `views` is given, everything else
+/// spliced from the published view where it can be, everything else
 /// through the driver — frame out, strictly in request order
 /// (per-connection FIFO replies).
 fn handle_connection(
@@ -632,7 +639,7 @@ fn handle_connection(
     op_tx: &Sender<Submitted>,
     shutdown: &AtomicBool,
     policy: WirePolicy,
-    views: Option<&ViewHandle>,
+    views: &ViewHandle,
     slots: &SubscriptionSlots,
 ) -> Result<(), TransportError> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
@@ -648,6 +655,8 @@ fn handle_connection(
         // Truncated preamble/first frame: nothing answerable remains.
         Err(e) => return Err(e),
     };
+    // Spliced replies are built here, reusing one buffer per connection.
+    let mut spliced = Vec::new();
     loop {
         // The negotiation read may have consumed a JSON client's first
         // frame along with the prefix; serve it before touching the socket.
@@ -684,235 +693,163 @@ fn handle_connection(
                 return Ok(());
             }
         };
-        // Read fast path: answer `Predict`/`Estimate` from the current
-        // epoch's published view, no driver round trip. A read of an epoch
-        // whose value cell is still empty falls through to the driver
-        // (whose `apply` fills it); the first read under this codec
-        // encodes the reply once into the view — from a borrow of the
-        // cell's `Arc`, never a payload clone — and every later read of
-        // the epoch writes those cached bytes straight to the socket.
-        if let Some(views) = views {
-            if let Some(kind) = ReadKind::of(&op) {
-                let view = views.current();
-                let slot = codec::wire_slot(format);
-                let encoded = match view.encoded(kind, slot) {
-                    Some(bytes) => Some(bytes),
-                    None => match view.reply_ref(kind) {
-                        Some(reply) => {
-                            Some(view.fill_encoded(kind, slot, codec::encode(format, &reply)?))
-                        }
-                        None => None,
-                    },
-                };
-                if let Some(bytes) = encoded {
-                    write_frame_bytes(&mut stream, &bytes)?;
-                    continue;
-                }
-            }
-            // Ranged read fast path: slice `PredictItems`/`EstimateItems`
-            // out of the view's per-shard slabs, splicing per-item rows
-            // that are encoded once per (epoch, shard, codec). Falls
-            // through to the driver when a needed shard's slab is not
-            // filled yet (the driver's `apply` fills it) or the request is
-            // out of range (the driver replies with the protocol error).
-            if let Some((kind, items)) = ReadKind::of_ranged(&op) {
-                let view = views.current();
-                if let Some(bytes) = ranged_from_view(&view, kind, items, format) {
-                    write_frame_bytes(&mut stream, &bytes)?;
-                    continue;
-                }
-            }
+        // Read path: splice the reply from the current epoch's view, no
+        // driver round trip. Anything `splice_read` declines — a cold slab,
+        // a full `Estimate`, an out-of-range item, any non-read — goes to
+        // the driver below.
+        if splice_read(views, &op, format, &mut spliced).is_some() {
+            write_frame_bytes(&mut stream, &spliced)?;
+            continue;
         }
-        let subscribing_ops = matches!(op, FleetOp::SubscribeOps { .. });
         let subscribing_reads = matches!(op, FleetOp::SubscribeReads { .. });
+        let subscribing = subscribing_reads || matches!(op, FleetOp::SubscribeOps { .. });
         // Subscriptions hold this handler slot for their whole lifetime;
         // cap them at `max_clients - 1` so at least one handler always
         // remains for request/reply traffic. A refused subscription is a
         // framed error and the connection stays usable.
-        let slot = if subscribing_ops || subscribing_reads {
-            match slots.try_acquire() {
-                Some(guard) => Some(guard),
-                None => {
-                    send_reply(
-                        &mut stream,
-                        format,
-                        &FleetReply::err(format!(
-                            "subscription slots exhausted ({} of {} handler slots may hold \
-                             subscriptions); poll instead, or raise max_clients",
-                            slots.cap,
-                            slots.cap + 1
-                        )),
-                    )?;
-                    continue;
-                }
-            }
+        let slot = if subscribing {
+            let Some(guard) = slots.try_acquire() else {
+                send_reply(
+                    &mut stream,
+                    format,
+                    &FleetReply::err(format!(
+                        "subscription slots exhausted ({} of {} handler slots may hold \
+                         subscriptions); poll instead, or raise max_clients",
+                        slots.cap,
+                        slots.cap + 1
+                    )),
+                )?;
+                continue;
+            };
+            Some(guard)
         } else {
             None
         };
-        if subscribing_reads {
-            // The connection flips to push-only: the driver answers with a
-            // bootstrap snapshot through the reply channel, then pushes
-            // every accepted mutation's published view through `view_tx`;
-            // this handler encodes each into a delta frame under the
-            // connection's codec until the driver drops the channel
-            // (server wind-down → clean EOF) or the subscriber hangs up.
-            let (view_tx, view_rx) = channel();
-            let (reply_tx, reply_rx) = channel();
-            if op_tx
-                .send(Submitted {
-                    op,
-                    reply_tx,
-                    view_tx: Some(view_tx),
-                })
-                .is_err()
-            {
-                let _ = send_reply(
-                    &mut stream,
-                    format,
-                    &FleetReply::err("server is shutting down"),
-                );
-                return Ok(());
-            }
-            let bootstrap = match reply_rx.recv() {
-                Ok(reply) => reply,
-                Err(_) => {
-                    let _ = send_reply(
-                        &mut stream,
-                        format,
-                        &FleetReply::err("server is shutting down"),
-                    );
-                    return Ok(());
-                }
-            };
-            let sub = match &bootstrap {
-                FleetReply::PredictedDelta { items, .. } => {
-                    Some((ReadKind::Predictions, items.clone()))
-                }
-                FleetReply::EstimatedDelta { items, .. } => {
-                    Some((ReadKind::Estimate, items.clone()))
-                }
-                _ => None,
-            };
-            send_reply(&mut stream, format, &bootstrap)?;
-            drop(bootstrap);
-            let Some((kind, items)) = sub else {
-                // Refused bootstrap (bad items): the framed error was the
-                // reply; the subscription never started.
-                return Ok(());
-            };
-            let result = pump_read_deltas(&mut stream, format, kind, &items, &view_rx);
-            drop(slot);
-            return result;
-        }
+        // A `SubscribeReads` also hands the driver `view_tx`, through which
+        // it pushes every accepted mutation's published view.
+        let (view_tx, view_rx) = channel();
         let (reply_tx, reply_rx) = channel();
-        if op_tx
-            .send(Submitted {
-                op,
-                reply_tx,
-                view_tx: None,
-            })
-            .is_err()
-        {
+        let submitted = Submitted {
+            op,
+            reply_tx,
+            view_tx: subscribing_reads.then_some(view_tx),
+        };
+        let reply = match op_tx.send(submitted) {
+            Ok(()) => reply_rx.recv().ok(),
+            Err(_) => None,
+        };
+        let Some(reply) = reply else {
             let _ = send_reply(
                 &mut stream,
                 format,
                 &FleetReply::err("server is shutting down"),
             );
             return Ok(());
-        }
-        if subscribing_ops {
-            // The connection flips to push-only: the driver retained our
-            // reply channel and streams the `Subscribed` ack, any recorded
-            // backlog, then one `OpApplied` per accepted mutation. This
-            // handler stops reading the socket and pumps frames until the
-            // driver drops the channel (server wind-down → the subscriber
-            // sees clean EOF) or the subscriber disconnects.
-            while let Ok(reply) = reply_rx.recv() {
-                let refused = matches!(reply, FleetReply::Error { .. });
-                send_reply(&mut stream, format, &reply)?;
-                if refused {
-                    return Ok(());
-                }
+        };
+        let watched = match &reply {
+            FleetReply::PredictedDelta { items, .. } => {
+                Some((ReadKind::Predictions, items.clone()))
             }
-            drop(slot);
-            return Ok(());
+            FleetReply::EstimatedDelta { items, .. } => Some((ReadKind::Estimate, items.clone())),
+            _ => None,
+        };
+        let refused = matches!(reply, FleetReply::Error { .. });
+        send_reply(&mut stream, format, &reply)?;
+        drop(reply);
+        if slot.is_none() {
+            continue;
         }
-        let reply = match reply_rx.recv() {
-            Ok(reply) => reply,
-            Err(_) => {
-                let _ = send_reply(
-                    &mut stream,
-                    format,
-                    &FleetReply::err("server is shutting down"),
-                );
-                return Ok(());
+        // A granted subscription flips the connection to push-only until
+        // the driver drops its channel (server wind-down → the subscriber
+        // sees clean EOF) or the subscriber hangs up; a refused one ends
+        // here, its framed error being the reply. A read subscription's
+        // reply was the bootstrap snapshot, and this handler encodes each
+        // pushed view into a delta frame under the connection's codec; an
+        // op subscription's was the `Subscribed` ack, and the driver
+        // streams any recorded backlog, then one `OpApplied` per accepted
+        // mutation, through the retained reply channel.
+        return match watched {
+            _ if refused => Ok(()),
+            Some((kind, items)) => pump_read_deltas(&mut stream, format, kind, &items, &view_rx),
+            None => {
+                while let Ok(frame) = reply_rx.recv() {
+                    send_reply(&mut stream, format, &frame)?;
+                }
+                Ok(())
             }
         };
-        send_reply(&mut stream, format, &reply)?;
     }
 }
 
-/// Answers one item-ranged read from the view's per-shard slabs, or `None`
-/// to fall through to the driver: when an item is out of range (the driver
-/// owns the error reply), when a needed shard's slab is unfilled this
-/// epoch (the driver's `apply` fills it), or on an encode failure.
-///
-/// Per-item rows are encoded **once per (epoch, shard, codec)** into the
-/// view's row caches ([`ReadView::fill_rows`]); the reply body is
-/// assembled by splicing the cached row bytes
-/// ([`codec::assemble_ranged_reply`]), so reply cost is bounded by the
-/// request, not the universe.
-fn ranged_from_view(
+/// Splices `Predict`, `PredictItems` or `EstimateItems` into `out` from
+/// the view's cached rows ([`splice_rows`]), or returns `None` to send the
+/// op to the driver: any other op — a full `Estimate` included, whose
+/// struct-of-arrays reply cannot be spliced from per-item rows — an
+/// out-of-range item (the driver owns the error reply), or a cold slab
+/// (the driver's `apply` fills it).
+fn splice_read(
+    views: &ViewHandle,
+    op: &FleetOp,
+    format: WireFormat,
+    out: &mut Vec<u8>,
+) -> Option<()> {
+    let (kind, items) = match op {
+        FleetOp::Predict => (ReadKind::Predictions, None),
+        FleetOp::PredictItems { items } => (ReadKind::Predictions, Some(&items[..])),
+        FleetOp::EstimateItems { items } => (ReadKind::Estimate, Some(&items[..])),
+        _ => return None,
+    };
+    let view = views.current();
+    let num_items = view.index().num_items();
+    match items {
+        None => splice_rows(&view, kind, format, 0..num_items, Envelope::Full, out),
+        Some(items) if items.iter().all(|&i| i < num_items) => {
+            let envelope = Envelope::Ranged(items);
+            splice_rows(&view, kind, format, items.iter().copied(), envelope, out)
+        }
+        Some(_) => None,
+    }
+}
+
+/// Splices the cached reply row of every one of `items`, in order, into
+/// `out` inside `envelope` ([`codec::splice_reply`]): each needed shard's
+/// rows come from the view's per-(epoch, shard, codec) cache
+/// ([`ReadView::rows`]), encoded once from the shard's slab on first use
+/// ([`ReadView::fill_rows`]). `None` when a needed shard's slab is cold —
+/// only the driver can fill it.
+fn splice_rows(
     view: &ReadView,
     kind: ReadKind,
-    items: &[usize],
     format: WireFormat,
-) -> Option<Vec<u8>> {
-    let index = view.index().clone();
-    if items.iter().any(|&i| i >= index.num_items()) {
-        return None;
-    }
+    items: impl ExactSizeIterator<Item = usize> + Clone,
+    envelope: Envelope<'_>,
+    out: &mut Vec<u8>,
+) -> Option<()> {
+    let index = view.index();
     let slot = codec::wire_slot(format);
-    let mut needed = vec![false; index.num_shards()];
-    for &i in items {
-        needed[index.shard_of(i)] = true;
+    let mut cached: Vec<Option<Arc<Vec<Vec<u8>>>>> = vec![None; index.num_shards()];
+    for i in items.clone() {
+        let s = index.shard_of(i);
+        if cached[s].is_none() {
+            cached[s] = Some(match view.rows(kind, slot, s) {
+                Some(rows) => rows,
+                None => view.fill_rows(kind, slot, s, encode_shard_rows(view, kind, format, s)?),
+            });
+        }
     }
-    let mut shard_rows: Vec<Option<Arc<Vec<Vec<u8>>>>> = vec![None; index.num_shards()];
-    for (s, _) in needed.iter().enumerate().filter(|&(_, &n)| n) {
-        let rows = match view.rows(kind, slot, s) {
-            Some(rows) => rows,
-            None => view.fill_rows(kind, slot, s, encode_shard_rows(view, kind, format, s)?),
-        };
-        shard_rows[s] = Some(rows);
-    }
-    let rows: Vec<&[u8]> = items
-        .iter()
-        .map(|&i| {
-            shard_rows[index.shard_of(i)]
-                .as_ref()
-                .expect("needed shard cached")[index.pos_in_shard(i)]
-            .as_slice()
-        })
-        .collect();
-    let (variant, rows_field) = match kind {
-        ReadKind::Predictions => ("PredictedItems", "predictions"),
-        ReadKind::Estimate => ("EstimatedItems", "rows"),
-    };
-    Some(codec::assemble_ranged_reply(
-        format,
-        variant,
-        rows_field,
-        items,
-        &rows,
-        view.epoch(),
-    ))
+    let rows = items.map(|i| {
+        let shard_rows = cached[index.shard_of(i)].as_ref().expect("gathered above");
+        shard_rows[index.pos_in_shard(i)].as_slice()
+    });
+    codec::splice_reply(out, format, kind, envelope, rows, view.epoch());
+    Some(())
 }
 
 /// Pumps one read subscription: for every view the driver pushes, encode
 /// and send one delta frame carrying rows for exactly the subscribed items
 /// whose shards the publishing mutation dirtied — spliced from the view's
 /// per-(epoch, shard, codec) row caches, zero re-encode after the first
-/// subscriber of an epoch under a codec ([`codec::assemble_delta_reply`]).
+/// subscriber of an epoch under a codec ([`splice_rows`]).
 /// A mutation that dirtied none of the subscribed shards still sends an
 /// empty delta so the subscriber's epoch tracks the head. Returns cleanly
 /// when the driver drops the channel (server wind-down → the subscriber
@@ -924,13 +861,9 @@ fn pump_read_deltas(
     items: &[usize],
     view_rx: &Receiver<Arc<ReadView>>,
 ) -> Result<(), TransportError> {
-    let slot = codec::wire_slot(format);
-    let (variant, rows_field) = match kind {
-        ReadKind::Predictions => ("PredictedDelta", "predictions"),
-        ReadKind::Estimate => ("EstimatedDelta", "rows"),
-    };
+    let mut body = Vec::new();
     while let Ok(view) = view_rx.recv() {
-        let index = view.index().clone();
+        let index = view.index();
         if items.iter().any(|&i| i >= index.num_items()) {
             // A restore shrank the universe under the subscription: the
             // watched rows no longer exist, so the stream cannot continue
@@ -960,25 +893,21 @@ fn pump_read_deltas(
         let mut dirty_shards: Vec<usize> = delta_items.iter().map(|&i| index.shard_of(i)).collect();
         dirty_shards.sort_unstable();
         dirty_shards.dedup();
-        let mut shard_rows: Vec<Option<Arc<Vec<Vec<u8>>>>> = vec![None; index.num_shards()];
-        let mut filled = true;
-        for &s in &dirty_shards {
-            let rows = match view.rows(kind, slot, s) {
-                Some(rows) => Some(rows),
-                None => encode_shard_rows(&view, kind, format, s)
-                    .map(|rows| view.fill_rows(kind, slot, s, rows)),
-            };
-            match rows {
-                Some(rows) => shard_rows[s] = Some(rows),
-                None => {
-                    filled = false;
-                    break;
-                }
-            }
-        }
-        if !filled {
+        let envelope = Envelope::Delta {
+            items: &delta_items,
+            dirty_shards: &dirty_shards,
+        };
+        let spliced = splice_rows(
+            &view,
+            kind,
+            format,
+            delta_items.iter().copied(),
+            envelope,
+            &mut body,
+        );
+        if spliced.is_none() {
             // The driver warms every dirty shard a subscriber watches
-            // before pushing the view, so an unfilled slab here means the
+            // before pushing the view, so a cold slab here means the
             // stream cannot be continued faithfully; end it rather than
             // skip an epoch.
             let _ = send_reply(
@@ -988,24 +917,6 @@ fn pump_read_deltas(
             );
             return Ok(());
         }
-        let rows: Vec<&[u8]> = delta_items
-            .iter()
-            .map(|&i| {
-                shard_rows[index.shard_of(i)]
-                    .as_ref()
-                    .expect("dirty shard cached")[index.pos_in_shard(i)]
-                .as_slice()
-            })
-            .collect();
-        let body = codec::assemble_delta_reply(
-            format,
-            variant,
-            rows_field,
-            &delta_items,
-            &rows,
-            &dirty_shards,
-            view.epoch(),
-        );
         write_frame_bytes(stream, &body)?;
     }
     Ok(())

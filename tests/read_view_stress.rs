@@ -18,10 +18,11 @@
 //! its own mutation ack never reads an older epoch afterwards
 //! (read-your-writes through the publish-before-ack ordering).
 //!
-//! Contract 4 (path equivalence): a server with the view read path
-//! disabled (`serve_reads_from_views: false`, every read through the
-//! driver) serves the same predictions and tags as the view-serving
-//! default — for full reads and for item-ranged reads alike.
+//! Contract 4 (path equivalence): reads answered by the driver (the first
+//! read of an epoch, and every full `Estimate`) and reads spliced from the
+//! view's cached rows (every repeat) both serve exactly the reply the
+//! in-process fleet gives on the same ops — for full and item-ranged
+//! `Predict` and `Estimate` alike.
 
 use cpa::data::labels::LabelSet;
 use cpa::data::stream::{WorkerBatch, WorkerStream};
@@ -229,45 +230,42 @@ fn a_client_never_reads_an_epoch_older_than_its_own_ack() {
 fn driver_served_reads_match_view_served_reads() {
     let (d, batches) = fixture();
     let probe: Vec<usize> = (0..d.num_items()).step_by(5).collect();
-    let mut results: Vec<(Vec<LabelSet>, u64)> = Vec::new();
-    let mut ranged: Vec<(Vec<LabelSet>, u64)> = Vec::new();
-    for serve_reads_from_views in [true, false] {
-        let server = FleetServer::bind(
-            "127.0.0.1:0",
-            ServerConfig {
-                serve_reads_from_views,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
-        let addr = server.local_addr().expect("addr");
-        let fleet = fleet_for(&d);
-        let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
-        let mut client = FleetClient::connect(addr).expect("connect");
-        for op in ingest_ops(&d, &batches) {
-            let FleetOp::Ingest { workers, answers } = op else {
-                unreachable!()
-            };
-            client.ingest(workers, answers).expect("ingest");
-        }
-        client.refit_all().expect("refit");
-        results.push(client.predict_tagged().expect("predict"));
-        ranged.push(client.predict_items_tagged(probe.clone()).expect("ranged"));
-        client.shutdown().expect("shutdown");
-        running.join().expect("server joins");
+    let mut mutations = ingest_ops(&d, &batches);
+    mutations.push(FleetOp::Refit);
+    let mut reference = fleet_for(&d);
+    reference.replay(mutations.clone());
+
+    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let fleet = fleet_for(&d);
+    let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
+    let mut client = FleetClient::connect(addr).expect("connect");
+    for op in &mutations {
+        client.apply_op(op).expect("mutation accepted");
     }
-    assert_eq!(
-        results[0], results[1],
-        "the view fast path and the driver read path must serve identical replies"
-    );
-    assert_eq!(
-        ranged[0], ranged[1],
-        "ranged reads must be path-independent too"
-    );
-    let sliced: Vec<LabelSet> = probe.iter().map(|&i| results[0].0[i].clone()).collect();
-    assert_eq!(
-        ranged[0],
-        (sliced, results[0].1),
-        "a ranged read is exactly a slice of the full read at the same epoch"
-    );
+    // Each read twice at one epoch: a cold slab (or a full `Estimate`)
+    // sends the first to the driver, and the repeat is spliced from the
+    // view's cached rows — except the full `Estimate`, driver-served both
+    // times.
+    for op in [
+        FleetOp::Predict,
+        FleetOp::PredictItems {
+            items: probe.clone(),
+        },
+        FleetOp::EstimateItems { items: probe },
+        FleetOp::Estimate,
+    ] {
+        let want = serde_json::to_string(&reference.apply(op.clone())).expect("encodes");
+        for read in ["first", "repeat"] {
+            let served = client.apply_op(&op).expect("read");
+            assert_eq!(
+                serde_json::to_string(&served).expect("encodes"),
+                want,
+                "{} ({read} read) diverged from the in-process fleet",
+                op.name()
+            );
+        }
+    }
+    client.shutdown().expect("shutdown");
+    running.join().expect("server joins");
 }

@@ -250,6 +250,39 @@ fn resume_from_behind_the_head_without_op_recording_is_refused() {
 }
 
 #[test]
+fn a_subscription_from_ahead_of_the_head_is_refused() {
+    let (d, batches) = fixture();
+    let (addr, running) = spawn_server(
+        fleet_for(&d, 2),
+        ServerConfig {
+            record_ops: true,
+            ..ServerConfig::default()
+        },
+    );
+    let mut writer = FleetClient::connect(addr).expect("writer connects");
+    let op = FleetOp::ingest_from(&d.answers, &batches[0]);
+    let head = writer
+        .apply_op(&op)
+        .expect("mutation accepted")
+        .epoch()
+        .unwrap();
+
+    // No backlog can reach an epoch the leader has not produced yet.
+    let err = FleetClient::connect(addr)
+        .expect("subscriber connects")
+        .subscribe(head + 5)
+        .expect_err("a future resume point must be refused");
+    let ahead = (head + 5).to_string();
+    assert!(
+        matches!(&err, TransportError::Rejected(m) if m.contains(&ahead) && m.contains(&head.to_string())),
+        "refusal names both epochs: {err}"
+    );
+
+    writer.shutdown().expect("shutdown");
+    running.join().expect("server joins");
+}
+
+#[test]
 fn a_follower_tails_a_live_on_disk_op_log_across_a_partial_append() {
     use std::io::Write;
 

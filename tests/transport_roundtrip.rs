@@ -30,7 +30,7 @@ use cpa::data::simulate::simulate;
 use cpa::data::stream::{WorkerBatch, WorkerStream};
 use cpa::eval::runner::Method;
 use cpa::math::rng::seeded;
-use cpa::serve::{ops_from_jsonl, ops_to_jsonl, Fleet, FleetOp};
+use cpa::serve::{ops_from_jsonl, ops_to_jsonl, Fleet, FleetOp, FleetReply};
 use cpa::transport::{FleetClient, FleetServer, ServeOutcome, ServerConfig};
 use std::collections::HashSet;
 use std::sync::mpsc::channel;
@@ -188,6 +188,65 @@ fn two_concurrent_clients_are_bit_identical_to_the_in_process_fleet() {
             outcome.fleet.snapshot().to_json(),
             "K={k}: op-log replay diverged from the live run"
         );
+    }
+}
+
+/// Full reads on the wire, over a raw socket: at one epoch, the cold
+/// `Predict` (answered by the driver), the first warm one (rows encoded
+/// into the view) and a repeat (spliced from cached rows) each answer
+/// exactly what the in-process fleet answers on the same ops — byte for
+/// byte under JSON, decode-equal under the binary codec.
+#[test]
+fn full_reads_match_the_in_process_reply_cold_warm_and_spliced() {
+    use cpa::transport::codec::{self, WireFormat};
+    use cpa::transport::frame::{read_frame_bytes, write_frame_bytes};
+
+    let (d, batches) = fixture();
+    let mut mutations = ingest_ops(&d, &batches);
+    mutations.push(FleetOp::Refit);
+    for k in [1usize, 4] {
+        let mut reference = fleet_for(&d, k);
+        reference.replay(mutations.clone());
+        let want = reference.apply(FleetOp::Predict);
+        for format in [WireFormat::Json, WireFormat::Binary] {
+            let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+            let addr = server.local_addr().expect("addr");
+            let fleet = fleet_for(&d, k);
+            let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
+            let mut writer = FleetClient::connect(addr).expect("writer connects");
+            for op in &mutations {
+                writer.apply_op(op).expect("mutation accepted");
+            }
+
+            let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+            if format == WireFormat::Binary {
+                assert_eq!(
+                    codec::client_handshake(&mut raw).expect("handshake"),
+                    format
+                );
+            }
+            let predict = codec::encode(format, &FleetOp::Predict).expect("op encodes");
+            for read in ["cold", "first warm", "repeat"] {
+                write_frame_bytes(&mut raw, &predict).expect("request");
+                let reply = read_frame_bytes(&mut raw)
+                    .expect("reply")
+                    .expect("reply frame");
+                let at = format!("K={k} {format:?} {read} read");
+                if format == WireFormat::Json {
+                    assert_eq!(reply, codec::encode(format, &want).unwrap(), "{at}");
+                } else {
+                    let served: FleetReply = codec::decode(format, &reply).expect("decodes");
+                    assert_eq!(
+                        serde_json::to_string(&served).unwrap(),
+                        serde_json::to_string(&want).unwrap(),
+                        "{at}"
+                    );
+                }
+            }
+            drop(raw);
+            writer.shutdown().expect("shutdown");
+            running.join().expect("server joins");
+        }
     }
 }
 

@@ -110,7 +110,7 @@ proptest! {
             scratch.replay(ops[..applied].iter().cloned());
             prop_assert_eq!(incremental.epoch(), scratch.epoch());
 
-            // Merged cells, bit for bit.
+            // Merged reads, bit for bit.
             let merged = incremental.predict_all();
             prop_assert_eq!(&merged, &scratch.predict_all());
             let (inc_est, scr_est) = (incremental.estimate_all(), scratch.estimate_all());
@@ -193,7 +193,7 @@ fn clean_shard_slabs_are_pointer_identical_across_epochs() {
         assert!(matches!(fleet.apply(op), FleetReply::Ingested { .. }));
     }
 
-    // Fill every shard's slabs (and the merged cells) at this epoch.
+    // Fill every shard's slabs at this epoch.
     fleet.predict_all();
     fleet.estimate_all();
     let before = fleet.view_handle().current();
@@ -235,9 +235,8 @@ fn clean_shard_slabs_are_pointer_identical_across_epochs() {
             );
         }
     }
-    // Merged cells never carry — the first read refills them from the
-    // slabs, recomputing only the dirty shard's.
-    assert!(after.predictions().is_none());
+    // The first read refills only the dirty shard's slab.
+    assert!(after.shard_predictions(dirty_shard).is_none());
     let merged = fleet.predict_all();
     assert_eq!(merged.len(), i);
     let refilled = fleet.view_handle().current();
