@@ -169,7 +169,7 @@ impl<A: Aggregator + serde::Serialize + serde::Deserialize> Engine for BaselineE
                 expected: checkpoint.engine.clone(),
             });
         }
-        let aggregator = A::deserialize(config)
+        let aggregator = serde::from_value::<A>(config)
             .map_err(|e| CheckpointError::Invalid(format!("bad aggregator config: {e}")))?;
         checkpoint.expect_engine(aggregator.name())?;
         let fitted = *fitted;

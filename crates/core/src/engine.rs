@@ -184,11 +184,8 @@ impl Checkpoint {
     /// # Errors
     /// Fails on malformed JSON or a version mismatch.
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
-        let value: serde::Value =
-            serde_json::from_str(text).map_err(|e| CheckpointError::Json(e.to_string()))?;
-        let version = value
-            .get("version")
-            .and_then(|v| v.as_u64())
+        let version = cpa_data::io::json_version(text)
+            .map_err(|e| CheckpointError::Json(e.to_string()))?
             .ok_or_else(|| CheckpointError::Json("missing `version` field".into()))?;
         if version != u64::from(CHECKPOINT_VERSION) {
             return Err(CheckpointError::Version {
@@ -196,7 +193,7 @@ impl Checkpoint {
                 expected: CHECKPOINT_VERSION,
             });
         }
-        serde::Deserialize::deserialize(&value).map_err(|e| CheckpointError::Json(e.to_string()))
+        serde_json::from_str(text).map_err(|e| CheckpointError::Json(e.to_string()))
     }
 
     /// Serializes the checkpoint as one binary document: the compact

@@ -2,13 +2,20 @@
 //! [`serde::Value`] model — the compact counterpart of `serde_json`.
 //!
 //! Anything the workspace can serialize as JSON it can serialize through
-//! this module instead: both codecs flow through the same [`Value`] tree,
-//! so `value_from_bytes(value_to_bytes(v)) == v` holds for every tree
-//! `serde_json` can produce, and a type decoded from either encoding is
-//! the same value. The binary layout exists for the two hot paths the
-//! ROADMAP names — the wire (`cpa-transport` frames) and the durable
-//! checkpoint/manifest/op-log containers — where JSON's decimal numbers
-//! and repeated field names dominate the byte count.
+//! this module instead. *Encoding* flows through the same [`Value`] tree
+//! as `serde_json` ([`to_bytes`] renders the type, [`value_to_bytes`]
+//! writes the tree), so `from_bytes::<Value>(&value_to_bytes(&v)) == v`
+//! holds for every tree `serde_json` can produce. *Decoding* builds no
+//! tree: [`from_bytes`] is a pull-based [`serde::Deserializer`] that hands
+//! the target type each scalar, string, array element and object key
+//! straight from the bytes — packed slabs element by element, strings and
+//! interned keys borrowed — with the same semantics as decoding the JSON
+//! text, so a type decoded from either encoding is the same value.
+//!
+//! The binary layout exists for the two hot paths the ROADMAP names — the
+//! wire (`cpa-transport` frames) and the durable checkpoint/manifest/op-log
+//! containers — where JSON's decimal numbers and repeated field names
+//! dominate the byte count.
 //!
 //! # Encoding
 //!
@@ -48,9 +55,11 @@
 //! Decoding is hardened the same way the transport frames are: every
 //! declared length is checked against the bytes actually remaining
 //! *before* anything is allocated, truncation names what was being read,
-//! and trailing bytes after the root value are rejected.
+//! nesting deeper than [`serde::MAX_DEPTH`] levels is rejected (so no
+//! document can overflow the decoding thread's stack), and trailing bytes
+//! after the root value are rejected.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Deserializer, Kind, Serialize, Str, Value};
 use std::collections::HashMap;
 
 /// Why a binary payload could not be decoded.
@@ -66,9 +75,10 @@ pub enum CodecError {
         got: usize,
     },
     /// The payload violates the format (unknown tag, bad width, bad
-    /// varint, bad key reference, bad UTF-8, trailing bytes).
+    /// varint, bad key reference, bad UTF-8, nesting too deep, trailing
+    /// bytes).
     Malformed(String),
-    /// The payload decoded as a [`Value`], but the target type rejected it.
+    /// The payload is well formed, but the target type rejected it.
     Decode(serde::Error),
 }
 
@@ -258,51 +268,74 @@ fn uint_width(max: u64) -> u8 {
 
 // ---- decoding --------------------------------------------------------------
 
-/// Deserializes any shim-deserializable type from the binary encoding.
+/// Deserializes any shim-deserializable type from the binary encoding,
+/// reading straight from the bytes: no [`Value`] tree is built unless
+/// `T` is [`Value`].
 ///
 /// # Errors
-/// [`CodecError::Truncated`]/[`CodecError::Malformed`] on a bad payload,
-/// [`CodecError::Decode`] when the payload is a well-formed [`Value`] the
-/// target type rejects.
+/// [`CodecError::Truncated`]/[`CodecError::Malformed`] on a bad payload
+/// (including nesting deeper than [`serde::MAX_DEPTH`] and trailing
+/// bytes), [`CodecError::Decode`] when the payload is well formed but the
+/// target type rejects it.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
-    let value = value_from_bytes(bytes)?;
-    T::deserialize(&value).map_err(CodecError::Decode)
-}
-
-/// Decodes one [`Value`] tree, rejecting trailing bytes.
-///
-/// # Errors
-/// [`CodecError::Truncated`] or [`CodecError::Malformed`] on a bad payload.
-pub fn value_from_bytes(bytes: &[u8]) -> Result<Value, CodecError> {
-    let mut cursor = Cursor {
+    let mut reader = Reader {
         bytes,
         pos: 0,
         keys: Vec::new(),
+        open: Vec::new(),
+        fault: None,
     };
-    let value = cursor.decode_value()?;
-    if cursor.pos != bytes.len() {
+    let value = T::deserialize(&mut reader)
+        .map_err(|e| reader.fault.take().unwrap_or(CodecError::Decode(e)))?;
+    if reader.pos != bytes.len() {
         return Err(CodecError::Malformed(format!(
             "{} trailing bytes after the root value",
-            bytes.len() - cursor.pos
+            bytes.len() - reader.pos
         )));
     }
     Ok(value)
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
+/// Pull reader over one binary document.
+struct Reader<'de> {
+    bytes: &'de [u8],
     pos: usize,
     /// Interned object keys, in first-seen order (mirrors the encoder's).
-    keys: Vec<String>,
+    keys: Vec<&'de str>,
+    /// Open arrays and objects, innermost last.
+    open: Vec<Open>,
+    /// The format fault behind the error being returned, kept typed:
+    /// [`Deserializer`] methods can only return a [`serde::Error`].
+    fault: Option<CodecError>,
 }
 
-impl Cursor<'_> {
+/// One open array or object: entries still unread, and whether the
+/// entries are a packed slab rather than tagged values.
+#[derive(Clone, Copy)]
+struct Open {
+    remaining: usize,
+    slab: Slab,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Slab {
+    /// Tagged values (every object, and unpacked arrays).
+    Tagged,
+    /// Raw little-endian uints of this many bytes each.
+    Uint(usize),
+    /// Raw little-endian `f64` bits.
+    Float,
+}
+
+impl<'de> Reader<'de> {
+    #[inline]
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
     /// Borrows the next `n` bytes, or reports what was being read.
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&[u8], CodecError> {
+    #[inline]
+    fn take(&mut self, n: usize, context: &'static str) -> Result<&'de [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated {
                 context,
@@ -310,11 +343,12 @@ impl Cursor<'_> {
                 got: self.remaining(),
             });
         }
-        let slice = &self.bytes[self.pos..self.pos + n];
+        let bytes: &'de [u8] = self.bytes;
         self.pos += n;
-        Ok(slice)
+        Ok(&bytes[self.pos - n..self.pos])
     }
 
+    #[inline]
     fn take_varint(&mut self, context: &'static str) -> Result<u64, CodecError> {
         let mut value = 0u64;
         for shift in (0..64).step_by(7) {
@@ -334,34 +368,158 @@ impl Cursor<'_> {
     }
 
     /// Varint that must also fit in addressable length space.
+    #[inline]
     fn take_len(&mut self, context: &'static str) -> Result<usize, CodecError> {
         usize::try_from(self.take_varint(context)?)
             .map_err(|_| CodecError::Malformed(format!("{context} exceeds usize")))
     }
 
-    fn take_str(&mut self, len_ctx: &'static str, ctx: &'static str) -> Result<String, CodecError> {
+    #[inline]
+    fn take_str(
+        &mut self,
+        len_ctx: &'static str,
+        ctx: &'static str,
+    ) -> Result<&'de str, CodecError> {
         let len = self.take_len(len_ctx)?;
         let bytes = self.take(len, ctx)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|e| CodecError::Malformed(format!("{ctx} is not UTF-8: {e}")))
     }
 
-    fn decode_value(&mut self) -> Result<Value, CodecError> {
-        let tag = self.take(1, "value tag")?[0];
-        match tag {
-            TAG_NULL => Ok(Value::Null),
-            TAG_FALSE => Ok(Value::Bool(false)),
-            TAG_TRUE => Ok(Value::Bool(true)),
-            TAG_INT => Ok(Value::Int(unzigzag(self.take_varint("int scalar")?))),
-            TAG_UINT => Ok(Value::UInt(self.take_varint("uint scalar")?)),
-            TAG_FLOAT => {
-                let b = self.take(8, "float payload")?;
-                Ok(Value::Float(f64::from_le_bytes(b.try_into().expect("8"))))
+    #[inline]
+    fn f64_bits(&mut self, context: &'static str) -> Result<f64, CodecError> {
+        let b = self.take(8, context)?;
+        Ok(f64::from_le_bytes(b.try_into().expect("8")))
+    }
+
+    /// The slab the next value comes from, if the innermost open array is
+    /// packed.
+    #[inline]
+    fn slab(&self) -> Slab {
+        self.open.last().map_or(Slab::Tagged, |open| open.slab)
+    }
+
+    /// The next value's tag, not consumed.
+    #[inline]
+    fn tag(&self) -> Result<u8, CodecError> {
+        self.bytes
+            .get(self.pos)
+            .copied()
+            .ok_or(CodecError::Truncated {
+                context: "value tag",
+                expected: 1,
+                got: 0,
+            })
+    }
+
+    /// Converts an internal error for the [`Deserializer`] surface,
+    /// keeping a format fault typed in [`Reader::fault`].
+    fn fail(&mut self, e: CodecError) -> serde::Error {
+        match e {
+            CodecError::Decode(e) => e,
+            fault => {
+                let e = serde::Error::custom(&fault);
+                self.fault = Some(fault);
+                e
             }
-            TAG_STR => Ok(Value::Str(
-                self.take_str("string length", "string payload")?,
-            )),
+        }
+    }
+
+    /// The "expected X, found Y" error for the value at the cursor.
+    fn mismatch(&self, expected: &str) -> CodecError {
+        let found = match self.slab() {
+            Slab::Uint(_) => Value::UInt(0),
+            Slab::Float => Value::Float(0.0),
+            Slab::Tagged => match self.tag() {
+                Ok(TAG_NULL) => Value::Null,
+                Ok(TAG_FALSE | TAG_TRUE) => Value::Bool(false),
+                Ok(TAG_INT | TAG_UINT) => Value::UInt(0),
+                Ok(TAG_FLOAT) => Value::Float(0.0),
+                Ok(TAG_STR) => Value::Str(String::new()),
+                Ok(TAG_ARRAY | TAG_PACKED_UINT | TAG_PACKED_FLOAT) => Value::Array(Vec::new()),
+                Ok(TAG_OBJECT) => Value::Object(Vec::new()),
+                Ok(other) => return unknown_tag(other),
+                Err(e) => return e,
+            },
+        };
+        CodecError::Decode(serde::Error::mismatch(expected, &found))
+    }
+
+    /// Enters an array or object of `remaining` entries.
+    #[inline]
+    fn enter(&mut self, remaining: usize, slab: Slab) -> Result<(), CodecError> {
+        if self.open.len() == serde::MAX_DEPTH {
+            return Err(CodecError::Malformed(format!(
+                "nesting deeper than {} levels",
+                serde::MAX_DEPTH
+            )));
+        }
+        self.open.push(Open { remaining, slab });
+        Ok(())
+    }
+
+    /// Counts off the innermost open container's next entry; `false`
+    /// (after leaving it) once it has none left.
+    #[inline]
+    fn next_entry(&mut self) -> Result<bool, CodecError> {
+        let open = self
+            .open
+            .last_mut()
+            .ok_or_else(|| CodecError::Malformed("no open array or object".into()))?;
+        if open.remaining == 0 {
+            self.open.pop();
+            return Ok(false);
+        }
+        open.remaining -= 1;
+        Ok(true)
+    }
+
+    #[inline]
+    fn read_scalar(&mut self, expected: &str) -> Result<Value, CodecError> {
+        match self.slab() {
+            Slab::Uint(width) => {
+                let mut le = [0u8; 8];
+                le[..width].copy_from_slice(self.take(width, "packed uint slab")?);
+                return Ok(Value::UInt(u64::from_le_bytes(le)));
+            }
+            Slab::Float => return Ok(Value::Float(self.f64_bits("packed float slab")?)),
+            Slab::Tagged => {}
+        }
+        let tag = self.tag()?;
+        if !matches!(
+            tag,
+            TAG_NULL | TAG_FALSE | TAG_TRUE | TAG_INT | TAG_UINT | TAG_FLOAT
+        ) {
+            return Err(self.mismatch(expected));
+        }
+        self.pos += 1;
+        Ok(match tag {
+            TAG_NULL => Value::Null,
+            TAG_FALSE => Value::Bool(false),
+            TAG_TRUE => Value::Bool(true),
+            TAG_INT => Value::Int(unzigzag(self.take_varint("int scalar")?)),
+            TAG_UINT => Value::UInt(self.take_varint("uint scalar")?),
+            _ => Value::Float(self.f64_bits("float payload")?),
+        })
+    }
+
+    #[inline]
+    fn read_string(&mut self, expected: &str) -> Result<&'de str, CodecError> {
+        if self.slab() != Slab::Tagged || self.tag()? != TAG_STR {
+            return Err(self.mismatch(expected));
+        }
+        self.pos += 1;
+        self.take_str("string length", "string payload")
+    }
+
+    #[inline]
+    fn read_seq(&mut self, expected: &str) -> Result<usize, CodecError> {
+        if self.slab() != Slab::Tagged {
+            return Err(self.mismatch(expected));
+        }
+        let (count, slab) = match self.tag()? {
             TAG_ARRAY => {
+                self.pos += 1;
                 let count = self.take_len("array count")?;
                 // Each element costs at least its tag byte, so a count the
                 // remaining bytes cannot cover is rejected before decoding.
@@ -372,83 +530,137 @@ impl Cursor<'_> {
                         got: self.remaining(),
                     });
                 }
-                let mut items = Vec::new();
-                for _ in 0..count {
-                    items.push(self.decode_value()?);
-                }
-                Ok(Value::Array(items))
+                (count, Slab::Tagged)
             }
-            TAG_OBJECT => {
-                let count = self.take_len("object count")?;
-                // Each entry costs at least a key token + value tag.
-                if count.saturating_mul(2) > self.remaining() {
+            tag @ (TAG_PACKED_UINT | TAG_PACKED_FLOAT) => {
+                self.pos += 1;
+                let (width, slab, context) = if tag == TAG_PACKED_UINT {
+                    let width = self.take(1, "packed width")?[0];
+                    if !matches!(width, 1 | 2 | 4 | 8) {
+                        return Err(CodecError::Malformed(format!(
+                            "packed uint width {width} (expected 1, 2, 4, or 8)"
+                        )));
+                    }
+                    let width = usize::from(width);
+                    (width, Slab::Uint(width), "packed uint slab")
+                } else {
+                    (8, Slab::Float, "packed float slab")
+                };
+                let count = self.take_len("packed count")?;
+                let need = count
+                    .checked_mul(width)
+                    .ok_or_else(|| CodecError::Malformed("packed slab overflows".into()))?;
+                if need > self.remaining() {
                     return Err(CodecError::Truncated {
-                        context: "object entries",
-                        expected: count.saturating_mul(2),
+                        context,
+                        expected: need,
                         got: self.remaining(),
                     });
                 }
-                let mut entries = Vec::new();
-                for _ in 0..count {
-                    let key = self.decode_key()?;
-                    entries.push((key, self.decode_value()?));
-                }
-                Ok(Value::Object(entries))
+                (count, slab)
             }
-            TAG_PACKED_UINT => {
-                let width = self.take(1, "packed width")?[0];
-                if !matches!(width, 1 | 2 | 4 | 8) {
-                    return Err(CodecError::Malformed(format!(
-                        "packed uint width {width} (expected 1, 2, 4, or 8)"
-                    )));
-                }
-                let count = self.take_len("packed count")?;
-                let need = count
-                    .checked_mul(width as usize)
-                    .ok_or_else(|| CodecError::Malformed("packed slab overflows".into()))?;
-                let slab = self.take(need, "packed uint slab")?;
-                let mut items = Vec::with_capacity(count);
-                for chunk in slab.chunks_exact(width as usize) {
-                    let mut le = [0u8; 8];
-                    le[..chunk.len()].copy_from_slice(chunk);
-                    items.push(Value::UInt(u64::from_le_bytes(le)));
-                }
-                Ok(Value::Array(items))
-            }
-            TAG_PACKED_FLOAT => {
-                let count = self.take_len("packed count")?;
-                let need = count
-                    .checked_mul(8)
-                    .ok_or_else(|| CodecError::Malformed("packed slab overflows".into()))?;
-                let slab = self.take(need, "packed float slab")?;
-                let mut items = Vec::with_capacity(count);
-                for chunk in slab.chunks_exact(8) {
-                    items.push(Value::Float(f64::from_le_bytes(
-                        chunk.try_into().expect("8"),
-                    )));
-                }
-                Ok(Value::Array(items))
-            }
-            other => Err(CodecError::Malformed(format!(
-                "unknown value tag 0x{other:02x}"
-            ))),
-        }
+            _ => return Err(self.mismatch(expected)),
+        };
+        self.enter(count, slab)?;
+        Ok(count)
     }
 
-    fn decode_key(&mut self) -> Result<String, CodecError> {
+    #[inline]
+    fn read_map(&mut self, expected: &str) -> Result<(), CodecError> {
+        if self.slab() != Slab::Tagged || self.tag()? != TAG_OBJECT {
+            return Err(self.mismatch(expected));
+        }
+        self.pos += 1;
+        let count = self.take_len("object count")?;
+        // Each entry costs at least a key token + value tag.
+        if count.saturating_mul(2) > self.remaining() {
+            return Err(CodecError::Truncated {
+                context: "object entries",
+                expected: count.saturating_mul(2),
+                got: self.remaining(),
+            });
+        }
+        self.enter(count, Slab::Tagged)
+    }
+
+    #[inline]
+    fn read_key(&mut self) -> Result<Option<&'de str>, CodecError> {
+        if !self.next_entry()? {
+            return Ok(None);
+        }
         let token = self.take_varint("object key token")?;
         if token == 0 {
             let key = self.take_str("object key length", "object key")?;
-            self.keys.push(key.clone());
-            return Ok(key);
+            self.keys.push(key);
+            return Ok(Some(key));
         }
         let index = (token - 1) as usize;
-        self.keys.get(index).cloned().ok_or_else(|| {
-            CodecError::Malformed(format!(
+        match self.keys.get(index) {
+            Some(&key) => Ok(Some(key)),
+            None => Err(CodecError::Malformed(format!(
                 "object key reference {index} exceeds the {} interned keys",
                 self.keys.len()
-            ))
-        })
+            ))),
+        }
+    }
+}
+
+fn unknown_tag(tag: u8) -> CodecError {
+    CodecError::Malformed(format!("unknown value tag 0x{tag:02x}"))
+}
+
+impl<'de> Deserializer<'de> for Reader<'de> {
+    #[inline]
+    fn peek(&mut self) -> Result<Kind, serde::Error> {
+        if self.slab() != Slab::Tagged {
+            return Ok(Kind::Number);
+        }
+        match self.tag() {
+            Ok(TAG_NULL) => Ok(Kind::Null),
+            Ok(TAG_FALSE | TAG_TRUE) => Ok(Kind::Bool),
+            Ok(TAG_INT | TAG_UINT | TAG_FLOAT) => Ok(Kind::Number),
+            Ok(TAG_STR) => Ok(Kind::Str),
+            Ok(TAG_ARRAY | TAG_PACKED_UINT | TAG_PACKED_FLOAT) => Ok(Kind::Array),
+            Ok(TAG_OBJECT) => Ok(Kind::Object),
+            Ok(other) => Err(self.fail(unknown_tag(other))),
+            Err(e) => Err(self.fail(e)),
+        }
+    }
+
+    #[inline]
+    fn scalar(&mut self, expected: &str) -> Result<Value, serde::Error> {
+        self.read_scalar(expected).map_err(|e| self.fail(e))
+    }
+
+    #[inline]
+    fn string(&mut self, expected: &str) -> Result<Str<'de, '_>, serde::Error> {
+        match self.read_string(expected) {
+            Ok(s) => Ok(Str::Borrowed(s)),
+            Err(e) => Err(self.fail(e)),
+        }
+    }
+
+    #[inline]
+    fn seq(&mut self, expected: &str) -> Result<Option<usize>, serde::Error> {
+        self.read_seq(expected).map(Some).map_err(|e| self.fail(e))
+    }
+
+    #[inline]
+    fn next_element(&mut self) -> Result<bool, serde::Error> {
+        self.next_entry().map_err(|e| self.fail(e))
+    }
+
+    #[inline]
+    fn map(&mut self, expected: &str) -> Result<(), serde::Error> {
+        self.read_map(expected).map_err(|e| self.fail(e))
+    }
+
+    #[inline]
+    fn next_key(&mut self) -> Result<Option<Str<'de, '_>>, serde::Error> {
+        match self.read_key() {
+            Ok(key) => Ok(key.map(Str::Borrowed)),
+            Err(e) => Err(self.fail(e)),
+        }
     }
 }
 
@@ -550,7 +762,7 @@ mod tests {
 
     fn roundtrip(value: Value) {
         let bytes = value_to_bytes(&value);
-        assert_eq!(value_from_bytes(&bytes).unwrap(), value, "{bytes:?}");
+        assert_eq!(from_bytes::<Value>(&bytes).unwrap(), value, "{bytes:?}");
     }
 
     #[test]
@@ -587,14 +799,14 @@ mod tests {
         // exact.
         let bytes = value_to_bytes(&Value::Float(f64::NEG_INFINITY));
         assert_eq!(
-            value_from_bytes(&bytes).unwrap(),
+            from_bytes::<Value>(&bytes).unwrap(),
             Value::Float(f64::NEG_INFINITY)
         );
         let bytes = value_to_bytes(&Value::Array(vec![
             Value::Float(f64::NAN),
             Value::Float(2.0),
         ]));
-        let Value::Array(items) = value_from_bytes(&bytes).unwrap() else {
+        let Value::Array(items) = from_bytes::<Value>(&bytes).unwrap() else {
             panic!("array expected");
         };
         assert!(matches!(items[0], Value::Float(f) if f.is_nan()));
@@ -681,19 +893,19 @@ mod tests {
     #[test]
     fn truncations_name_what_was_cut() {
         let bytes = value_to_bytes(&Value::Str("hello".into()));
-        let err = value_from_bytes(&bytes[..bytes.len() - 2]).unwrap_err();
+        let err = from_bytes::<Value>(&bytes[..bytes.len() - 2]).unwrap_err();
         assert!(
             matches!(err, CodecError::Truncated { context, expected: 5, got: 3 }
                 if context == "string payload"),
             "{err}"
         );
-        let err = value_from_bytes(&[TAG_FLOAT, 1, 2]).unwrap_err();
+        let err = from_bytes::<Value>(&[TAG_FLOAT, 1, 2]).unwrap_err();
         assert!(
             matches!(err, CodecError::Truncated { context, .. } if context == "float payload"),
             "{err}"
         );
         // A varint cut mid-continuation.
-        let err = value_from_bytes(&[TAG_UINT, 0x80]).unwrap_err();
+        let err = from_bytes::<Value>(&[TAG_UINT, 0x80]).unwrap_err();
         assert!(matches!(err, CodecError::Truncated { .. }), "{err}");
     }
 
@@ -703,30 +915,30 @@ mod tests {
         let mut bytes = vec![TAG_ARRAY];
         push_varint(&mut bytes, u64::from(u32::MAX));
         bytes.extend_from_slice(&[TAG_NULL, TAG_NULL]);
-        let err = value_from_bytes(&bytes).unwrap_err();
+        let err = from_bytes::<Value>(&bytes).unwrap_err();
         assert!(matches!(err, CodecError::Truncated { .. }), "{err}");
         // A packed slab claiming more than remains.
         let mut bytes = vec![TAG_PACKED_UINT, 8];
         push_varint(&mut bytes, u64::from(u32::MAX));
-        let err = value_from_bytes(&bytes).unwrap_err();
+        let err = from_bytes::<Value>(&bytes).unwrap_err();
         assert!(matches!(err, CodecError::Truncated { .. }), "{err}");
         // An object claiming entries its bytes cannot carry.
         let mut bytes = vec![TAG_OBJECT];
         push_varint(&mut bytes, 1000);
-        let err = value_from_bytes(&bytes).unwrap_err();
+        let err = from_bytes::<Value>(&bytes).unwrap_err();
         assert!(matches!(err, CodecError::Truncated { .. }), "{err}");
     }
 
     #[test]
     fn unknown_tags_widths_and_key_refs_are_malformed() {
         assert!(matches!(
-            value_from_bytes(&[0x7f]).unwrap_err(),
+            from_bytes::<Value>(&[0x7f]).unwrap_err(),
             CodecError::Malformed(_)
         ));
         let mut bytes = vec![TAG_PACKED_UINT, 3];
         push_varint(&mut bytes, 0);
         assert!(matches!(
-            value_from_bytes(&bytes).unwrap_err(),
+            from_bytes::<Value>(&bytes).unwrap_err(),
             CodecError::Malformed(_)
         ));
         // A key token referencing an entry that was never interned.
@@ -734,7 +946,7 @@ mod tests {
         push_varint(&mut bytes, 1);
         push_varint(&mut bytes, 5); // reference to key 4 in an empty table
         bytes.push(TAG_NULL);
-        let err = value_from_bytes(&bytes).unwrap_err();
+        let err = from_bytes::<Value>(&bytes).unwrap_err();
         assert!(
             matches!(&err, CodecError::Malformed(msg) if msg.contains("key reference")),
             "{err}"
@@ -744,7 +956,7 @@ mod tests {
             TAG_UINT, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
         ];
         assert!(matches!(
-            value_from_bytes(&bytes).unwrap_err(),
+            from_bytes::<Value>(&bytes).unwrap_err(),
             CodecError::Malformed(_)
         ));
     }
@@ -753,9 +965,66 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let mut bytes = value_to_bytes(&Value::Null);
         bytes.push(0);
-        let err = value_from_bytes(&bytes).unwrap_err();
+        let err = from_bytes::<Value>(&bytes).unwrap_err();
         assert!(
             matches!(&err, CodecError::Malformed(msg) if msg.contains("trailing")),
+            "{err}"
+        );
+    }
+
+    /// `depth` nested one-element arrays around a `0`.
+    fn nested(depth: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        for _ in 0..depth {
+            raw::push_array(&mut out, 1);
+        }
+        raw::push_uint(&mut out, 0);
+        out
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let too_deep = |err: &CodecError| matches!(err, CodecError::Malformed(msg) if msg.contains("nesting deeper than 128"));
+        assert!(from_bytes::<Value>(&nested(serde::MAX_DEPTH)).is_ok());
+        for depth in [serde::MAX_DEPTH + 1, 100_000] {
+            let err = from_bytes::<Value>(&nested(depth)).unwrap_err();
+            assert!(too_deep(&err), "{err}");
+        }
+        // Inside a field the decoder skips: still a typed error, not a
+        // stack overflow.
+        #[derive(Debug, serde::Deserialize)]
+        struct Unit;
+        let mut doc = Vec::new();
+        raw::push_object(&mut doc, 1);
+        raw::push_key(&mut doc, "skipped");
+        doc.extend_from_slice(&nested(100_000));
+        let err = from_bytes::<Unit>(&doc).unwrap_err();
+        assert!(too_deep(&err), "{err}");
+    }
+
+    #[test]
+    fn packed_slabs_decode_into_typed_sequences() {
+        // Uint slabs of every width, a float slab, and a slab where the
+        // target type wants something else.
+        for max in [9u64, 300, 70_000, 1 << 40] {
+            let values: Vec<u64> = (0..5).map(|k| max - k).collect();
+            assert_eq!(from_bytes::<Vec<u64>>(&to_bytes(&values)).unwrap(), values);
+        }
+        let pairs: Vec<(u32, u32)> = vec![(1, 2), (3, 4)];
+        assert_eq!(
+            from_bytes::<Vec<(u32, u32)>>(&to_bytes(&pairs)).unwrap(),
+            pairs
+        );
+        let floats = vec![0.5, f64::NEG_INFINITY, -0.0];
+        let back: Vec<f64> = from_bytes(&to_bytes(&floats)).unwrap();
+        assert_eq!(back.len(), 3);
+        assert!(back
+            .iter()
+            .zip(&floats)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let err = from_bytes::<Vec<String>>(&to_bytes(&vec![1u64, 2])).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Decode(e) if e.to_string() == "expected string, found integer"),
             "{err}"
         );
     }
@@ -767,7 +1036,7 @@ mod tests {
         let (version, payload) = split_container(&doc, MAGIC).unwrap();
         assert_eq!(version, 7);
         assert_eq!(
-            value_from_bytes(payload).unwrap(),
+            from_bytes::<Value>(payload).unwrap(),
             Value::Str("payload".into())
         );
         assert!(matches!(
@@ -801,7 +1070,7 @@ mod tests {
             ("rows".into(), Value::Array(vec![row(0), row(1)])),
             ("epoch".into(), Value::UInt(9)),
         ]);
-        assert_eq!(value_from_bytes(&out).unwrap(), expected);
+        assert_eq!(from_bytes::<Value>(&out).unwrap(), expected);
 
         // push_value emits standalone fragments: keys re-introduced, so a
         // spliced value after other objects still decodes in place.
@@ -812,6 +1081,6 @@ mod tests {
         raw::push_key(&mut doc, "b");
         raw::push_value(&mut doc, &row(6));
         let expected = Value::Object(vec![("a".into(), row(5)), ("b".into(), row(6))]);
-        assert_eq!(value_from_bytes(&doc).unwrap(), expected);
+        assert_eq!(from_bytes::<Value>(&doc).unwrap(), expected);
     }
 }

@@ -349,6 +349,49 @@ impl BatchSource for JsonlReplay {
     }
 }
 
+/// Reads the top-level `version` field of a JSON document without building
+/// the document: a one-field probe whose reader skips every other field.
+/// `Ok(None)` when the field is missing or not an unsigned integer, or the
+/// document is not an object; `Err` only when the text is not JSON. This is
+/// the version-first check of the versioned JSON containers (checkpoints,
+/// fleet manifests).
+///
+/// # Errors
+/// The syntax error, when `text` is not one JSON document.
+pub fn json_version(text: &str) -> Result<Option<u64>, serde::Error> {
+    serde_json::from_str::<VersionProbe>(text).map(|probe| probe.version)
+}
+
+/// A document's `version` and nothing else (see [`json_version`]).
+struct VersionProbe {
+    version: Option<u64>,
+}
+
+impl Deserialize for VersionProbe {
+    fn deserialize<'de, D: serde::Deserializer<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        let mut version = None;
+        if d.peek()? != serde::Kind::Object {
+            d.skip()?;
+        } else {
+            d.map("object")?;
+            while let Some(key) = d.next_key()? {
+                // The first `version` key decides, as `Value::get` does.
+                if &*key != "version" || version.is_some() {
+                    d.skip()?;
+                } else if d.peek()? == serde::Kind::Number {
+                    version = Some(d.scalar("number")?.as_u64());
+                } else {
+                    d.skip()?;
+                    version = Some(None);
+                }
+            }
+        }
+        Ok(VersionProbe {
+            version: version.flatten(),
+        })
+    }
+}
+
 /// Format version written into the header line of every op-log. Bump on any
 /// incompatible change to the line layout.
 pub const OP_LOG_VERSION: u32 = 1;

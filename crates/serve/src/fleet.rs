@@ -1118,11 +1118,8 @@ impl FleetManifest {
     /// # Errors
     /// Fails on malformed JSON or a version mismatch.
     pub fn from_json(text: &str) -> Result<Self, FleetError> {
-        let value: serde::Value =
-            serde_json::from_str(text).map_err(|e| FleetError::Json(e.to_string()))?;
-        let version = value
-            .get("version")
-            .and_then(|v| v.as_u64())
+        let version = cpa_data::io::json_version(text)
+            .map_err(|e| FleetError::Json(e.to_string()))?
             .ok_or_else(|| FleetError::Json("missing `version` field".into()))?;
         if version != u64::from(FLEET_MANIFEST_VERSION) {
             return Err(FleetError::Version {
@@ -1130,7 +1127,7 @@ impl FleetManifest {
                 expected: FLEET_MANIFEST_VERSION,
             });
         }
-        serde::Deserialize::deserialize(&value).map_err(|e| FleetError::Json(e.to_string()))
+        serde_json::from_str(text).map_err(|e| FleetError::Json(e.to_string()))
     }
 
     /// Serializes the manifest as one binary document: the compact format

@@ -4,8 +4,15 @@
 //! default [`WireFormat::Json`] codec that body is UTF-8 JSON — readable in
 //! a packet capture, diffable in an op-log, and the compatibility floor
 //! every peer speaks. Under [`WireFormat::Binary`] it is a
-//! `cpa_data::codec` document: the same value tree, varint-packed with
+//! `cpa_data::codec` document: the same value, varint-packed with
 //! interned keys, no JSON string in the middle.
+//!
+//! Encoding renders the op or reply into the serde shim's `Value` tree and
+//! writes that; [`decode`] builds no tree under either codec — the target
+//! type pulls its fields straight from the JSON text or the binary bytes.
+//! Both readers cap nesting at `serde::MAX_DEPTH` (128) levels, so a
+//! hostile frame costs its sender a framed `Error`, never the server's
+//! stack.
 //!
 //! # Negotiation
 //!

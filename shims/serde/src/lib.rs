@@ -1,7 +1,11 @@
-//! Offline stand-in for `serde`: [`Serialize`]/[`Deserialize`] traits (and
-//! derive macros) over a self-describing JSON-like [`Value`] model. The
-//! companion `serde_json` shim renders and parses [`Value`] as JSON text.
-//! See `shims/README.md`.
+//! Offline stand-in for `serde`: [`Serialize`] renders a type into the
+//! self-describing [`Value`] model, and [`Deserialize`] rebuilds a type by
+//! **pulling** from a [`Deserializer`] — a reader that hands out the next
+//! scalar, string, array element or object key straight from its source,
+//! so decoding never builds a [`Value`] tree unless [`Value`] is the
+//! target. The companion `serde_json` shim renders [`Value`] as JSON text
+//! and reads JSON text as a [`Deserializer`]; [`from_value`] reads a
+//! [`Value`] the same way. See `shims/README.md`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -11,7 +15,7 @@ use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Self-describing data model every (de)serializable type maps through.
+/// Self-describing data model every serializable type renders into.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -58,6 +62,7 @@ impl Value {
     }
 
     /// Numeric view as `f64` (accepts any numeric variant).
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
             Value::Int(i) => Some(i as f64),
@@ -69,6 +74,7 @@ impl Value {
     }
 
     /// Numeric view as `u64` (exact; rejects negatives and fractions).
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Value::UInt(u) => Some(u),
@@ -81,6 +87,7 @@ impl Value {
     }
 
     /// Numeric view as `i64` (exact; rejects out-of-range and fractions).
+    #[inline]
     pub fn as_i64(&self) -> Option<i64> {
         match *self {
             Value::Int(i) => Some(i),
@@ -95,6 +102,7 @@ impl Value {
     }
 
     /// Boolean view.
+    #[inline]
     pub fn as_bool(&self) -> Option<bool> {
         match *self {
             Value::Bool(b) => Some(b),
@@ -164,10 +172,317 @@ pub trait Serialize {
     fn serialize(&self) -> Value;
 }
 
-/// Types reconstructible from the [`Value`] model.
+/// Types that rebuild themselves by pulling from a [`Deserializer`].
+///
+/// The decoded value is the one the [`Value`] model defines: a number
+/// coerces as [`Value::as_u64`]/[`Value::as_i64`]/[`Value::as_f64`] do
+/// (`1.0` is an integer, `null` is NaN), a struct skips unknown keys and
+/// keeps the first of duplicate keys, and an enum is externally tagged.
 pub trait Deserialize: Sized {
-    /// Reconstructs `Self` from a [`Value`].
-    fn deserialize(value: &Value) -> Result<Self, Error>;
+    /// Reads one `Self` from the next value of `d`.
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error>;
+}
+
+/// Deepest nesting of arrays and objects a reader accepts (serde_json's
+/// default recursion limit). Deeper input is a decode error, so no input
+/// can overflow the decoding thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// The kind of the next value a [`Deserializer`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// An integer or float.
+    Number,
+    /// A string.
+    Str,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+/// A string handed out by a [`Deserializer`]: borrowed from the input
+/// when it had no escapes, else from the reader's scratch buffer.
+#[derive(Debug, Clone, Copy)]
+pub enum Str<'de, 's> {
+    /// Borrowed from the input for its whole lifetime.
+    Borrowed(&'de str),
+    /// Unescaped into the reader; valid until the next read.
+    Copied(&'s str),
+}
+
+impl std::ops::Deref for Str<'_, '_> {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        match *self {
+            Str::Borrowed(s) | Str::Copied(s) => s,
+        }
+    }
+}
+
+/// A reader of one self-describing document, pulled front to back.
+///
+/// Arrays and objects are read by opening them ([`Deserializer::seq`],
+/// [`Deserializer::map`]) and then asking for the next element or key
+/// until the reader reports the end: after [`Deserializer::next_element`]
+/// returns `true` (or [`Deserializer::next_key`] a key), the caller reads
+/// exactly one value. The JSON and binary readers enforce [`MAX_DEPTH`].
+pub trait Deserializer<'de> {
+    /// The kind of the next value, without consuming it.
+    fn peek(&mut self) -> Result<Kind, Error>;
+
+    /// Reads a null, bool or number as a scalar [`Value`]; a string, array
+    /// or object is a mismatch naming `expected`.
+    fn scalar(&mut self, expected: &str) -> Result<Value, Error>;
+
+    /// Reads a string; anything else is a mismatch naming `expected`.
+    fn string(&mut self, expected: &str) -> Result<Str<'de, '_>, Error>;
+
+    /// Opens an array, returning its length when the source declares one;
+    /// anything else is a mismatch naming `expected`.
+    fn seq(&mut self, expected: &str) -> Result<Option<usize>, Error>;
+
+    /// `true` when the open array has another element (read it next),
+    /// `false` once the array is closed.
+    fn next_element(&mut self) -> Result<bool, Error>;
+
+    /// Opens an object; anything else is a mismatch naming `expected`.
+    fn map(&mut self, expected: &str) -> Result<(), Error>;
+
+    /// The open object's next key (read its value next), or `None` once
+    /// the object is closed.
+    fn next_key(&mut self) -> Result<Option<Str<'de, '_>>, Error>;
+
+    /// Reads and discards the next value, checking it as thoroughly as
+    /// reading it would.
+    fn skip(&mut self) -> Result<(), Error> {
+        match self.peek()? {
+            Kind::Str => {
+                self.string("string")?;
+            }
+            Kind::Array => {
+                self.seq("array")?;
+                while self.next_element()? {
+                    self.skip()?;
+                }
+            }
+            Kind::Object => {
+                self.map("object")?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            Kind::Null | Kind::Bool | Kind::Number => {
+                self.scalar("scalar")?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Rebuilds a `T` from a [`Value`] tree, with the same semantics as
+/// decoding the tree's JSON text.
+///
+/// # Errors
+/// Whatever `T` rejects in `value`.
+pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
+    T::deserialize(&mut ValueReader {
+        next: Some(value),
+        open: Vec::new(),
+    })
+}
+
+/// [`Deserializer`] over a borrowed [`Value`] tree.
+struct ValueReader<'de> {
+    /// The value the next read consumes.
+    next: Option<&'de Value>,
+    /// Open arrays and objects, innermost last.
+    open: Vec<Open<'de>>,
+}
+
+enum Open<'de> {
+    Array(std::slice::Iter<'de, Value>),
+    Object(std::slice::Iter<'de, (String, Value)>),
+}
+
+impl<'de> ValueReader<'de> {
+    fn take(&mut self) -> Result<&'de Value, Error> {
+        self.next
+            .take()
+            .ok_or_else(|| Error::custom("read past the end of the value"))
+    }
+}
+
+impl<'de> Deserializer<'de> for ValueReader<'de> {
+    fn peek(&mut self) -> Result<Kind, Error> {
+        let value = self
+            .next
+            .ok_or_else(|| Error::custom("read past the end of the value"))?;
+        Ok(match value {
+            Value::Null => Kind::Null,
+            Value::Bool(_) => Kind::Bool,
+            Value::Int(_) | Value::UInt(_) | Value::Float(_) => Kind::Number,
+            Value::Str(_) => Kind::Str,
+            Value::Array(_) => Kind::Array,
+            Value::Object(_) => Kind::Object,
+        })
+    }
+
+    fn scalar(&mut self, expected: &str) -> Result<Value, Error> {
+        match self.take()? {
+            v @ (Value::Str(_) | Value::Array(_) | Value::Object(_)) => {
+                Err(Error::mismatch(expected, v))
+            }
+            scalar => Ok(scalar.clone()),
+        }
+    }
+
+    fn string(&mut self, expected: &str) -> Result<Str<'de, '_>, Error> {
+        match self.take()? {
+            Value::Str(s) => Ok(Str::Borrowed(s)),
+            other => Err(Error::mismatch(expected, other)),
+        }
+    }
+
+    fn seq(&mut self, expected: &str) -> Result<Option<usize>, Error> {
+        match self.take()? {
+            Value::Array(items) => {
+                self.open.push(Open::Array(items.iter()));
+                Ok(Some(items.len()))
+            }
+            other => Err(Error::mismatch(expected, other)),
+        }
+    }
+
+    fn next_element(&mut self) -> Result<bool, Error> {
+        let Some(Open::Array(items)) = self.open.last_mut() else {
+            return Err(Error::custom("no open array"));
+        };
+        self.next = items.next();
+        if self.next.is_none() {
+            self.open.pop();
+        }
+        Ok(self.next.is_some())
+    }
+
+    fn map(&mut self, expected: &str) -> Result<(), Error> {
+        match self.take()? {
+            Value::Object(entries) => {
+                self.open.push(Open::Object(entries.iter()));
+                Ok(())
+            }
+            other => Err(Error::mismatch(expected, other)),
+        }
+    }
+
+    fn next_key(&mut self) -> Result<Option<Str<'de, '_>>, Error> {
+        let Some(Open::Object(entries)) = self.open.last_mut() else {
+            return Err(Error::custom("no open object"));
+        };
+        match entries.next() {
+            Some((key, value)) => {
+                self.next = Some(value);
+                Ok(Some(Str::Borrowed(key)))
+            }
+            None => {
+                self.open.pop();
+                Ok(None)
+            }
+        }
+    }
+}
+
+/// Support for the `Deserialize` derive; not a public API.
+#[doc(hidden)]
+pub mod __private {
+    use super::{Deserializer, Error, Kind};
+
+    /// Which form an externally tagged enum value took.
+    pub enum Tagged {
+        /// `"Tag"`: index into the unit variant names.
+        Unit(usize),
+        /// `{"Tag": {fields}}`: index into the struct variant names; the
+        /// body is read next, then [`end_variant`].
+        Struct(usize),
+    }
+
+    /// Reads an externally tagged enum's tag: a string naming a unit
+    /// variant, or a one-entry object whose key names a struct variant.
+    pub fn variant<'de, D: Deserializer<'de>>(
+        d: &mut D,
+        expected: &str,
+        units: &[&str],
+        structs: &[&str],
+    ) -> Result<Tagged, Error> {
+        if d.peek()? == Kind::Str {
+            let tag = d.string(expected)?;
+            return match units.iter().position(|name| *name == &*tag) {
+                Some(index) => Ok(Tagged::Unit(index)),
+                None => Err(Error::unknown_variant(&tag)),
+            };
+        }
+        d.map(expected)?;
+        let unknown = match d.next_key()? {
+            None => return Err(wrong_shape(expected)),
+            Some(tag) => match structs.iter().position(|name| *name == &*tag) {
+                Some(index) => return Ok(Tagged::Struct(index)),
+                None => tag.to_string(),
+            },
+        };
+        d.skip()?;
+        end_variant(d, expected)?;
+        Err(Error::unknown_variant(&unknown))
+    }
+
+    /// Closes a `{"Tag": {fields}}` enum object: a second entry is the
+    /// wrong shape for an enum.
+    pub fn end_variant<'de, D: Deserializer<'de>>(d: &mut D, expected: &str) -> Result<(), Error> {
+        match d.next_key()? {
+            Some(_) => Err(wrong_shape(expected)),
+            None => Ok(()),
+        }
+    }
+
+    fn wrong_shape(expected: &str) -> Error {
+        Error::custom(format!("expected {expected}, found object"))
+    }
+
+    /// Opens a struct variant's body. A body that is not an object is
+    /// skipped and reads as having none of its fields.
+    pub fn variant_body<'de, D: Deserializer<'de>>(d: &mut D) -> Result<bool, Error> {
+        if d.peek()? == Kind::Object {
+            d.map("object")?;
+            Ok(true)
+        } else {
+            d.skip()?;
+            Ok(false)
+        }
+    }
+
+    /// The index in `names` of the open object's next key (`usize::MAX`
+    /// for a key not in `names`), or `None` once the object is closed.
+    pub fn next_field<'de, D: Deserializer<'de>>(
+        d: &mut D,
+        names: &[&str],
+    ) -> Result<Option<usize>, Error> {
+        Ok(d.next_key()?.map(|key| {
+            names
+                .iter()
+                .position(|name| *name == &*key)
+                .unwrap_or(usize::MAX)
+        }))
+    }
+
+    /// A struct field's decoded value, or the missing-field error.
+    pub fn field<T>(slot: Option<T>, name: &str) -> Result<T, Error> {
+        slot.ok_or_else(|| Error::missing_field(name))
+    }
 }
 
 // ---- primitive impls -------------------------------------------------------
@@ -181,9 +496,33 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error> {
+        match d.peek()? {
+            Kind::Str => Ok(Value::Str(d.string("string")?.to_string())),
+            Kind::Array => Vec::deserialize(d).map(Value::Array),
+            Kind::Object => {
+                let mut entries = Vec::new();
+                d.map("object")?;
+                while let Some(key) = d.next_key()? {
+                    let key = key.to_string();
+                    entries.push((key, Value::deserialize(d)?));
+                }
+                Ok(Value::Object(entries))
+            }
+            Kind::Null | Kind::Bool | Kind::Number => d.scalar("scalar"),
+        }
     }
+}
+
+/// Reads a scalar and views it through `view`, naming `expected` on a
+/// mismatch.
+fn scalar_as<'de, D: Deserializer<'de>, T>(
+    d: &mut D,
+    expected: &str,
+    view: fn(&Value) -> Option<T>,
+) -> Result<T, Error> {
+    let scalar = d.scalar(expected)?;
+    view(&scalar).ok_or_else(|| Error::mismatch(expected, &scalar))
 }
 
 impl Serialize for bool {
@@ -193,10 +532,8 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_bool()
-            .ok_or_else(|| Error::mismatch("bool", value))
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error> {
+        scalar_as(d, "bool", Value::as_bool)
     }
 }
 
@@ -208,8 +545,8 @@ macro_rules! impl_unsigned {
             }
         }
         impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                let u = value.as_u64().ok_or_else(|| Error::mismatch("unsigned integer", value))?;
+            fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error> {
+                let u = scalar_as(d, "unsigned integer", Value::as_u64)?;
                 <$t>::try_from(u).map_err(|_| Error::custom("integer out of range"))
             }
         }
@@ -226,8 +563,8 @@ macro_rules! impl_signed {
             }
         }
         impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                let i = value.as_i64().ok_or_else(|| Error::mismatch("integer", value))?;
+            fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error> {
+                let i = scalar_as(d, "integer", Value::as_i64)?;
                 <$t>::try_from(i).map_err(|_| Error::custom("integer out of range"))
             }
         }
@@ -243,10 +580,8 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
-            .ok_or_else(|| Error::mismatch("number", value))
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error> {
+        scalar_as(d, "number", Value::as_f64)
     }
 }
 
@@ -256,30 +591,9 @@ impl Serialize for f32 {
     }
 }
 
-impl Deserialize for f32 {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(value
-            .as_f64()
-            .ok_or_else(|| Error::mismatch("number", value))? as f32)
-    }
-}
-
 impl Serialize for char {
     fn serialize(&self) -> Value {
         Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| Error::mismatch("char", value))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::custom("expected single-character string")),
-        }
     }
 }
 
@@ -290,11 +604,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| Error::mismatch("string", value))
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error> {
+        Ok(d.string("string")?.to_string())
     }
 }
 
@@ -322,11 +633,12 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::deserialize(other).map(Some),
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error> {
+        if d.peek()? == Kind::Null {
+            d.scalar("null")?;
+            return Ok(None);
         }
+        T::deserialize(d).map(Some)
     }
 }
 
@@ -337,13 +649,16 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::mismatch("array", value))?
-            .iter()
-            .map(T::deserialize)
-            .collect()
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error> {
+        // A declared length is only a hint: reserve at most ~1 MiB up
+        // front, so a hostile length cannot force a huge allocation.
+        let hint = d.seq("array")?.unwrap_or(0);
+        let cap = hint.min((1 << 20) / std::mem::size_of::<T>().max(1));
+        let mut items = Vec::with_capacity(cap);
+        while d.next_element()? {
+            items.push(T::deserialize(d)?);
+        }
+        Ok(items)
     }
 }
 
@@ -365,31 +680,9 @@ impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
     }
 }
 
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::mismatch("array", value))?
-            .iter()
-            .map(T::deserialize)
-            .collect()
-    }
-}
-
 impl<T: Serialize> Serialize for HashSet<T> {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Deserialize + Eq + std::hash::Hash> Deserialize for HashSet<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::mismatch("array", value))?
-            .iter()
-            .map(T::deserialize)
-            .collect()
     }
 }
 
@@ -403,17 +696,6 @@ impl<V: Serialize> Serialize for BTreeMap<String, V> {
     }
 }
 
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_object()
-            .ok_or_else(|| Error::mismatch("object", value))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::deserialize(v)?)))
-            .collect()
-    }
-}
-
 impl<V: Serialize> Serialize for HashMap<String, V> {
     fn serialize(&self) -> Value {
         Value::Object(
@@ -424,15 +706,10 @@ impl<V: Serialize> Serialize for HashMap<String, V> {
     }
 }
 
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_object()
-            .ok_or_else(|| Error::mismatch("object", value))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::deserialize(v)?)))
-            .collect()
-    }
+fn tuple_len(expected: usize, found: usize) -> Error {
+    Error::custom(format!(
+        "expected array of length {expected}, found {found}"
+    ))
 }
 
 macro_rules! impl_tuple {
@@ -443,14 +720,24 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                let items = value.as_array().ok_or_else(|| Error::mismatch("array", value))?;
-                if items.len() != $len {
-                    return Err(Error::custom(format!(
-                        "expected array of length {}, found {}", $len, items.len()
-                    )));
+            // `R`, not `D`: `D` names the fourth element type.
+            fn deserialize<'de, R: Deserializer<'de>>(d: &mut R) -> Result<Self, Error> {
+                d.seq("array")?;
+                let tuple = ($({
+                    if !d.next_element()? {
+                        return Err(tuple_len($len, $idx));
+                    }
+                    $name::deserialize(d)?
+                },)+);
+                let mut found = $len;
+                while d.next_element()? {
+                    d.skip()?;
+                    found += 1;
                 }
-                Ok(($($name::deserialize(&items[$idx])?,)+))
+                if found != $len {
+                    return Err(tuple_len($len, found));
+                }
+                Ok(tuple)
             }
         }
     )*};

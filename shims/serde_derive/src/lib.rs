@@ -76,84 +76,102 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("serde_derive: generated Serialize impl must parse")
 }
 
-/// Derives `serde::Deserialize` (shim): rebuilds the item from `serde::Value`.
+/// Derives `serde::Deserialize` (shim): pulls the item from a
+/// `serde::Deserializer`. A struct is a key-matching loop — unknown keys are
+/// skipped, the first of duplicate keys is kept — and an enum a tag match.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let inits: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::deserialize(value.get({f:?})\
-                         .ok_or_else(|| ::serde::Error::missing_field({f:?}))?)?,"
-                    )
-                })
-                .collect();
-            format!(
-                "value.as_object().ok_or_else(|| ::serde::Error::mismatch(\"object\", value))?; \
-                 ::std::result::Result::Ok({name} {{ {inits} }})"
-            )
-        }
-        Shape::Unit => format!(
-            "value.as_object().ok_or_else(|| ::serde::Error::mismatch(\"object\", value))?; \
-             ::std::result::Result::Ok({name})"
-        ),
+        Shape::NamedStruct(fields) => read_fields(name, fields, None),
+        Shape::Unit => read_fields(name, &[], None),
         Shape::Enum(variants) => {
+            let expected = format!("enum {name}");
+            let names = |unit: bool| -> String {
+                variants
+                    .iter()
+                    .filter(|v| v.fields.is_none() == unit)
+                    .map(|v| format!("{:?},", v.name))
+                    .collect()
+            };
             let unit_arms: String = variants
                 .iter()
                 .filter(|v| v.fields.is_none())
-                .map(|v| {
+                .enumerate()
+                .map(|(i, v)| {
                     format!(
-                        "{v:?} => ::std::result::Result::Ok({name}::{v}),",
+                        "::serde::__private::Tagged::Unit({i}) => \
+                         ::std::result::Result::Ok({name}::{v}),",
                         v = v.name
                     )
                 })
                 .collect();
-            let tagged_arms: String = variants
+            let struct_arms: String = variants
                 .iter()
                 .filter_map(|v| v.fields.as_ref().map(|fields| (v, fields)))
-                .map(|(v, fields)| {
-                    let inits: String = fields
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "{f}: ::serde::Deserialize::deserialize(inner.get({f:?})\
-                                 .ok_or_else(|| ::serde::Error::missing_field({f:?}))?)?,"
-                            )
-                        })
-                        .collect();
+                .enumerate()
+                .map(|(i, (v, fields))| {
                     format!(
-                        "{v:?} => ::std::result::Result::Ok({name}::{v} {{ {inits} }}),",
-                        v = v.name
+                        "::serde::__private::Tagged::Struct({i}) => {{ {} }}",
+                        read_fields(&format!("{name}::{}", v.name), fields, Some(&expected))
                     )
                 })
                 .collect();
             format!(
-                "if let ::std::option::Option::Some(tag) = value.as_str() {{ \
-                     return match tag {{ {unit_arms} \
-                         other => ::std::result::Result::Err(::serde::Error::unknown_variant(other)), }}; \
-                 }} \
-                 if let ::std::option::Option::Some(entries) = value.as_object() {{ \
-                     if entries.len() == 1 {{ \
-                         let (tag, inner) = &entries[0]; \
-                         return match tag.as_str() {{ {tagged_arms} \
-                             other => ::std::result::Result::Err(::serde::Error::unknown_variant(other)), }}; \
-                     }} \
-                 }} \
-                 ::std::result::Result::Err(::serde::Error::mismatch(\"enum {name}\", value))"
+                "match ::serde::__private::variant(__d, {expected:?}, &[{units}], &[{structs}])? {{ \
+                     {unit_arms} {struct_arms} \
+                     _ => ::std::unreachable!(), \
+                 }}",
+                units = names(true),
+                structs = names(false),
             )
         }
     };
     format!(
         "impl ::serde::Deserialize for {name} {{ \
-         fn deserialize(value: &::serde::Value) \
+         fn deserialize<'de, __D: ::serde::Deserializer<'de>>(__d: &mut __D) \
          -> ::std::result::Result<Self, ::serde::Error> {{ {body} }} }}"
     )
     .parse()
     .expect("serde_derive: generated Deserialize impl must parse")
+}
+
+/// The key-matching loop that reads `fields` into `path { .. }`: a struct's
+/// object, or — when `variant` names the enum — a struct variant's body,
+/// after which the `{"Tag": body}` object is closed.
+fn read_fields(path: &str, fields: &[String], variant: Option<&str>) -> String {
+    let slots: String = (0..fields.len())
+        .map(|i| format!("let mut __f{i} = ::std::option::Option::None;"))
+        .collect();
+    let names: String = fields.iter().map(|f| format!("{f:?},")).collect();
+    let arms: String = (0..fields.len())
+        .map(|i| {
+            format!(
+                "{i} if __f{i}.is_none() => __f{i} = ::std::option::Option::Some(\
+                 ::serde::Deserialize::deserialize(__d)?),"
+            )
+        })
+        .collect();
+    let inits: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| format!("{f}: ::serde::__private::field(__f{i}, {f:?})?,"))
+        .collect();
+    let read = format!(
+        "while let ::std::option::Option::Some(__field) = \
+             ::serde::__private::next_field(__d, &[{names}])? {{ \
+             match __field {{ {arms} _ => ::serde::Deserializer::skip(__d)?, }} \
+         }}"
+    );
+    let read = match variant {
+        None => format!("::serde::Deserializer::map(__d, \"object\")?; {read}"),
+        Some(variant) => format!(
+            "if ::serde::__private::variant_body(__d)? {{ {read} }} \
+             ::serde::__private::end_variant(__d, {variant:?})?;"
+        ),
+    };
+    format!("{slots} {read} ::std::result::Result::Ok({path} {{ {inits} }})")
 }
 
 // ---- item parsing ----------------------------------------------------------

@@ -350,6 +350,90 @@ fn truncated_and_garbage_frames_do_not_kill_the_server() {
     running.join().expect("server joins");
 }
 
+/// Nesting deeper than the decoders' cap is a framed decode error, never a
+/// stack overflow that aborts the server: a raw client sends 10,000 nested
+/// arrays under each codec — as the whole frame, and inside an op field
+/// the decoder skips — gets an `Error` frame each time, and the next
+/// client is served normally.
+#[test]
+fn deeply_nested_frames_get_a_framed_error_and_the_server_keeps_serving() {
+    use cpa::data::codec::raw;
+    use cpa::transport::codec::{self, WireFormat};
+    use cpa::transport::frame::{read_frame_bytes, write_frame_bytes};
+    const DEPTH: usize = 10_000;
+
+    let (d, batches) = fixture();
+    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let fleet = fleet_for(&d, 1);
+    let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
+
+    let mut nested = Vec::new();
+    for _ in 0..DEPTH {
+        raw::push_array(&mut nested, 1);
+    }
+    raw::push_uint(&mut nested, 0);
+    let mut in_field = Vec::new();
+    raw::push_object(&mut in_field, 1);
+    raw::push_key(&mut in_field, "Ingest");
+    raw::push_object(&mut in_field, 1);
+    raw::push_key(&mut in_field, "junk");
+    in_field.extend_from_slice(&nested);
+    let cases = [
+        (
+            WireFormat::Json,
+            "[".repeat(DEPTH).into_bytes(),
+            "found array",
+        ),
+        (
+            WireFormat::Json,
+            format!(
+                "{{\"Ingest\":{{\"junk\":{}0{}}}}}",
+                "[".repeat(DEPTH),
+                "]".repeat(DEPTH)
+            )
+            .into_bytes(),
+            "nesting deeper than 128 levels",
+        ),
+        (WireFormat::Binary, nested, "found array"),
+        (
+            WireFormat::Binary,
+            in_field,
+            "nesting deeper than 128 levels",
+        ),
+    ];
+    for (format, frame, cause) in cases {
+        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+        if format == WireFormat::Binary {
+            assert_eq!(
+                codec::client_handshake(&mut raw).expect("handshake"),
+                format
+            );
+        }
+        write_frame_bytes(&mut raw, &frame).expect("deep frame");
+        let reply = read_frame_bytes(&mut raw)
+            .expect("reply")
+            .expect("framed error comes back");
+        match codec::decode::<FleetReply>(format, &reply).expect("error frame decodes") {
+            FleetReply::Error { message } => {
+                assert!(message.contains(cause), "{format:?}: {message}")
+            }
+            other => panic!("{format:?}: expected an Error frame, got {}", other.name()),
+        }
+    }
+
+    let mut client = FleetClient::connect(addr).expect("healthy connect");
+    for op in ingest_ops(&d, &batches[..2]) {
+        client.apply_op(&op).expect("healthy ingest");
+    }
+    assert_eq!(
+        client.predict_all().expect("healthy read").len(),
+        d.num_items()
+    );
+    client.shutdown().expect("shutdown");
+    running.join().expect("server joins");
+}
+
 #[test]
 fn drive_equals_the_same_ops_replayed() {
     // The legacy drive() surface and raw op replay are the same interpreter:
