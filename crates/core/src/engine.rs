@@ -375,15 +375,17 @@ pub(crate) fn check_config(cfg: &CpaConfig) -> Result<(), CheckpointError> {
     }
 }
 
-/// Validates that a restored posterior matches the seen matrix's dimensions.
-pub(crate) fn check_shape(
+/// Validates a restored posterior: its dimensions against the seen matrix,
+/// then everything [`VariationalParams::validation_error`] checks against
+/// `cfg` — so a malformed checkpoint is refused here rather than panicking
+/// the first kernel that indexes into it.
+pub(crate) fn check_params(
     params: &VariationalParams,
+    cfg: &CpaConfig,
     seen: &AnswerMatrix,
 ) -> Result<(), CheckpointError> {
-    if params.shape_matches(seen) {
-        Ok(())
-    } else {
-        Err(CheckpointError::Invalid(format!(
+    if !params.shape_matches(seen) {
+        return Err(CheckpointError::Invalid(format!(
             "parameters are {}×{} over {} labels, seen matrix is {}×{} over {}",
             params.num_items,
             params.num_workers,
@@ -391,7 +393,11 @@ pub(crate) fn check_shape(
             seen.num_items(),
             seen.num_workers(),
             seen.num_labels()
-        )))
+        )));
+    }
+    match params.validation_error(cfg) {
+        None => Ok(()),
+        Some(msg) => Err(CheckpointError::Invalid(format!("bad parameters: {msg}"))),
     }
 }
 
@@ -532,7 +538,7 @@ impl Engine for BatchCpa {
             fitted: None,
         };
         if let Some(params) = fitted {
-            check_shape(&params, &engine.seen)?;
+            check_params(&params, &engine.cfg, &engine.seen)?;
             // The estimate is a deterministic function of the final
             // parameters and the seen answers, so recomputing it here equals
             // the estimate captured at snapshot time.
@@ -660,7 +666,7 @@ impl Engine for GibbsCpa {
             fitted: None,
         };
         if let Some(params) = fitted {
-            check_shape(&params, &engine.seen)?;
+            check_params(&params, &engine.cfg, &engine.seen)?;
             let known = KnownLabels::none(engine.seen.num_items());
             let pool = build_pool(engine.cfg.threads);
             let estimate = estimate_truth_with(&params, &engine.seen, &known, pool.as_ref());

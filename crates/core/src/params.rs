@@ -61,8 +61,7 @@ impl VariationalParams {
         rng: &mut R,
     ) -> Self {
         cfg.validate();
-        let m = cfg.max_communities.min(num_workers.max(1));
-        let t = cfg.max_clusters.min(num_items.max(1));
+        let (m, t) = truncations(cfg, num_items, num_workers);
         let mut kappa = Mat::from_fn(num_workers, m, |_, _| 1.0 + 0.2 * rng.random::<f64>());
         for u in 0..num_workers {
             normalize_in_place(kappa.row_mut(u));
@@ -100,6 +99,75 @@ impl VariationalParams {
         self.num_items == answers.num_items()
             && self.num_workers == answers.num_workers()
             && self.num_labels == answers.num_labels()
+    }
+
+    /// Why these parameters cannot be a fit of `cfg` at their own `I × U × C`
+    /// dimensions, or `None`. Checked: the truncations are `cfg`'s clamped to
+    /// the data; `κ` is `U×M`, `ϕ` is `I×T`, `µ` is `I×(T−1)`, `λ` is
+    /// `(T·M)×C` and `ζ` is `T×C`, each holding exactly rows × cols entries;
+    /// `ρ` has `M−1` sticks and `υ` has `T−1`; every entry is finite, and
+    /// every Dirichlet (`λ`, `ζ`) and Beta (`ρ`, `υ`) parameter is positive.
+    ///
+    /// Deserialization checks none of this, so a restored checkpoint must
+    /// pass here before any kernel indexes into it.
+    pub fn validation_error(&self, cfg: &CpaConfig) -> Option<String> {
+        let (m, t) = truncations(cfg, self.num_items, self.num_workers);
+        if (self.m, self.t) != (m, t) {
+            return Some(format!(
+                "truncations are M={} T={}, the configuration gives M={m} T={t}",
+                self.m, self.t
+            ));
+        }
+        let Some(tm) = t.checked_mul(m) else {
+            return Some(format!("T·M = {t}·{m} overflows"));
+        };
+        let blocks = [
+            ("κ", &self.kappa, self.num_workers, m, false),
+            ("ϕ", &self.phi, self.num_items, t, false),
+            ("µ", &self.mu, self.num_items, t.saturating_sub(1), false),
+            ("λ", &self.lambda, tm, self.num_labels, true),
+            ("ζ", &self.zeta, t, self.num_labels, true),
+        ];
+        for (name, mat, rows, cols, positive) in blocks {
+            if (mat.rows(), mat.cols()) != (rows, cols) {
+                return Some(format!(
+                    "{name} is {}×{}, expected {rows}×{cols}",
+                    mat.rows(),
+                    mat.cols()
+                ));
+            }
+            let entries = mat.as_slice();
+            if rows.checked_mul(cols) != Some(entries.len()) {
+                return Some(format!(
+                    "{name} holds {} entries, {rows}×{cols} needs {}",
+                    entries.len(),
+                    rows.saturating_mul(cols)
+                ));
+            }
+            if let Some(x) = entries
+                .iter()
+                .find(|x| !x.is_finite() || (positive && **x <= 0.0))
+            {
+                return Some(format!("{name} has an entry {x} out of range"));
+            }
+        }
+        for (name, sticks, k) in [("ρ", &self.rho, m), ("υ", &self.upsilon, t)] {
+            if sticks.components() != k {
+                return Some(format!(
+                    "{name} has {} sticks, expected {}",
+                    sticks.params.len(),
+                    k.saturating_sub(1)
+                ));
+            }
+            if let Some(ab) = sticks
+                .params
+                .iter()
+                .find(|(a, b)| !(a.is_finite() && b.is_finite() && *a > 0.0 && *b > 0.0))
+            {
+                return Some(format!("{name} has a stick {ab:?} out of range"));
+            }
+        }
+        None
     }
 
     /// Row index of `(cluster t, community m)` in `lambda`.
@@ -179,6 +247,15 @@ impl VariationalParams {
             self.phi.row_mut(i).copy_from_slice(&logits);
         }
     }
+}
+
+/// The community and cluster truncations `(M, T)` of a fit of `cfg` over
+/// `num_items × num_workers`: the configured levels, clamped to the data.
+fn truncations(cfg: &CpaConfig, num_items: usize, num_workers: usize) -> (usize, usize) {
+    (
+        cfg.max_communities.min(num_workers.max(1)),
+        cfg.max_clusters.min(num_items.max(1)),
+    )
 }
 
 /// `E[ln θ]` for every Dirichlet row of a parameter matrix.
@@ -323,6 +400,49 @@ mod tests {
         let p = params();
         assert!(p.worker_communities().iter().all(|&m| m < p.m));
         assert!(p.item_clusters().iter().all(|&t| t < p.t));
+    }
+
+    /// `m` without its last entry, built the one way such a matrix can
+    /// arise: by deserializing it.
+    fn short_by_one(m: &Mat) -> Mat {
+        let data = &m.as_slice()[..m.as_slice().len() - 1];
+        let json = format!(
+            "{{\"rows\":{},\"cols\":{},\"data\":{}}}",
+            m.rows(),
+            m.cols(),
+            serde_json::to_string(data).unwrap()
+        );
+        serde_json::from_str(&json).unwrap()
+    }
+
+    #[test]
+    fn validation_accepts_a_fit_and_names_each_defect() {
+        let cfg = CpaConfig::default();
+        let p = params();
+        assert_eq!(p.validation_error(&cfg), None);
+        type Defect = fn(&mut VariationalParams);
+        let defects: [(&str, Defect); 7] = [
+            ("κ holds", |p| p.kappa = short_by_one(&p.kappa)),
+            ("ζ has an entry NaN", |p| {
+                p.zeta.as_mut_slice()[0] = f64::NAN
+            }),
+            ("λ is", |p| {
+                p.lambda = Mat::zeros(p.lambda.rows() - 1, p.num_labels)
+            }),
+            ("µ is", |p| p.mu = Mat::zeros(p.num_items, p.t)),
+            ("λ has an entry 0", |p| p.lambda.as_mut_slice()[3] = 0.0),
+            ("υ has 0 sticks", |p| p.upsilon.params.clear()),
+            ("ρ has a stick", |p| p.rho.params[0].1 = -1.0),
+        ];
+        for (want, defect) in defects {
+            let mut bad = p.clone();
+            defect(&mut bad);
+            let msg = bad.validation_error(&cfg).expect("defect is named");
+            assert!(msg.starts_with(want), "{want}: {msg}");
+        }
+        // The truncations must be the configuration's, clamped to the data.
+        let err = p.validation_error(&cfg.clone().with_truncation(3, 4));
+        assert!(err.expect("truncation mismatch").starts_with("truncations"));
     }
 
     #[test]

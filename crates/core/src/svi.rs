@@ -381,7 +381,7 @@ impl crate::engine::Engine for OnlineCpa {
             ));
         };
         crate::engine::check_config(&cfg)?;
-        crate::engine::check_shape(&params, &checkpoint.seen)?;
+        crate::engine::check_params(&params, &cfg, &checkpoint.seen)?;
         if known.len() != params.num_items {
             return Err(crate::engine::CheckpointError::Invalid(format!(
                 "known-label vector covers {} items, parameters {}",

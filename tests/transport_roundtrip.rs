@@ -21,7 +21,8 @@
 //! Contract 4 (threads): engine steps run on the named driver thread with
 //! no data-parallel width inherited from the server's own threads.
 
-use cpa::core::engine::{Checkpoint, CheckpointError, DynEngine, Engine};
+use cpa::core::engine::{Checkpoint, CheckpointError, DynEngine, Engine, EngineState};
+use cpa::core::params::VariationalParams;
 use cpa::core::truth::TruthEstimate;
 use cpa::data::answers::AnswerMatrix;
 use cpa::data::labels::LabelSet;
@@ -29,8 +30,9 @@ use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::simulate;
 use cpa::data::stream::{WorkerBatch, WorkerStream};
 use cpa::eval::runner::Method;
+use cpa::math::matrix::Mat;
 use cpa::math::rng::seeded;
-use cpa::serve::{ops_from_jsonl, ops_to_jsonl, Fleet, FleetOp, FleetReply};
+use cpa::serve::{ops_from_jsonl, ops_to_jsonl, Fleet, FleetManifest, FleetOp, FleetReply};
 use cpa::transport::{FleetClient, FleetServer, ServeOutcome, ServerConfig};
 use std::collections::HashSet;
 use std::sync::mpsc::channel;
@@ -494,6 +496,116 @@ fn restore_over_the_wire_requires_and_uses_the_hook() {
     assert_eq!(preds, donor.predict_all());
     client.shutdown().expect("shutdown");
     running.join().expect("join");
+}
+
+/// `m` without its last entry, built the one way such a matrix reaches a
+/// server: by deserializing it.
+fn short_by_one(m: &Mat) -> Mat {
+    let data = &m.as_slice()[..m.as_slice().len() - 1];
+    let json = format!(
+        "{{\"rows\":{},\"cols\":{},\"data\":{}}}",
+        m.rows(),
+        m.cols(),
+        serde_json::to_string(data).expect("floats encode")
+    );
+    serde_json::from_str(&json).expect("a Mat decodes without a length check")
+}
+
+/// A hand-made fault in a restored CPA posterior.
+type Defect = fn(&mut VariationalParams);
+
+/// `manifest` with `defect` applied to its first shard's CPA-SVI posterior.
+fn with_defect(manifest: &FleetManifest, defect: Defect) -> FleetManifest {
+    let mut manifest = manifest.clone();
+    let EngineState::OnlineCpa { params, .. } = &mut manifest.shards[0].state else {
+        panic!("the fixture fleet runs CPA-SVI");
+    };
+    defect(params);
+    manifest
+}
+
+/// A K=1 CPA-SVI fleet with the restore hook, two batches in.
+fn restorable_fleet() -> Fleet {
+    let (d, batches) = fixture();
+    let mut fleet = fleet_for(&d, 1).with_restore_hook(cpa::eval::runner::restore_engine);
+    for op in ingest_ops(&d, &batches[..2]) {
+        assert_ne!(fleet.apply(op).name(), "Error");
+    }
+    fleet
+}
+
+fn predict(fleet: &mut Fleet) -> (Vec<LabelSet>, u64) {
+    match fleet.apply(FleetOp::Predict) {
+        FleetReply::Predictions { predictions, epoch } => (predictions, epoch),
+        other => panic!("expected Predictions, got {}", other.name()),
+    }
+}
+
+/// A restore whose CPA posterior is malformed — a matrix one entry short,
+/// a NaN, a block with the wrong row count — is refused with an `Error`
+/// naming the defect, and the fleet keeps serving its own state. Accepted,
+/// the short `κ` would make every later `Predict` and `Ingest` panic on an
+/// out-of-range slice. (Baseline engines' restored state is not covered
+/// here.)
+#[test]
+fn malformed_restores_are_refused_and_the_fleet_keeps_its_state() {
+    let mut fleet = restorable_fleet();
+    let before = predict(&mut fleet);
+    let healthy = fleet.snapshot();
+    let defects: [(&str, Defect); 3] = [
+        ("κ holds", |p| p.kappa = short_by_one(&p.kappa)),
+        ("ζ has an entry NaN", |p| {
+            p.zeta.as_mut_slice()[0] = f64::NAN
+        }),
+        ("λ is", |p| {
+            p.lambda = Mat::filled(p.lambda.rows() + 1, p.num_labels, 1.0)
+        }),
+    ];
+    for (cause, defect) in defects {
+        let manifest = with_defect(&healthy, defect);
+        match fleet.apply(FleetOp::Restore { manifest }) {
+            FleetReply::Error { message } => assert!(message.contains(cause), "{message}"),
+            other => panic!("{cause}: expected an Error, got {}", other.name()),
+        }
+        assert_eq!(predict(&mut fleet), before, "{cause}");
+    }
+    // The healthy manifest still restores.
+    match fleet.apply(FleetOp::Restore { manifest: healthy }) {
+        FleetReply::Restored { .. } => {}
+        other => panic!("expected Restored, got {}", other.name()),
+    }
+    assert_eq!(predict(&mut fleet).0, before.0);
+}
+
+/// The same refusal over a raw socket: a client sends a `Restore` frame
+/// whose `κ` is one entry short, gets an `Error` frame back, and the server
+/// goes on serving the next client from its own state.
+#[test]
+fn a_malformed_restore_frame_gets_an_error_and_the_server_keeps_serving() {
+    use cpa::transport::codec::{self, WireFormat};
+    use cpa::transport::frame::{read_frame_bytes, write_frame_bytes};
+    let mut fleet = restorable_fleet();
+    let (before, _) = predict(&mut fleet);
+    let manifest = with_defect(&fleet.snapshot(), |p| p.kappa = short_by_one(&p.kappa));
+    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
+
+    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+    let frame = codec::encode(WireFormat::Json, &FleetOp::Restore { manifest }).expect("encode");
+    write_frame_bytes(&mut raw, &frame).expect("restore frame");
+    let reply = read_frame_bytes(&mut raw)
+        .expect("reply")
+        .expect("framed error comes back");
+    match codec::decode::<FleetReply>(WireFormat::Json, &reply).expect("reply decodes") {
+        FleetReply::Error { message } => assert!(message.contains("κ holds"), "{message}"),
+        other => panic!("expected an Error frame, got {}", other.name()),
+    }
+
+    let mut client = FleetClient::connect(addr).expect("healthy connect");
+    assert_eq!(client.predict_all().expect("healthy read"), before);
+    client.shutdown().expect("shutdown");
+    running.join().expect("server joins");
 }
 
 /// Per `ingest`: the name of the thread it ran on, and how many distinct
