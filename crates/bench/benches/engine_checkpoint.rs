@@ -5,8 +5,9 @@
 //! of the full engine protocol (stream every worker batch through `ingest`,
 //! one `refit`, one `predict_all`); the minimum wall-clock is reported as
 //! answers/sec. The checkpoint leg times `snapshot` → encode → parse →
-//! `restore` on the fitted engine under **both** checkpoint encodings —
-//! JSON and the binary container — records both document sizes, and
+//! `restore` on the fitted engine under **both** codecs — the JSON
+//! document and the `cpa_data::codec` binary payload a binary-wire
+//! `Snapshot`/`Restore` frame carries — records both document sizes, and
 //! asserts the two restores are bit-identical (same predictions, same
 //! re-snapshot) — the durability cost a serving layer would pay per
 //! pause/resume, and the size/time the binary codec buys back.
@@ -127,12 +128,13 @@ fn main() {
         );
 
         let t = Instant::now();
-        let binary = engine.snapshot().to_binary();
+        let binary = cpa_data::codec::to_bytes(&engine.snapshot());
         let snapshot_binary_secs = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let restored_binary =
-            restore_engine(Checkpoint::from_bytes(&binary).expect("binary checkpoint parses"))
-                .expect("binary checkpoint restores");
+        let restored_binary = restore_engine(
+            cpa_data::codec::from_bytes::<Checkpoint>(&binary).expect("binary checkpoint parses"),
+        )
+        .expect("binary checkpoint restores");
         let restore_binary_secs = t.elapsed().as_secs_f64();
         assert_eq!(
             restored_binary.predict_all(),

@@ -73,12 +73,6 @@ use serde::{Deserialize, Serialize};
 /// a different aggregator whose configuration happens to decode.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// Magic prefix of a **binary** checkpoint document (followed by a `u32`
-/// LE format version and the `cpa_data::codec` payload). JSON checkpoints
-/// never start with these bytes, so [`Checkpoint::from_bytes`] dispatches
-/// on this tag.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CPAC";
-
 /// A crowd-consensus inference engine: ingests worker batches, maintains (or
 /// recomputes) a posterior, predicts consensus label sets, and snapshots to a
 /// durable [`Checkpoint`]. See the module docs for the incremental-vs-batch
@@ -196,57 +190,6 @@ impl Checkpoint {
         serde_json::from_str(text).map_err(|e| CheckpointError::Json(e.to_string()))
     }
 
-    /// Serializes the checkpoint as one binary document: the compact
-    /// format for durable storage. The CSR arrays and variational
-    /// parameters are stored as raw little-endian slabs (exact float
-    /// bits, no decimal round-trip); [`Checkpoint::to_json`] remains the
-    /// debug path. Restores bit-identically to the JSON encoding via
-    /// [`Checkpoint::from_bytes`].
-    pub fn to_binary(&self) -> Vec<u8> {
-        cpa_data::codec::encode_container(
-            CHECKPOINT_MAGIC,
-            self.version,
-            &serde::Serialize::serialize(self),
-        )
-    }
-
-    /// Parses a checkpoint from either encoding, dispatching on the
-    /// format tag: documents starting with [`CHECKPOINT_MAGIC`] decode as
-    /// binary, anything else as UTF-8 JSON. Both paths check the format
-    /// version *before* the payload is decoded.
-    ///
-    /// # Errors
-    /// As [`Checkpoint::from_json`] / the binary equivalent.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.starts_with(&CHECKPOINT_MAGIC) {
-            return Self::from_binary(bytes);
-        }
-        let text = std::str::from_utf8(bytes).map_err(|e| {
-            CheckpointError::Json(format!(
-                "checkpoint is neither binary (no magic) nor UTF-8 JSON: {e}"
-            ))
-        })?;
-        Self::from_json(text)
-    }
-
-    /// Parses a binary checkpoint written by [`Checkpoint::to_binary`],
-    /// rejecting unknown format versions before the payload is decoded.
-    ///
-    /// # Errors
-    /// Fails on a malformed document or a version mismatch.
-    pub fn from_binary(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let (version, payload) = cpa_data::codec::split_container(bytes, CHECKPOINT_MAGIC)
-            .map_err(|e| CheckpointError::Json(format!("binary checkpoint: {e}")))?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::Version {
-                found: version,
-                expected: CHECKPOINT_VERSION,
-            });
-        }
-        cpa_data::codec::from_bytes(payload)
-            .map_err(|e| CheckpointError::Json(format!("binary checkpoint: {e}")))
-    }
-
     /// Verifies the engine tag matches `expected`, as every
     /// [`Engine::restore`] implementation must.
     pub fn expect_engine(&self, expected: &str) -> Result<(), CheckpointError> {
@@ -332,8 +275,7 @@ pub enum CheckpointError {
         /// Tag the restoring engine expected.
         expected: String,
     },
-    /// The document (JSON or binary) could not be parsed into a
-    /// checkpoint.
+    /// The document could not be parsed into a checkpoint.
     Json(String),
     /// The payload is internally inconsistent (e.g. parameter dimensions
     /// disagreeing with the seen matrix).
@@ -747,57 +689,6 @@ mod tests {
         let (a, b) = (engine.estimate(), restored.estimate());
         assert_eq!(a.soft, b.soft);
         assert_eq!(a.worker_weight, b.worker_weight);
-    }
-
-    #[test]
-    fn binary_checkpoint_restores_bit_identically_to_json() {
-        let sim = small();
-        let d = &sim.dataset;
-        let mut engine = BatchCpa::new(cfg(), d.num_items(), d.num_workers(), d.num_labels());
-        drive(&mut engine, &mut MemorySource::single_batch(&d.answers));
-        let cp = engine.snapshot();
-        let bytes = cp.to_binary();
-        assert!(bytes.starts_with(&CHECKPOINT_MAGIC));
-        // The compact encoding earns its keep on a real posterior.
-        assert!(
-            bytes.len() < cp.to_json().len() / 2,
-            "binary {} vs json {}",
-            bytes.len(),
-            cp.to_json().len()
-        );
-        let from_binary = BatchCpa::restore(Checkpoint::from_bytes(&bytes).unwrap()).unwrap();
-        let from_json =
-            BatchCpa::restore(Checkpoint::from_bytes(cp.to_json().as_bytes()).unwrap()).unwrap();
-        assert_eq!(from_binary.predict_all(), from_json.predict_all());
-        // Bit-identical restores: the re-snapshots render byte-identically.
-        assert_eq!(
-            from_binary.snapshot().to_json(),
-            from_json.snapshot().to_json()
-        );
-        assert_eq!(from_binary.snapshot().to_json(), cp.to_json());
-    }
-
-    #[test]
-    fn binary_version_mismatch_is_rejected_before_the_payload() {
-        let engine = BatchCpa::new(cfg(), 2, 2, 2);
-        let mut cp = engine.snapshot();
-        cp.version = CHECKPOINT_VERSION + 1;
-        let err = Checkpoint::from_bytes(&cp.to_binary()).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Version { found, .. } if found == CHECKPOINT_VERSION + 1),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn truncated_binary_checkpoint_is_a_parse_error() {
-        let engine = BatchCpa::new(cfg(), 2, 2, 2);
-        let bytes = engine.snapshot().to_binary();
-        let err = Checkpoint::from_bytes(&bytes[..bytes.len() / 2]).unwrap_err();
-        assert!(matches!(err, CheckpointError::Json(_)), "{err}");
-        // Bytes with neither magic nor UTF-8: named, never a panic.
-        let err = Checkpoint::from_bytes(&[0xff, 0xfe, 0x00]).unwrap_err();
-        assert!(matches!(err, CheckpointError::Json(_)), "{err}");
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! interned keys borrowed — with the same semantics as decoding the JSON
 //! text, so a type decoded from either encoding is the same value.
 //!
-//! The binary layout exists for the two hot paths the ROADMAP names — the
-//! wire (`cpa-transport` frames) and the durable checkpoint/manifest/op-log
-//! containers — where JSON's decimal numbers and repeated field names
-//! dominate the byte count.
+//! The binary layout exists for the wire (`cpa-transport` frames, including
+//! the manifests `Snapshot`/`Restore` carry), where JSON's decimal numbers
+//! and repeated field names dominate the byte count. Durable documents
+//! (checkpoints, manifests, op-logs) are JSON.
 //!
 //! # Encoding
 //!
@@ -664,46 +664,6 @@ impl<'de> Deserializer<'de> for Reader<'de> {
     }
 }
 
-// ---- versioned containers --------------------------------------------------
-
-/// Frames a binary document: 4-byte magic + `u32` LE format version + one
-/// encoded [`Value`]. The magic makes binary and JSON documents
-/// self-distinguishing (no JSON document starts with these byte ranges),
-/// and the version sits **before** the payload so readers can reject an
-/// incompatible format without decoding it — the same version-first
-/// discipline as every JSON container in this workspace.
-pub fn encode_container(magic: [u8; 4], version: u32, value: &Value) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&value_to_bytes(value));
-    out
-}
-
-/// Splits a binary container into its format version and payload bytes,
-/// letting the caller check the version *before* decoding the payload.
-///
-/// # Errors
-/// [`CodecError::Malformed`] on a magic mismatch, [`CodecError::Truncated`]
-/// on a header cut short.
-pub fn split_container(bytes: &[u8], magic: [u8; 4]) -> Result<(u32, &[u8]), CodecError> {
-    if bytes.len() < 4 || bytes[..4] != magic {
-        return Err(CodecError::Malformed(format!(
-            "bad container magic (expected {:?})",
-            std::str::from_utf8(&magic).unwrap_or("?")
-        )));
-    }
-    if bytes.len() < 8 {
-        return Err(CodecError::Truncated {
-            context: "container version",
-            expected: 4,
-            got: bytes.len() - 4,
-        });
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    Ok((version, &bytes[8..]))
-}
-
 // ---- raw assembly ----------------------------------------------------------
 
 /// Low-level emitters for assembling a binary document by **splicing
@@ -1027,26 +987,6 @@ mod tests {
             matches!(&err, CodecError::Decode(e) if e.to_string() == "expected string, found integer"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn containers_split_version_first() {
-        const MAGIC: [u8; 4] = *b"TEST";
-        let doc = encode_container(MAGIC, 7, &Value::Str("payload".into()));
-        let (version, payload) = split_container(&doc, MAGIC).unwrap();
-        assert_eq!(version, 7);
-        assert_eq!(
-            from_bytes::<Value>(payload).unwrap(),
-            Value::Str("payload".into())
-        );
-        assert!(matches!(
-            split_container(&doc, *b"ELSE").unwrap_err(),
-            CodecError::Malformed(_)
-        ));
-        assert!(matches!(
-            split_container(&doc[..6], MAGIC).unwrap_err(),
-            CodecError::Truncated { .. }
-        ));
     }
 
     #[test]

@@ -469,196 +469,6 @@ pub fn oplog_from_jsonl<T: serde::Deserialize>(text: &str) -> Result<Vec<T>, IoE
     Ok(ops)
 }
 
-/// The result of a **tolerant tail read** ([`oplog_tail_jsonl`]) over a
-/// live, append-in-progress JSONL op-log.
-///
-/// `ops` is the log's clean prefix: every record whose terminating newline
-/// has landed. `consumed` is the byte offset of the end of that prefix, and
-/// `partial` is true when bytes beyond it form an unterminated final
-/// segment — a record (or header) caught mid-append, which the next read
-/// of the grown file will pick up whole.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpLogTail<T> {
-    /// Every fully-committed (newline-terminated) record, in applied order.
-    pub ops: Vec<T>,
-    /// Byte offset of the end of the clean prefix; the unterminated tail,
-    /// if any, starts here.
-    pub consumed: usize,
-    /// Whether an unterminated final segment follows the clean prefix.
-    pub partial: bool,
-}
-
-/// Parses the **committed prefix** of a JSONL op-log that may still be
-/// growing — the reader a live log-shipping follower tails with.
-///
-/// [`oplog_from_jsonl`] treats a file cut mid-line as corruption
-/// ([`IoError::BadRecord`]), which is right for an at-rest log but wrong
-/// for a live one: a writer flushing record by record *routinely* exposes
-/// a partially-appended final line. Here a record is committed only when
-/// its terminating newline lands, so an unterminated final segment —
-/// parseable or not — is a clean resumable boundary reported as
-/// [`OpLogTail::partial`], never an error. Re-reading the grown file
-/// yields the same prefix plus whatever committed since.
-///
-/// Everything *inside* the committed prefix keeps the at-rest rigor: the
-/// header version is checked before any op line is decoded, and a
-/// newline-terminated line that fails to decode is still a hard
-/// [`IoError::BadRecord`] with its 1-based line number — truncation is
-/// tolerated, corruption is not.
-///
-/// An empty file (writer not started) and a header-only file (no records
-/// yet) both parse as zero ops.
-///
-/// # Errors
-/// Fails on a malformed or version-mismatched *committed* header, or any
-/// *committed* op line that does not decode as a `T`.
-pub fn oplog_tail_jsonl<T: serde::Deserialize>(text: &str) -> Result<OpLogTail<T>, IoError> {
-    let mut ops = Vec::new();
-    let mut consumed = 0usize;
-    let mut lineno = 0usize;
-    let mut header_seen = false;
-    loop {
-        let rest = &text[consumed..];
-        if rest.is_empty() {
-            return Ok(OpLogTail {
-                ops,
-                consumed,
-                partial: false,
-            });
-        }
-        let Some(newline) = rest.find('\n') else {
-            // A final segment with no newline is a record mid-append: the
-            // clean prefix ends where it starts.
-            return Ok(OpLogTail {
-                ops,
-                consumed,
-                partial: true,
-            });
-        };
-        let line = rest[..newline].trim();
-        consumed += newline + 1;
-        lineno += 1;
-        if line.is_empty() {
-            continue;
-        }
-        if !header_seen {
-            let header: serde::Value =
-                serde_json::from_str(line).map_err(|e| IoError::BadRecord {
-                    line: lineno,
-                    message: format!("bad op-log header: {e}"),
-                })?;
-            let version = header
-                .get(OP_LOG_VERSION_KEY)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| IoError::BadRecord {
-                    line: lineno,
-                    message: "missing op-log header".into(),
-                })?;
-            if version != u64::from(OP_LOG_VERSION) {
-                return Err(IoError::Version {
-                    found: version.try_into().unwrap_or(u32::MAX),
-                    expected: OP_LOG_VERSION,
-                });
-            }
-            header_seen = true;
-            continue;
-        }
-        ops.push(serde_json::from_str(line).map_err(|e| IoError::BadRecord {
-            line: lineno,
-            message: format!("bad op record: {e}"),
-        })?);
-    }
-}
-
-/// Magic prefix of a binary op-log (followed by `u32` LE [`OP_LOG_VERSION`],
-/// a `u32` LE record count, then length-prefixed binary records).
-pub const OP_LOG_MAGIC: [u8; 4] = *b"CPAL";
-
-/// Serializes a recorded op stream as a **versioned binary op-log**: the
-/// compact counterpart of [`oplog_to_jsonl`], same op sequence, same
-/// version-first discipline. Layout: [`OP_LOG_MAGIC`], `u32` LE
-/// [`OP_LOG_VERSION`], `u32` LE record count, then each op as a `u32` LE
-/// byte length + its [`crate::codec`] encoding.
-pub fn oplog_to_binary<T: serde::Serialize>(ops: &[T]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&OP_LOG_MAGIC);
-    out.extend_from_slice(&OP_LOG_VERSION.to_le_bytes());
-    let count = u32::try_from(ops.len()).expect("op-log record count fits u32");
-    out.extend_from_slice(&count.to_le_bytes());
-    for op in ops {
-        let record = crate::codec::to_bytes(op);
-        let len = u32::try_from(record.len()).expect("op record fits u32");
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&record);
-    }
-    out
-}
-
-/// Parses a binary op-log written by [`oplog_to_binary`] back into its op
-/// sequence. The header's version is checked **before** any record is
-/// decoded ([`IoError::Version`] on mismatch), and a log cut mid-record
-/// fails as a [`IoError::BadRecord`] naming the cut record's 1-based
-/// ordinal — the same truncation hardening as the JSONL path.
-///
-/// # Errors
-/// Fails on a missing/malformed header, a version mismatch, or any record
-/// that does not decode as a `T`.
-pub fn oplog_from_binary<T: serde::Deserialize>(bytes: &[u8]) -> Result<Vec<T>, IoError> {
-    let header = |message: &str| IoError::BadRecord {
-        line: 1,
-        message: message.into(),
-    };
-    if bytes.len() < 4 || bytes[..4] != OP_LOG_MAGIC {
-        return Err(header("missing binary op-log magic"));
-    }
-    if bytes.len() < 12 {
-        return Err(header("truncated binary op-log header"));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != OP_LOG_VERSION {
-        return Err(IoError::Version {
-            found: version,
-            expected: OP_LOG_VERSION,
-        });
-    }
-    let count = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-    let mut rest = &bytes[12..];
-    let mut ops = Vec::new();
-    for ordinal in 1..=count {
-        let record_err = |message: String| IoError::BadRecord {
-            line: ordinal,
-            message,
-        };
-        if rest.len() < 4 {
-            return Err(record_err(format!(
-                "bad op record: log cut inside the record's length prefix \
-                 ({} of 4 bytes)",
-                rest.len()
-            )));
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        rest = &rest[4..];
-        if rest.len() < len {
-            return Err(record_err(format!(
-                "bad op record: log cut inside the record ({} of {len} bytes)",
-                rest.len()
-            )));
-        }
-        ops.push(
-            crate::codec::from_bytes(&rest[..len])
-                .map_err(|e| record_err(format!("bad op record: {e}")))?,
-        );
-        rest = &rest[len..];
-    }
-    if !rest.is_empty() {
-        return Err(IoError::BadRecord {
-            line: count.max(1),
-            message: format!("{} trailing bytes after the final record", rest.len()),
-        });
-    }
-    Ok(ops)
-}
-
 /// Writes a whole dataset (answers + truth) into a directory as two CSV
 /// files, `answers.csv` and `truth.csv`.
 pub fn save_dataset_csv(dataset: &Dataset, dir: &std::path::Path) -> Result<(), IoError> {
@@ -955,104 +765,6 @@ mod tests {
             msg.contains("line 2") && msg.contains("bad op record"),
             "{msg}"
         );
-    }
-
-    #[test]
-    fn oplog_tail_tolerates_a_mid_record_cut_and_resumes_cleanly() {
-        let ops = test_ops();
-        let jsonl = oplog_to_jsonl(&ops);
-        // A complete log tails exactly like oplog_from_jsonl.
-        let tail: OpLogTail<TestOp> = oplog_tail_jsonl(&jsonl).unwrap();
-        assert_eq!(tail.ops, ops);
-        assert_eq!(tail.consumed, jsonl.len());
-        assert!(!tail.partial);
-        // Cut mid final record — the boundary oplog_from_jsonl rejects as
-        // BadRecord is a clean resumable prefix here.
-        let last = jsonl.lines().last().unwrap();
-        let cut = jsonl.len() - last.len() / 2 - 1;
-        let tail: OpLogTail<TestOp> = oplog_tail_jsonl(&jsonl[..cut]).unwrap();
-        assert_eq!(tail.ops, ops[..ops.len() - 1]);
-        assert!(tail.partial, "unterminated final record is partial");
-        assert_eq!(tail.consumed, jsonl.len() - last.len() - 1);
-        assert!(oplog_from_jsonl::<TestOp>(&jsonl[..cut]).is_err());
-        // Once the writer's newline lands, a re-read sees the whole log.
-        let tail: OpLogTail<TestOp> = oplog_tail_jsonl(&jsonl).unwrap();
-        assert_eq!(tail.ops, ops);
-        assert!(!tail.partial);
-    }
-
-    #[test]
-    fn oplog_tail_of_empty_partial_header_and_header_only_logs_is_zero_ops() {
-        // Writer not started.
-        let tail: OpLogTail<TestOp> = oplog_tail_jsonl("").unwrap();
-        assert!(tail.ops.is_empty() && !tail.partial && tail.consumed == 0);
-        // Header itself caught mid-append.
-        let tail: OpLogTail<TestOp> = oplog_tail_jsonl("{\"op_log_ver").unwrap();
-        assert!(tail.ops.is_empty() && tail.partial && tail.consumed == 0);
-        // Header committed, no records yet.
-        let tail: OpLogTail<TestOp> = oplog_tail_jsonl(&oplog_to_jsonl::<TestOp>(&[])).unwrap();
-        assert!(tail.ops.is_empty() && !tail.partial);
-    }
-
-    #[test]
-    fn oplog_tail_keeps_committed_corruption_and_version_checks_hard() {
-        // A newline-terminated malformed record is corruption, not a tail.
-        let text =
-            format!("{{\"op_log_version\": {OP_LOG_VERSION}}}\nnot-json\n{{\"Ping\":null}}\n");
-        let err = oplog_tail_jsonl::<TestOp>(&text).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("line 2") && msg.contains("bad op record"),
-            "{msg}"
-        );
-        // A committed future-version header still reports Version.
-        let text = format!("{{\"op_log_version\": {}}}\n\"Ping\"\n", OP_LOG_VERSION + 1);
-        let err = oplog_tail_jsonl::<TestOp>(&text).unwrap_err();
-        assert!(matches!(err, IoError::Version { .. }), "{err}");
-    }
-
-    #[test]
-    fn binary_oplog_roundtrips_and_matches_jsonl() {
-        let ops = test_ops();
-        let bytes = oplog_to_binary(&ops);
-        assert_eq!(&bytes[..4], &OP_LOG_MAGIC);
-        let back: Vec<TestOp> = oplog_from_binary(&bytes).unwrap();
-        assert_eq!(back, ops);
-        // Same sequence as the JSONL codec.
-        let jsonl: Vec<TestOp> = oplog_from_jsonl(&oplog_to_jsonl(&ops)).unwrap();
-        assert_eq!(back, jsonl);
-        let empty: Vec<TestOp> = oplog_from_binary(&oplog_to_binary::<TestOp>(&[])).unwrap();
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn binary_oplog_version_is_checked_before_any_record() {
-        let mut bytes = oplog_to_binary(&test_ops());
-        bytes[4..8].copy_from_slice(&(OP_LOG_VERSION + 1).to_le_bytes());
-        let err = oplog_from_binary::<TestOp>(&bytes).unwrap_err();
-        assert!(
-            matches!(err, IoError::Version { found, .. } if found == OP_LOG_VERSION + 1),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn binary_oplog_truncation_names_the_cut_record() {
-        let bytes = oplog_to_binary(&test_ops());
-        let err = oplog_from_binary::<TestOp>(&bytes[..bytes.len() - 3]).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("line 3") && msg.contains("cut inside"),
-            "{msg}"
-        );
-        // No magic at all: reported as a missing header, not a panic.
-        let err = oplog_from_binary::<TestOp>(b"not a log").unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
-        // Trailing bytes after the declared records are rejected.
-        let mut padded = oplog_to_binary(&test_ops());
-        padded.push(0xee);
-        let err = oplog_from_binary::<TestOp>(&padded).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! 127.0.0.1:4731) over a K-shard fleet of `--method` engines sized for the
 //! movie profile at `--scale`, prints the bound address and universe, and
 //! serves framed FleetOps until a client sends Shutdown. With `--op-log
-//! PATH`, every applied op is recorded and written as a versioned JSONL
-//! op-log on shutdown — replaying it reproduces the run bit-identically.
+//! PATH`, every accepted mutation is recorded and written as a versioned
+//! JSONL op-log on shutdown — replaying it reproduces the run
+//! bit-identically.
 //! `--wire` picks the codec policy: `auto` (the default) grants the binary
 //! handshake to clients that request it and JSON to everyone else, `json`
 //! pins every connection to JSON, and `binary` requires the handshake.

@@ -11,8 +11,7 @@
 //! - **fidelity** — at sampled epochs, the follower's served predictions
 //!   are bit-identical to replaying the leader's recorded op-log to that
 //!   epoch (`Fleet::replay_to_epoch`); after the run, the promoted
-//!   follower's manifest is byte-for-byte the leader's final manifest
-//!   (both encodings);
+//!   follower's manifest is byte-for-byte the leader's final manifest;
 //! - **lag** — the epoch gap between the writer's latest ack and what the
 //!   follower serves, sampled at every frame the follower applies;
 //! - **failover** — wall-clock from the leader's stream closing to the
@@ -23,7 +22,7 @@ use crate::runner::{EvalConfig, Method};
 use cpa_data::labels::LabelSet;
 use cpa_data::profile::DatasetProfile;
 use cpa_data::simulate::simulate;
-use cpa_serve::{FleetOp, Follower, OpFeed};
+use cpa_serve::{FleetOp, Follower, ShippedOp};
 use cpa_transport::{FleetClient, FleetServer, ServerConfig, WireFormat};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,9 +89,10 @@ fn run_replicated(cfg: &EvalConfig, method: Method, threads: usize) -> Replicate
             let mut follower = Follower::new(follower_fleet);
             let mut sampled = BTreeMap::new();
             let mut lags = Vec::new();
-            while let Some(shipped) = feed.next_op().expect("shipped frame") {
-                follower.apply_shipped(shipped).expect("applies cleanly");
-                let epoch = follower.epoch();
+            while let Some((epoch, op)) = feed.next_frame().expect("shipped frame") {
+                let epoch = follower
+                    .apply_shipped(ShippedOp::tagged(epoch, op))
+                    .expect("applies cleanly");
                 lags.push(acked.load(Ordering::Relaxed).saturating_sub(epoch));
                 if epoch.is_multiple_of(stride) || epoch == total_epochs {
                     sampled.insert(epoch, follower.fleet().predict_all());

@@ -2,7 +2,7 @@
 //!
 //! One runner per table/figure of the paper's evaluation (§5); the `repro`
 //! binary regenerates any of them. See `DESIGN.md` §5 for the experiment
-//! index and `EXPERIMENTS.md` for paper-vs-measured results.
+//! index.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -80,26 +80,6 @@ use std::sync::Arc;
 /// [`Fleet::replay_to_epoch`] works across a restore.
 pub const FLEET_MANIFEST_VERSION: u32 = 3;
 
-/// Magic prefix of a **binary** fleet manifest (followed by a `u32` LE
-/// format version and the `cpa_data::codec` payload). JSON manifests never
-/// start with these bytes, so [`FleetManifest::from_bytes`] dispatches on
-/// this tag.
-pub const FLEET_MANIFEST_MAGIC: [u8; 4] = *b"CPAM";
-
-/// Where [`Fleet::replay_until`] stops consuming a recorded op stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopAt {
-    /// Stop after (and including) the first [`FleetOp::Shutdown`] — the
-    /// behaviour of [`Fleet::replay`] and of the live server: the recorded
-    /// run ended there, so does the replay.
-    Shutdown,
-    /// Consume the whole stream; `Shutdown` ops are acknowledged and
-    /// skipped like any other non-mutating op. This is the replication
-    /// follower's mode: a shutdown marker in the *leader's* log must not
-    /// stop the *follower* from tailing past it.
-    End,
-}
-
 /// A sharded serving fleet: K engines, one per item shard, driven together.
 ///
 /// Every mutation flows through one interpreter, [`Fleet::apply`], taking a
@@ -602,31 +582,14 @@ impl Fleet {
 
     /// Applies a recorded op stream in order, returning one reply per op
     /// consumed. Stops after (and including) the first
-    /// [`FleetOp::Shutdown`], as the live server does — shorthand for
-    /// [`Fleet::replay_until`] with [`StopAt::Shutdown`].
+    /// [`FleetOp::Shutdown`], as the live server does.
     ///
     /// Replaying the op-log of a live run against a fresh fleet of the same
     /// construction reproduces the live fleet's snapshot byte for byte.
     pub fn replay(&mut self, ops: impl IntoIterator<Item = FleetOp>) -> Vec<FleetReply> {
-        self.replay_until(ops, StopAt::Shutdown)
-    }
-
-    /// [`Fleet::replay`] with the stop behaviour spelled out. The implicit
-    /// stop-at-`Shutdown` is right for *local* replay (the op stream ends
-    /// where the recorded server stopped), but wrong for a replication
-    /// follower tailing a leader's log: the **leader's** shutdown marker
-    /// must not be read as the follower's — a follower replays with
-    /// [`StopAt::End`], where `Shutdown` is acknowledged and skipped like
-    /// any non-mutating op, and the stream simply continues (locked by
-    /// `tests/replication.rs`).
-    pub fn replay_until(
-        &mut self,
-        ops: impl IntoIterator<Item = FleetOp>,
-        stop_at: StopAt,
-    ) -> Vec<FleetReply> {
         let mut replies = Vec::new();
         for op in ops {
-            let stop = stop_at == StopAt::Shutdown && matches!(op, FleetOp::Shutdown);
+            let stop = matches!(op, FleetOp::Shutdown);
             replies.push(self.apply(op));
             if stop {
                 break;
@@ -1129,55 +1092,6 @@ impl FleetManifest {
         }
         serde_json::from_str(text).map_err(|e| FleetError::Json(e.to_string()))
     }
-
-    /// Serializes the manifest as one binary document: the compact format
-    /// for durable fleet snapshots (per-shard CSR arrays and parameters
-    /// become raw little-endian slabs). [`FleetManifest::to_json`] remains
-    /// the debug path; both restore bit-identically.
-    pub fn to_binary(&self) -> Vec<u8> {
-        cpa_data::codec::encode_container(
-            FLEET_MANIFEST_MAGIC,
-            self.version,
-            &serde::Serialize::serialize(self),
-        )
-    }
-
-    /// Parses a manifest from either encoding, dispatching on the format
-    /// tag: documents starting with [`FLEET_MANIFEST_MAGIC`] decode as
-    /// binary, anything else as UTF-8 JSON. Both paths check the format
-    /// version *before* the payload is decoded.
-    ///
-    /// # Errors
-    /// As [`FleetManifest::from_json`] / the binary equivalent.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FleetError> {
-        if bytes.starts_with(&FLEET_MANIFEST_MAGIC) {
-            return Self::from_binary(bytes);
-        }
-        let text = std::str::from_utf8(bytes).map_err(|e| {
-            FleetError::Json(format!(
-                "manifest is neither binary (no magic) nor UTF-8 JSON: {e}"
-            ))
-        })?;
-        Self::from_json(text)
-    }
-
-    /// Parses a binary manifest written by [`FleetManifest::to_binary`],
-    /// rejecting unknown format versions before the payload is decoded.
-    ///
-    /// # Errors
-    /// Fails on a malformed document or a version mismatch.
-    pub fn from_binary(bytes: &[u8]) -> Result<Self, FleetError> {
-        let (version, payload) = cpa_data::codec::split_container(bytes, FLEET_MANIFEST_MAGIC)
-            .map_err(|e| FleetError::Json(format!("binary manifest: {e}")))?;
-        if version != FLEET_MANIFEST_VERSION {
-            return Err(FleetError::Version {
-                found: version,
-                expected: FLEET_MANIFEST_VERSION,
-            });
-        }
-        cpa_data::codec::from_bytes(payload)
-            .map_err(|e| FleetError::Json(format!("binary manifest: {e}")))
-    }
 }
 
 /// Why a fleet manifest could not be parsed or restored.
@@ -1190,7 +1104,7 @@ pub enum FleetError {
         /// Version this build understands.
         expected: u32,
     },
-    /// The document (JSON or binary) could not be parsed into a manifest.
+    /// The document could not be parsed into a manifest.
     Json(String),
     /// One shard's checkpoint failed to restore.
     Shard {

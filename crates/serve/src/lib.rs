@@ -37,11 +37,10 @@
 //!   poll refetch — zero-RTT reads off a one-way stream.
 //! - [`replica`] — leader/follower replication by op shipping: a
 //!   [`replica::Follower`] owns its own fleet and applies the leader's
-//!   accepted mutations (from a live `SubscribeOps` stream over
-//!   `cpa-transport`, or a tailed on-disk op-log via
-//!   [`replica::OpLogTailFeed`]) through the same `Fleet::apply`
-//!   interpreter, serving reads bit-identical to the leader at every epoch
-//!   it reaches, with observable lag — failover is replay-to-head then
+//!   epoch-tagged accepted mutations (the `SubscribeOps` stream over
+//!   `cpa-transport`) through the same `Fleet::apply` interpreter, serving
+//!   reads bit-identical to the leader at every epoch it reaches, with
+//!   observable lag — failover is replay-to-head then
 //!   [`replica::Follower::promote`].
 //!
 //! Live traffic enters through `cpa_data::queue::QueueSource` (any
@@ -86,12 +85,10 @@ pub mod replica;
 pub mod router;
 pub mod view;
 
-pub use fleet::{
-    Fleet, FleetError, FleetManifest, StopAt, FLEET_MANIFEST_MAGIC, FLEET_MANIFEST_VERSION,
-};
+pub use fleet::{Fleet, FleetError, FleetManifest, FLEET_MANIFEST_VERSION};
 pub use protocol::{ops_from_jsonl, ops_to_jsonl, FleetOp, FleetReply, ItemEstimate};
 pub use push::{AppliedDelta, PushError, ReadCache};
-pub use replica::{Applied, Follower, OpFeed, OpLogTailFeed, ReplicaError, ShippedOp};
+pub use replica::{Follower, ReplicaError, ShippedOp};
 pub use router::{ShardIndex, ShardRouter};
 pub use view::{ReadKind, ReadView, ViewHandle, WIRE_SLOTS};
 
@@ -241,59 +238,6 @@ mod tests {
         .unwrap();
         assert_eq!(restored.predict_all(), fleet.predict_all());
         assert_eq!(restored.num_answers_seen(), fleet.num_answers_seen());
-    }
-
-    #[test]
-    fn manifest_binary_restore_is_bit_identical_to_json() {
-        let sim = simulate(&DatasetProfile::movie().scaled(0.04), 36);
-        let d = &sim.dataset;
-        let (i, u, c) = (d.num_items(), d.num_workers(), d.num_labels());
-        let mut fleet = batch_fleet(2, 1, i, u, c);
-        fleet.drive(&mut MemorySource::single_batch(&d.answers));
-        let manifest = fleet.snapshot();
-        let bytes = manifest.to_binary();
-        assert!(bytes.starts_with(&fleet::FLEET_MANIFEST_MAGIC));
-        assert!(
-            bytes.len() < manifest.to_json().len() / 2,
-            "binary {} vs json {}",
-            bytes.len(),
-            manifest.to_json().len()
-        );
-        let restore = |m: FleetManifest| {
-            Fleet::restore(m, 1, |cp| {
-                BatchCpa::restore(cp).map(|e| Box::new(e) as DynEngine)
-            })
-            .unwrap()
-        };
-        let from_binary = restore(FleetManifest::from_bytes(&bytes).unwrap());
-        let from_json = restore(FleetManifest::from_bytes(manifest.to_json().as_bytes()).unwrap());
-        assert_eq!(from_binary.predict_all(), from_json.predict_all());
-        // Bit-identical restores: re-snapshots render byte-identically.
-        assert_eq!(
-            from_binary.snapshot().to_json(),
-            from_json.snapshot().to_json()
-        );
-        assert_eq!(from_binary.snapshot().to_json(), manifest.to_json());
-    }
-
-    #[test]
-    fn binary_manifest_version_mismatch_is_rejected_before_payload() {
-        let sim = simulate(&DatasetProfile::movie().scaled(0.04), 38);
-        let d = &sim.dataset;
-        let (i, u, c) = (d.num_items(), d.num_workers(), d.num_labels());
-        let mut fleet = batch_fleet(1, 1, i, u, c);
-        fleet.drive(&mut MemorySource::single_batch(&d.answers));
-        let mut manifest = fleet.snapshot();
-        manifest.version = FLEET_MANIFEST_VERSION + 1;
-        let err = FleetManifest::from_bytes(&manifest.to_binary()).unwrap_err();
-        assert!(
-            matches!(err, FleetError::Version { found, .. } if found == FLEET_MANIFEST_VERSION + 1),
-            "{err}"
-        );
-        // Truncated binary manifests are a named parse error, not a panic.
-        let bytes = fleet.snapshot().to_binary();
-        let err = FleetManifest::from_bytes(&bytes[..bytes.len() / 3]).unwrap_err();
-        assert!(matches!(err, FleetError::Json(_)), "{err}");
     }
 
     #[test]

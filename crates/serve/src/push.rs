@@ -18,8 +18,8 @@
 //!
 //! The cache is transport-agnostic (it consumes [`FleetReply`] values, not
 //! sockets) — `cpa-transport`'s `ReadSubscription` owns the socket and
-//! feeds one of these, the same split as [`crate::replica::Follower`] over
-//! an `OpFeed`.
+//! feeds one of these, the same split as `OpSubscription` feeding a
+//! [`crate::replica::Follower`].
 
 use crate::protocol::{FleetReply, ItemEstimate};
 use crate::view::ReadKind;

@@ -46,8 +46,7 @@ use cpa_core::truth::TruthEstimate;
 use cpa_data::answers::AnswerMatrix;
 use cpa_data::labels::LabelSet;
 use cpa_serve::{
-    AppliedDelta, FleetManifest, FleetOp, FleetReply, ItemEstimate, OpFeed, ReadCache, ReadKind,
-    ReplicaError, ShippedOp,
+    AppliedDelta, FleetManifest, FleetOp, FleetReply, ItemEstimate, ReadCache, ReadKind,
 };
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -508,7 +507,8 @@ impl FleetClient {
 }
 
 /// The receiving end of a [`FleetClient::subscribe`] mutation stream: the
-/// TCP [`cpa_serve::OpFeed`] a follower tails.
+/// feed a [`cpa_serve::Follower`] tails, one
+/// `apply_shipped(ShippedOp::tagged(epoch, op))` per frame.
 ///
 /// Each [`OpSubscription::next_frame`] blocks for the next `OpApplied`
 /// frame.
@@ -558,16 +558,6 @@ impl OpSubscription {
             }
             FleetReply::Error { message } => Err(TransportError::Rejected(message)),
             other => Err(FleetClient::unexpected("OpApplied", other)),
-        }
-    }
-}
-
-impl OpFeed for OpSubscription {
-    fn next_op(&mut self) -> Result<Option<ShippedOp>, ReplicaError> {
-        match self.next_frame() {
-            Ok(Some((epoch, op))) => Ok(Some(ShippedOp::tagged(epoch, op))),
-            Ok(None) => Ok(None),
-            Err(e) => Err(ReplicaError::Feed(e.to_string())),
         }
     }
 }

@@ -51,14 +51,6 @@ pub fn write_frame_bytes<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), Tran
     Ok(())
 }
 
-/// [`write_frame_bytes`] for string payloads (the JSON codec).
-///
-/// # Errors
-/// As [`write_frame_bytes`].
-pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), TransportError> {
-    write_frame_bytes(w, payload.as_bytes())
-}
-
 /// How one buffered read ended.
 enum Fill {
     /// The buffer was filled completely.
@@ -184,52 +176,31 @@ pub fn read_frame_bytes_polling(
     read_frame_inner(r, Some(shutdown))
 }
 
-fn utf8_frame(payload: Vec<u8>) -> Result<String, TransportError> {
-    String::from_utf8(payload)
-        .map_err(|e| TransportError::Malformed(format!("frame payload is not UTF-8: {e}")))
-}
-
-/// [`read_frame_bytes`] for the JSON codec: additionally requires the
-/// payload to be UTF-8.
-///
-/// # Errors
-/// As [`read_frame_bytes`], plus [`TransportError::Malformed`] on non-UTF-8.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, TransportError> {
-    read_frame_bytes(r)?.map(utf8_frame).transpose()
-}
-
-/// [`read_frame`] with shutdown polling (see [`read_frame_bytes_polling`]).
-///
-/// # Errors
-/// As [`read_frame`], plus [`TransportError::ShuttingDown`].
-pub fn read_frame_polling(
-    r: &mut impl Read,
-    shutdown: &AtomicBool,
-) -> Result<Option<String>, TransportError> {
-    read_frame_bytes_polling(r, shutdown)?
-        .map(utf8_frame)
-        .transpose()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn framed(payload: &str) -> Vec<u8> {
+    fn framed(payload: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_frame(&mut buf, payload).unwrap();
+        write_frame_bytes(&mut buf, payload).unwrap();
         buf
     }
 
     #[test]
     fn frames_roundtrip() {
-        let mut wire = framed("\"Refit\"");
-        wire.extend(framed("{\"x\": 1}"));
+        let mut wire = framed(b"\"Refit\"");
+        wire.extend(framed(b"{\"x\": 1}"));
         let mut r = Cursor::new(wire);
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("\"Refit\""));
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("{\"x\": 1}"));
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        assert_eq!(
+            read_frame_bytes(&mut r).unwrap().as_deref(),
+            Some(&b"\"Refit\""[..])
+        );
+        assert_eq!(
+            read_frame_bytes(&mut r).unwrap().as_deref(),
+            Some(&b"{\"x\": 1}"[..])
+        );
+        assert!(read_frame_bytes(&mut r).unwrap().is_none(), "clean EOF");
     }
 
     #[test]
@@ -247,9 +218,9 @@ mod tests {
 
     #[test]
     fn truncated_prefix_and_payload_are_named() {
-        let wire = framed("hello");
+        let wire = framed(b"hello");
         // Cut inside the length prefix.
-        let err = read_frame(&mut Cursor::new(&wire[..2])).unwrap_err();
+        let err = read_frame_bytes(&mut Cursor::new(&wire[..2])).unwrap_err();
         assert!(
             matches!(err, TransportError::Truncated { context, got: 2, .. }
                 if context == "frame length prefix"),
@@ -257,7 +228,7 @@ mod tests {
         );
         assert_eq!(err.truncation(), Some(("frame length prefix", 4, 2)));
         // Cut inside the payload.
-        let err = read_frame(&mut Cursor::new(&wire[..6])).unwrap_err();
+        let err = read_frame_bytes(&mut Cursor::new(&wire[..6])).unwrap_err();
         assert!(
             matches!(err, TransportError::Truncated { context, expected: 5, got: 2 }
                 if context == "frame payload"),
@@ -270,7 +241,7 @@ mod tests {
     fn oversized_declaration_is_rejected_before_buffering() {
         let mut wire = ((MAX_FRAME_BYTES + 1) as u32).to_be_bytes().to_vec();
         wire.extend(b"irrelevant");
-        let err = read_frame(&mut Cursor::new(wire)).unwrap_err();
+        let err = read_frame_bytes(&mut Cursor::new(wire)).unwrap_err();
         assert!(matches!(err, TransportError::FrameTooLarge { .. }), "{err}");
         // The error carries the offending length and the cap.
         assert_eq!(err.oversize(), Some((MAX_FRAME_BYTES + 1, MAX_FRAME_BYTES)));
@@ -279,16 +250,5 @@ mod tests {
         let err = write_frame_bytes(&mut sink, &vec![0u8; MAX_FRAME_BYTES + 1]).unwrap_err();
         assert_eq!(err.oversize(), Some((MAX_FRAME_BYTES + 1, MAX_FRAME_BYTES)));
         assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn non_utf8_payload_is_malformed_for_the_json_reader_only() {
-        let mut wire = 2u32.to_be_bytes().to_vec();
-        wire.extend([0xff, 0xfe]);
-        let err = read_frame(&mut Cursor::new(wire.clone())).unwrap_err();
-        assert!(matches!(err, TransportError::Malformed(_)), "{err}");
-        // The byte reader hands the payload through untouched.
-        let payload = read_frame_bytes(&mut Cursor::new(wire)).unwrap().unwrap();
-        assert_eq!(payload, [0xff, 0xfe]);
     }
 }

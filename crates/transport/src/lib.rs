@@ -73,5 +73,5 @@ pub mod server;
 pub use client::{ClientConfig, FleetClient, OpSubscription, ReadDelta, ReadSubscription};
 pub use codec::{WireFormat, WirePolicy, WIRE_FORMAT_ENV, WIRE_MAGIC, WIRE_VERSION};
 pub use error::TransportError;
-pub use frame::{read_frame, write_frame, MAX_FRAME_BYTES};
+pub use frame::MAX_FRAME_BYTES;
 pub use server::{FleetServer, ServeOutcome, ServerConfig};

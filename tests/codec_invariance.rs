@@ -1,16 +1,19 @@
-//! Codec invariance: the binary encodings are pure representations — every
-//! observable behaviour is bit-identical to the JSON paths they shadow.
+//! Codec invariance: the binary codec is a pure representation — every
+//! observable behaviour is bit-identical to the JSON paths it shadows.
 //!
-//! Contract 1 (checkpoints): for all seven engines, restoring a binary
-//! checkpoint is **bit-identical** to restoring the JSON checkpoint of the
-//! same snapshot — same predictions, same re-snapshot JSON — and the
+//! Contract 1 (checkpoints): for all seven engines, restoring a checkpoint
+//! decoded from the binary codec (`cpa::data::codec::to_bytes` /
+//! `from_bytes`) is **bit-identical** to restoring the JSON checkpoint of
+//! the same snapshot — same predictions, same re-snapshot JSON — and the
 //! binary document is materially smaller.
 //!
 //! Contract 2 (manifests): likewise for fleet manifests at K ∈ {1, 4}
-//! shards, through `Fleet::restore`.
+//! shards, through `Fleet::restore` — the payload a binary-wire
+//! `Snapshot` reply or `Restore` op carries.
 //!
-//! Contract 3 (op-logs): a server-recorded op-log serialized to the binary
-//! container replays to the same snapshot as its JSONL serialization.
+//! Contract 3 (op streams): recorded ops round-tripped through the binary
+//! codec as `OpApplied` frames ship them replay to the same snapshot as
+//! their JSONL op-log.
 //!
 //! Contract 4 (negotiation): a JSON-only client round-trips unchanged
 //! against a binary-capable server; mixed-codec concurrent clients see one
@@ -20,13 +23,13 @@
 //! and the 64 MiB frame cap is enforced identically under both codecs.
 
 use cpa::core::engine::{drive, Checkpoint};
-use cpa::data::io::{oplog_from_binary, oplog_to_binary};
+use cpa::data::codec;
 use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::simulate;
 use cpa::data::stream::{MemorySource, WorkerBatch, WorkerStream};
 use cpa::eval::runner::{engine_for, restore_engine, Method};
 use cpa::math::rng::seeded;
-use cpa::serve::{ops_to_jsonl, Fleet, FleetManifest, FleetOp};
+use cpa::serve::{ops_to_jsonl, Fleet, FleetManifest, FleetOp, FleetReply};
 use cpa::transport::{
     FleetClient, FleetServer, ServerConfig, WireFormat, WirePolicy, MAX_FRAME_BYTES,
 };
@@ -57,7 +60,7 @@ fn every_engine_restores_bit_identically_from_binary_and_json_checkpoints() {
         );
         let checkpoint = engine.snapshot();
         let json = checkpoint.to_json();
-        let binary = checkpoint.to_binary();
+        let binary = codec::to_bytes(&checkpoint);
         assert!(
             binary.len() < json.len(),
             "{}: binary checkpoint ({} bytes) not smaller than JSON ({} bytes)",
@@ -66,27 +69,25 @@ fn every_engine_restores_bit_identically_from_binary_and_json_checkpoints() {
             json.len()
         );
 
-        // `from_bytes` dispatches on the leading magic: raw binary and
-        // UTF-8 JSON both restore through the same entry point.
-        let from_json = restore_engine(Checkpoint::from_bytes(json.as_bytes()).unwrap())
+        let from_json = restore_engine(Checkpoint::from_json(&json).unwrap())
             .unwrap_or_else(|e| panic!("{}: JSON restore: {e}", method.name()));
-        let from_binary = restore_engine(Checkpoint::from_bytes(&binary).unwrap())
+        let from_codec = restore_engine(codec::from_bytes::<Checkpoint>(&binary).unwrap())
             .unwrap_or_else(|e| panic!("{}: binary restore: {e}", method.name()));
 
         assert_eq!(
-            from_binary.predict_all(),
+            from_codec.predict_all(),
             from_json.predict_all(),
             "{}: predictions diverged across encodings",
             method.name()
         );
         assert_eq!(
-            from_binary.snapshot().to_json(),
+            from_codec.snapshot().to_json(),
             from_json.snapshot().to_json(),
             "{}: re-snapshots diverged across encodings",
             method.name()
         );
         assert_eq!(
-            from_binary.snapshot().to_json(),
+            from_codec.snapshot().to_json(),
             json,
             "{}: binary restore lost state vs the original snapshot",
             method.name()
@@ -102,7 +103,7 @@ fn fleet_manifests_restore_bit_identically_from_binary_at_k1_and_k4() {
         fleet.drive(&mut MemorySource::new(&d.answers, batches.clone()));
         let manifest = fleet.snapshot();
         let json = manifest.to_json();
-        let binary = manifest.to_binary();
+        let binary = codec::to_bytes(&manifest);
         assert!(
             binary.len() < json.len(),
             "K={k}: binary manifest ({}) not smaller than JSON ({})",
@@ -112,16 +113,16 @@ fn fleet_manifests_restore_bit_identically_from_binary_at_k1_and_k4() {
 
         let restore =
             |m: FleetManifest| Fleet::restore(m, 2, restore_engine).expect("manifest restores");
-        let from_json = restore(FleetManifest::from_bytes(json.as_bytes()).unwrap());
-        let from_binary = restore(FleetManifest::from_bytes(&binary).unwrap());
+        let from_json = restore(FleetManifest::from_json(&json).unwrap());
+        let from_codec = restore(codec::from_bytes::<FleetManifest>(&binary).unwrap());
 
         assert_eq!(
-            from_binary.predict_all(),
+            from_codec.predict_all(),
             from_json.predict_all(),
             "K={k}: predictions diverged across manifest encodings"
         );
         assert_eq!(
-            from_binary.snapshot().to_json(),
+            from_codec.snapshot().to_json(),
             json,
             "K={k}: binary manifest restore lost state"
         );
@@ -138,15 +139,25 @@ fn recorded_op_logs_replay_identically_from_binary_and_jsonl() {
         .collect();
 
     let jsonl = ops_to_jsonl(&ops);
-    let binary = oplog_to_binary(&ops);
     let from_jsonl: Vec<FleetOp> = cpa::serve::ops_from_jsonl(&jsonl).expect("JSONL parses");
-    let from_binary: Vec<FleetOp> = oplog_from_binary(&binary).expect("binary op-log parses");
-    assert_eq!(from_binary.len(), from_jsonl.len());
+    let from_codec: Vec<FleetOp> = ops
+        .into_iter()
+        .zip(1..)
+        .map(|(op, epoch)| {
+            let frame = codec::to_bytes(&FleetReply::OpApplied { epoch, op });
+            let Ok(FleetReply::OpApplied { epoch: back, op }) = codec::from_bytes(&frame) else {
+                panic!("an OpApplied frame decodes as OpApplied");
+            };
+            assert_eq!(back, epoch);
+            op
+        })
+        .collect();
+    assert_eq!(from_codec.len(), from_jsonl.len());
 
     let mut via_jsonl = fleet_for(&d, 4);
     via_jsonl.replay(from_jsonl);
     let mut via_binary = fleet_for(&d, 4);
-    via_binary.replay(from_binary);
+    via_binary.replay(from_codec);
     assert_eq!(
         via_binary.snapshot().to_json(),
         via_jsonl.snapshot().to_json(),

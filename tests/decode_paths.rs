@@ -19,7 +19,6 @@
 use cpa::core::engine::{drive, Checkpoint};
 use cpa::data::answers::AnswerMatrixBuilder;
 use cpa::data::codec;
-use cpa::data::io::{oplog_from_binary, oplog_to_binary};
 use cpa::data::labels::LabelSet;
 use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::simulate;
@@ -173,24 +172,22 @@ fn every_document_the_workspace_writes_decodes_the_same_from_json_binary_and_val
         let what = format!("{} checkpoint", method.name());
         check(what.clone(), roundtrip(&what, &checkpoint));
         let json = checkpoint.to_json();
-        for back in [
-            Checkpoint::from_json(&json),
-            Checkpoint::from_binary(&checkpoint.to_binary()),
-        ] {
-            assert_eq!(back.unwrap().to_json(), json, "{what} container");
-        }
+        assert_eq!(
+            Checkpoint::from_json(&json).unwrap().to_json(),
+            json,
+            "{what} document"
+        );
     }
 
     check("K=4 manifest".into(), roundtrip("K=4 manifest", &manifest));
     let json = manifest.to_json();
-    for back in [
-        FleetManifest::from_json(&json),
-        FleetManifest::from_binary(&manifest.to_binary()),
-    ] {
-        assert_eq!(back.unwrap().to_json(), json, "manifest container");
-    }
+    assert_eq!(
+        FleetManifest::from_json(&json).unwrap().to_json(),
+        json,
+        "manifest document"
+    );
 
-    // The op-log: its header and every op line, and both containers.
+    // The op-log: its header and every op line.
     let log = ops_to_jsonl(&ops);
     let mut lines = log.lines();
     let header = lines.next().expect("header line");
@@ -208,19 +205,12 @@ fn every_document_the_workspace_writes_decodes_the_same_from_json_binary_and_val
         .iter()
         .map(|op| serde_json::to_string(op).unwrap())
         .collect();
-    for (container, back) in [
-        ("JSONL", ops_from_jsonl(&log).unwrap()),
-        (
-            "binary",
-            oplog_from_binary::<FleetOp>(&oplog_to_binary(&ops)).unwrap(),
-        ),
-    ] {
-        let got: Vec<String> = back
-            .iter()
-            .map(|op| serde_json::to_string(op).unwrap())
-            .collect();
-        assert_eq!(got, want, "{container} op-log");
-    }
+    let got: Vec<String> = ops_from_jsonl(&log)
+        .unwrap()
+        .iter()
+        .map(|op| serde_json::to_string(op).unwrap())
+        .collect();
+    assert_eq!(got, want, "JSONL op-log");
 
     // The deepest document the workspace writes sits far below the
     // decoders' nesting cap.
@@ -439,7 +429,7 @@ fn documents_cut_at_every_byte_are_errors_not_panics() {
 
     let checkpoint = small_checkpoint();
     let json = checkpoint.to_json();
-    let binary = checkpoint.to_binary();
+    let binary = codec::to_bytes(&checkpoint);
     assert!(json.len() < 20_000, "{} bytes", json.len());
     for cut in (0..json.len()).filter(|&cut| json.is_char_boundary(cut)) {
         assert!(
@@ -449,9 +439,12 @@ fn documents_cut_at_every_byte_are_errors_not_panics() {
     }
     for cut in 0..binary.len() {
         assert!(
-            Checkpoint::from_bytes(&binary[..cut]).is_err(),
+            codec::from_bytes::<Checkpoint>(&binary[..cut]).is_err(),
             "binary cut at {cut}"
         );
     }
-    assert_eq!(Checkpoint::from_bytes(&binary).unwrap().to_json(), json);
+    assert_eq!(
+        codec::from_bytes::<Checkpoint>(&binary).unwrap().to_json(),
+        json
+    );
 }

@@ -392,6 +392,7 @@ fn subscriptions_cap_at_max_clients_minus_one_and_free_their_slot() {
 
 #[test]
 fn a_silent_server_times_out_the_subscription_instead_of_hanging() {
+    use cpa::transport::frame::{read_frame_bytes, write_frame_bytes};
     // A hand-rolled peer that grants the subscription — one valid JSON
     // bootstrap frame — and then goes silent without closing: the
     // dead-leader shape. The read deadline must surface it as `TimedOut`.
@@ -400,7 +401,7 @@ fn a_silent_server_times_out_the_subscription_instead_of_hanging() {
     let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
     let silent = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
-        let _op = cpa::transport::read_frame(&mut stream)
+        let _op = read_frame_bytes(&mut stream)
             .expect("subscribe frame")
             .expect("op arrives");
         let bootstrap = serde_json::to_string(&FleetReply::PredictedDelta {
@@ -413,7 +414,7 @@ fn a_silent_server_times_out_the_subscription_instead_of_hanging() {
             epoch: 0,
         })
         .expect("bootstrap serializes");
-        cpa::transport::write_frame(&mut stream, &bootstrap).expect("bootstrap frame");
+        write_frame_bytes(&mut stream, bootstrap.as_bytes()).expect("bootstrap frame");
         // Hold the socket open, pushing nothing, until the test is done.
         let _ = done_rx.recv();
     });

@@ -14,22 +14,17 @@
 //! exactly the recorded backlog past that epoch; resume from behind the
 //! head without op recording is refused with a readable error.
 //!
-//! Contract 4 (log tailing): a follower tailing a live on-disk JSONL
-//! op-log through the tolerant tail-reader treats a partially-appended
-//! final record as a clean resumable boundary — it serves the committed
-//! prefix, then picks the record up whole once its newline lands.
-//!
-//! Contract 5 (the two serve-path bugfixes ride along): `Fleet::replay`
-//! stops at a mid-log `Shutdown` while `replay_until(.., StopAt::End)`
-//! — the follower discipline — replays past it; and a client with socket
-//! deadlines surfaces a silent server as `TimedOut` instead of hanging.
+//! Contract 4 (the two serve-path bugfixes ride along): `Fleet::replay`
+//! stops at a mid-log `Shutdown`; and a client with socket deadlines
+//! surfaces a silent server as `TimedOut` instead of hanging.
 
+use cpa::data::codec;
 use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::simulate;
 use cpa::data::stream::{WorkerBatch, WorkerStream};
 use cpa::eval::runner::Method;
 use cpa::math::rng::seeded;
-use cpa::serve::{Fleet, FleetOp, Follower, OpFeed, OpLogTailFeed, ShippedOp, StopAt};
+use cpa::serve::{Fleet, FleetOp, Follower, ShippedOp};
 use cpa::transport::{
     ClientConfig, FleetClient, FleetServer, ServerConfig, TransportError, WireFormat,
 };
@@ -100,8 +95,10 @@ fn follower_serves_every_acked_epoch_bit_identically_and_promotes_to_the_leader_
                 let mut feed = subscription;
                 let mut follower = Follower::new(follower_fleet);
                 let mut served: BTreeMap<u64, Vec<_>> = BTreeMap::new();
-                while let Some(shipped) = feed.next_op().expect("shipped frame") {
-                    follower.apply_shipped(shipped).expect("applies cleanly");
+                while let Some((epoch, op)) = feed.next_frame().expect("shipped frame") {
+                    follower
+                        .apply_shipped(ShippedOp::tagged(epoch, op))
+                        .expect("applies cleanly");
                     assert_eq!(follower.lag(), 0, "tagged stream applies to head");
                     served.insert(follower.epoch(), follower.fleet().predict_all());
                 }
@@ -151,8 +148,8 @@ fn follower_serves_every_acked_epoch_bit_identically_and_promotes_to_the_leader_
                 "K={shards} {format:?}: promoted manifest diverged (JSON)"
             );
             assert_eq!(
-                promoted.snapshot().to_binary(),
-                outcome.fleet.snapshot().to_binary(),
+                codec::to_bytes(&promoted.snapshot()),
+                codec::to_bytes(&outcome.fleet.snapshot()),
                 "K={shards} {format:?}: promoted manifest diverged (binary)"
             );
         }
@@ -180,12 +177,9 @@ fn subscription_resumes_from_an_arbitrary_epoch_via_recorded_backlog() {
     // seeded by local replay of the shared prefix) subscribes from there
     // and receives exactly the backlog past it.
     let resume_at = ops.len() as u64 / 2;
-    let mut follower = Follower::new(fleet_for(&d, 2));
-    for op in &ops[..resume_at as usize] {
-        follower
-            .apply_shipped(ShippedOp::untagged(op.clone()))
-            .expect("prefix seeds");
-    }
+    let mut seeded = fleet_for(&d, 2);
+    seeded.replay(ops[..resume_at as usize].iter().cloned());
+    let mut follower = Follower::new(seeded);
     assert_eq!(follower.epoch(), resume_at);
 
     let mut subscription = FleetClient::connect(addr)
@@ -283,89 +277,23 @@ fn a_subscription_from_ahead_of_the_head_is_refused() {
 }
 
 #[test]
-fn a_follower_tails_a_live_on_disk_op_log_across_a_partial_append() {
-    use std::io::Write;
-
-    let (d, batches) = fixture();
-    let ops = mutation_ops(&d, &batches);
-    let jsonl = cpa::serve::ops_to_jsonl(&ops);
-    // Cut inside the final record: the on-disk state after a writer crash
-    // (or mid-flush) — everything before the last newline is committed.
-    let last = jsonl.lines().last().unwrap();
-    let committed = jsonl.len() - last.len() - 1 + last.len() / 2;
-
-    let path = std::env::temp_dir().join(format!("cpa_replication_tail_{SEED}.jsonl"));
-    std::fs::write(&path, &jsonl.as_bytes()[..committed]).expect("partial log written");
-
-    let mut follower = Follower::new(fleet_for(&d, 2));
-    let mut feed = OpLogTailFeed::new(&path, Duration::from_millis(5), Duration::from_millis(50));
-    follower.sync(&mut feed).expect("tail syncs");
-    assert_eq!(
-        follower.epoch(),
-        ops.len() as u64 - 1,
-        "partial final record is not served"
-    );
-    assert_eq!(feed.delivered(), ops.len() - 1);
-
-    // The writer finishes the record (its newline lands): the next sync
-    // picks it up whole and the follower reaches the leader's state.
-    let mut file = std::fs::OpenOptions::new()
-        .append(true)
-        .open(&path)
-        .expect("reopen log");
-    file.write_all(&jsonl.as_bytes()[committed..])
-        .expect("rest of the record");
-    drop(file);
-    follower.sync(&mut feed).expect("tail resumes");
-    assert_eq!(follower.epoch(), ops.len() as u64);
-    let _ = std::fs::remove_file(&path);
-
-    let mut replayed = fleet_for(&d, 2);
-    replayed.replay(ops);
-    assert_eq!(
-        follower.promote().snapshot().to_json(),
-        replayed.snapshot().to_json(),
-        "tailed follower diverged from local replay"
-    );
-}
-
-#[test]
-fn replay_stops_at_shutdown_but_replay_until_end_is_the_follower_discipline() {
+fn replay_stops_at_a_mid_log_shutdown() {
     let (d, batches) = fixture();
     let mut ops = mutation_ops(&d, &batches);
-    // A mid-log Shutdown with real mutations after it — the shape a
-    // leader's recorded log has when the server was restarted and kept
-    // appending.
+    // A mid-log Shutdown with real mutations after it: local replay ends
+    // where the recorded server stopped.
     let marker = ops.len() / 2;
     ops.insert(marker, FleetOp::Shutdown);
     let before_marker = marker as u64;
 
     let mut stops = fleet_for(&d, 2);
-    let replies = stops.replay(ops.clone());
+    let replies = stops.replay(ops);
     assert_eq!(
         stops.epoch(),
         before_marker,
         "replay consumes nothing past the Shutdown marker"
     );
     assert_eq!(replies.len() as u64, before_marker + 1, "marker is acked");
-
-    let mut past = fleet_for(&d, 2);
-    past.replay_until(ops.clone(), StopAt::End);
-    assert_eq!(
-        past.epoch(),
-        ops.len() as u64 - 1,
-        "StopAt::End applies every mutation; the marker itself mutates nothing"
-    );
-
-    // Equivalent explicit spellings.
-    let mut explicit = fleet_for(&d, 2);
-    explicit.replay_until(ops, StopAt::Shutdown);
-    assert_eq!(explicit.epoch(), stops.epoch());
-    assert_eq!(
-        explicit.snapshot().to_json(),
-        stops.snapshot().to_json(),
-        "replay and replay_until(StopAt::Shutdown) must be the same function"
-    );
 }
 
 #[test]

@@ -324,11 +324,10 @@ fn truncated_and_garbage_frames_do_not_kill_the_server() {
         raw.write_all(&100u32.to_be_bytes()).expect("prefix");
         raw.write_all(b"abc").expect("partial payload");
     }
-    // A complete frame that is not an op: answered with a framed error,
-    // then the connection is dropped.
-    {
+    // A complete frame that is not an op, as text and as non-UTF-8 bytes:
+    // answered with a framed error, then the connection is dropped.
+    for garbage in [&b"this is not an op"[..], &[0xff, 0xfe]] {
         let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-        let garbage = b"this is not an op";
         raw.write_all(&(garbage.len() as u32).to_be_bytes())
             .expect("prefix");
         raw.write_all(garbage).expect("payload");
@@ -342,7 +341,7 @@ fn truncated_and_garbage_frames_do_not_kill_the_server() {
         // ...and the stream ends there: the server dropped the connection.
         assert_eq!(raw.read(&mut [0u8; 1]).expect("clean close"), 0);
     }
-    // After all three abuses, a healthy client is served normally.
+    // After all four abuses, a healthy client is served normally.
     let mut client = FleetClient::connect(addr).expect("healthy connect");
     client
         .ingest(vec![0], vec![(0, 0, vec![0])])
