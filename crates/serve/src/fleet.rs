@@ -19,12 +19,14 @@
 //! shards' already-filled per-shard slabs forward by `Arc` — zero
 //! recompute, zero copy. Reads (`Predict`/`Estimate`, full or
 //! item-ranged) are answered **from the published view's per-shard
-//! slabs**, not by re-driving the shards: the first read of an epoch
-//! computes only the dirty shards' slabs, every later read of that epoch
-//! reuses them — in-process `predict_all`/`estimate_all` gather from them,
-//! and transport connection handlers splice reads from rows encoded once
-//! per (epoch, shard, codec), concurrently with mutations and without a
-//! driver round trip (see `cpa-transport`).
+//! slabs**, not by re-driving the shards. [`Fleet::fill`] is the one step
+//! that computes slabs: it fills only the ones the view is missing, so the
+//! first read of an epoch computes the dirty shards' slabs and every later
+//! read of that epoch reuses them. In-process `predict_all`/`estimate_all`
+//! gather from the view `fill` returns; transport connection handlers
+//! splice reads from rows encoded once per (epoch, shard, codec),
+//! concurrently with mutations, and ask the driver to `fill` only when a
+//! needed slab is cold (see `cpa-transport`).
 //!
 //! # Determinism contract
 //!
@@ -53,7 +55,7 @@
 //! cost of cross-shard pooling (measured by the `sharded` experiment in
 //! `cpa-eval`).
 
-use crate::protocol::{FleetOp, FleetReply, ItemEstimate};
+use crate::protocol::{subscribed_items, FleetOp, FleetReply, ItemEstimate};
 use crate::router::{ShardIndex, ShardRouter};
 use crate::view::{ReadKind, ReadView, ViewHandle};
 use cpa_core::engine::{Checkpoint, CheckpointError, DynEngine, RestoreFn};
@@ -88,14 +90,13 @@ pub const FLEET_MANIFEST_VERSION: u32 = 3;
 /// the [`crate::protocol`] docs for what that buys (transports, op-logs,
 /// replay).
 pub struct Fleet {
-    router: ShardRouter,
-    /// The router's assignment materialized over the item universe, shared
-    /// (`Arc`) with every published read view.
+    /// The router's assignment materialized over the item universe (the
+    /// fleet's router and item count), shared (`Arc`) with every published
+    /// read view.
     index: Arc<ShardIndex>,
     threads: usize,
     pool: Option<rayon::ThreadPool>,
     engines: Vec<DynEngine>,
-    num_items: usize,
     num_workers: usize,
     num_labels: usize,
     /// Workers that already arrived, across every ingest path — the fleet's
@@ -118,13 +119,13 @@ pub struct Fleet {
 impl std::fmt::Debug for Fleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fleet")
-            .field("num_shards", &self.router.num_shards())
+            .field("num_shards", &self.num_shards())
             .field("threads", &self.threads)
             .field(
                 "engines",
                 &self.engines.iter().map(|e| e.name()).collect::<Vec<_>>(),
             )
-            .field("num_items", &self.num_items)
+            .field("num_items", &self.index.num_items())
             .field("num_workers", &self.num_workers)
             .field("num_labels", &self.num_labels)
             .field("arrived_workers", &self.arrived.len())
@@ -184,13 +185,11 @@ impl Fleet {
         }
         let index = Arc::new(ShardIndex::new(router, num_items));
         Self {
-            router,
             views: ViewHandle::new(0, index.clone()),
             index,
             threads,
             pool: build_pool(threads),
             engines,
-            num_items,
             num_workers,
             num_labels,
             arrived: BTreeSet::new(),
@@ -211,18 +210,12 @@ impl Fleet {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.router.num_shards()
+        self.index.num_shards()
     }
 
     /// The fleet's item → shard router.
     pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
-    /// The fleet's materialized item → shard index (shared with every
-    /// published read view).
-    pub fn shard_index(&self) -> Arc<ShardIndex> {
-        self.index.clone()
+        self.index.router()
     }
 
     /// Borrow one shard's engine (for inspection; driving goes through the
@@ -253,10 +246,10 @@ impl Fleet {
     ///   `batches_ingested + 1`;
     /// - `Refit` refits every shard concurrently (dirties all);
     /// - `Predict` / `Estimate` are reads, merged from the per-shard slabs
-    ///   of the current epoch's published [`crate::view::ReadView`] — the
-    ///   first read of an epoch computes only the slabs the view is missing
-    ///   (clean shards' slabs were carried forward at publish), later reads
-    ///   of the same epoch reuse them;
+    ///   of the view [`Fleet::fill`] returns — the first read of an epoch
+    ///   computes only the slabs the view is missing (clean shards' slabs
+    ///   were carried forward at publish), later reads of the same epoch
+    ///   reuse them;
     /// - `PredictItems` / `EstimateItems` are item-ranged reads: they fill
     ///   only the slabs of the shards owning the requested items and echo
     ///   the request order (duplicates allowed; an out-of-range item
@@ -304,41 +297,27 @@ impl Fleet {
                 FleetReply::Refitted { epoch }
             }
             FleetOp::Predict => {
-                let view = self.views.current();
-                FleetReply::Predictions {
-                    predictions: self.merge_predictions(&view),
-                    epoch: view.epoch(),
-                }
+                let (predictions, epoch) = self
+                    .gather_predictions(None)
+                    .expect("a full read names no item to reject");
+                FleetReply::Predictions { predictions, epoch }
             }
             FleetOp::Estimate => {
-                let view = self.views.current();
-                FleetReply::Estimated {
-                    estimate: self.merge_estimate(&view),
-                    epoch: view.epoch(),
-                }
+                let (estimate, epoch) = self.merge_estimate();
+                FleetReply::Estimated { estimate, epoch }
             }
-            FleetOp::PredictItems { items } => {
-                let view = self.views.current();
-                match self.try_predict_items(&view, &items) {
-                    Ok(predictions) => FleetReply::PredictedItems {
-                        items,
-                        predictions,
-                        epoch: view.epoch(),
-                    },
-                    Err(e) => FleetReply::err(e),
-                }
-            }
-            FleetOp::EstimateItems { items } => {
-                let view = self.views.current();
-                match self.try_estimate_items(&view, &items) {
-                    Ok(rows) => FleetReply::EstimatedItems {
-                        items,
-                        rows,
-                        epoch: view.epoch(),
-                    },
-                    Err(e) => FleetReply::err(e),
-                }
-            }
+            FleetOp::PredictItems { items } => match self.gather_predictions(Some(&items)) {
+                Ok((predictions, epoch)) => FleetReply::PredictedItems {
+                    items,
+                    predictions,
+                    epoch,
+                },
+                Err(e) => FleetReply::err(e),
+            },
+            FleetOp::EstimateItems { items } => match self.gather_estimates(&items) {
+                Ok((rows, epoch)) => FleetReply::EstimatedItems { items, rows, epoch },
+                Err(e) => FleetReply::err(e),
+            },
             FleetOp::Snapshot => FleetReply::Manifest {
                 manifest: self.snapshot(),
             },
@@ -404,7 +383,7 @@ impl Fleet {
             })
             .collect();
         validate_batch(
-            self.num_items,
+            self.index.num_items(),
             self.num_workers,
             self.num_labels,
             &self.arrived,
@@ -461,13 +440,15 @@ impl Fleet {
         }
         let mut shard_workers: Vec<Vec<usize>> = vec![Vec::new(); k];
         let mut views: Vec<AnswerMatrixBuilder> = (0..k)
-            .map(|_| AnswerMatrixBuilder::new(self.num_items, self.num_workers, self.num_labels))
+            .map(|_| {
+                AnswerMatrixBuilder::new(self.index.num_items(), self.num_workers, self.num_labels)
+            })
             .collect();
         let mut hit = vec![false; k];
         for &w in &batch.workers {
             hit.fill(false);
             for (item, labels) in by_worker.remove(&w).unwrap_or_default() {
-                let s = self.router.route(item);
+                let s = self.index.shard_of(item);
                 hit[s] = true;
                 views[s].insert(item, w, labels);
             }
@@ -479,7 +460,7 @@ impl Fleet {
         }
         let mut shard_items: Vec<Vec<usize>> = vec![Vec::new(); k];
         for &item in &batch.items {
-            shard_items[self.router.route(item)].push(item);
+            shard_items[self.index.shard_of(item)].push(item);
         }
         let mut dirty: Vec<bool> = shard_items.iter().map(|items| !items.is_empty()).collect();
         if dirty.iter().all(|d| !d) {
@@ -543,7 +524,7 @@ impl Fleet {
     /// [`Fleet::apply`] directly to handle rejections without panicking.
     pub fn ingest(&mut self, answers: &AnswerMatrix, batch: &WorkerBatch) {
         assert!(
-            answers.num_items() == self.num_items
+            answers.num_items() == self.index.num_items()
                 && answers.num_workers() == self.num_workers
                 && answers.num_labels() == self.num_labels,
             "batch universe shape mismatch"
@@ -619,27 +600,59 @@ impl Fleet {
         self.views.clone()
     }
 
-    /// Fills the **current** view's `kind` slabs for `shards`, computing
-    /// only the missing ones (out-of-range shard indices are ignored). This
-    /// is the pre-push warm step of a read-delta broadcast: the transport
-    /// driver warms exactly the dirty shards its subscriptions cover right
-    /// after publishing a mutation's view, so connection handlers — which
-    /// have no engine access — can encode delta rows straight from the
-    /// view's slabs.
-    pub fn warm_view(&self, kind: ReadKind, shards: &[usize]) {
-        let in_range: Vec<usize> = shards
-            .iter()
-            .copied()
-            .filter(|&s| s < self.num_shards())
-            .collect();
-        if in_range.is_empty() {
-            return;
-        }
+    /// Fills the current view's missing `kind` slabs for the shards that
+    /// own `items` (every shard for `None`), concurrently and in shard
+    /// order, and returns that view — the fleet's one read fill. Slabs the
+    /// view already holds (filled earlier this epoch, or carried forward
+    /// from a clean shard) are never recomputed.
+    ///
+    /// Every in-process read gathers from the view this returns. The
+    /// `cpa-transport` driver calls it when a connection handler finds a
+    /// needed slab cold (the handler then splices its reply from the
+    /// returned view), and once per read subscription after every accepted
+    /// mutation, before pushing the view — so handlers, which have no
+    /// engine access, splice every row straight from the view's slabs.
+    ///
+    /// # Errors
+    /// Names the first item of `items` outside the universe; nothing is
+    /// filled then.
+    pub fn fill(&self, kind: ReadKind, items: Option<&[usize]>) -> Result<Arc<ReadView>, String> {
         let view = self.views.current();
-        match kind {
-            ReadKind::Predictions => self.fill_shard_predictions(&view, &in_range),
-            ReadKind::Estimate => self.fill_shard_estimates(&view, &in_range),
+        let num_items = self.index.num_items();
+        let mut needed = vec![items.is_none(); self.num_shards()];
+        for &i in items.unwrap_or_default() {
+            if i >= num_items {
+                return Err(format!("item {i} outside the {num_items}-item universe"));
+            }
+            needed[self.index.shard_of(i)] = true;
         }
+        let filled = |s: usize| match kind {
+            ReadKind::Predictions => view.shard_predictions(s).is_some(),
+            ReadKind::Estimate => view.shard_estimate(s).is_some(),
+        };
+        let missing: Vec<(usize, &DynEngine)> = self
+            .engines
+            .iter()
+            .enumerate()
+            .filter(|&(s, _)| needed[s] && !filled(s))
+            .collect();
+        if missing.is_empty() {
+            return Ok(view);
+        }
+        let pool = self.pool.as_ref();
+        match kind {
+            ReadKind::Predictions => {
+                for (s, slab) in per_shard(pool, missing, |(s, e)| (s, e.predict_all())) {
+                    view.shard_predictions_or_init(s, || slab);
+                }
+            }
+            ReadKind::Estimate => {
+                for (s, slab) in per_shard(pool, missing, |(s, e)| (s, e.estimate())) {
+                    view.shard_estimate_or_init(s, || slab);
+                }
+            }
+        }
+        Ok(view)
     }
 
     /// Replays ops from `ops` until the fleet's epoch reaches `epoch`, then
@@ -671,12 +684,14 @@ impl Fleet {
     }
 
     /// Merged consensus predictions in global item order, gathered from
-    /// the per-shard slabs of the current [`crate::view::ReadView`]: the
-    /// first call after a mutation computes only the slabs the view is
-    /// missing (clean shards' slabs were carried forward at publish);
-    /// repeated calls at the same epoch reuse every slab and only gather.
+    /// the per-shard slabs of the view [`Fleet::fill`] returns: the first
+    /// call after a mutation computes only the slabs the view is missing
+    /// (clean shards' slabs were carried forward at publish); repeated
+    /// calls at the same epoch reuse every slab and only gather.
     pub fn predict_all(&self) -> Vec<LabelSet> {
-        self.merge_predictions(&self.views.current())
+        self.gather_predictions(None)
+            .expect("a full read names no item to reject")
+            .0
     }
 
     /// Consensus predictions for exactly `items`, echoed in request order
@@ -688,9 +703,9 @@ impl Fleet {
     /// Panics on an out-of-range item; use [`Fleet::apply`] with
     /// [`FleetOp::PredictItems`] to get an error reply instead.
     pub fn predict_items(&self, items: &[usize]) -> Vec<LabelSet> {
-        let view = self.views.current();
-        self.try_predict_items(&view, items)
+        self.gather_predictions(Some(items))
             .expect("requested item outside the universe")
+            .0
     }
 
     /// Per-item soft-truth rows for exactly `items`, echoed in request
@@ -701,164 +716,81 @@ impl Fleet {
     /// Panics on an out-of-range item; use [`Fleet::apply`] with
     /// [`FleetOp::EstimateItems`] to get an error reply instead.
     pub fn estimate_items(&self, items: &[usize]) -> Vec<ItemEstimate> {
-        let view = self.views.current();
-        self.try_estimate_items(&view, items)
+        self.gather_estimates(items)
             .expect("requested item outside the universe")
+            .0
     }
 
-    /// The shards owning `items` (deduplicated, ascending), or the
-    /// offending item on a range violation.
-    fn ranged_shards(&self, items: &[usize]) -> Result<Vec<usize>, String> {
-        let mut needed = vec![false; self.num_shards()];
-        for &i in items {
-            if i >= self.num_items {
-                return Err(format!(
-                    "item {i} outside the {}-item universe",
-                    self.num_items
-                ));
-            }
-            needed[self.router.route(i)] = true;
-        }
-        Ok(needed
-            .iter()
-            .enumerate()
-            .filter_map(|(s, &n)| n.then_some(s))
-            .collect())
-    }
-
-    /// Fills every missing predictions slab among `shards` on `view`,
-    /// concurrently, in shard order.
-    fn fill_shard_predictions(&self, view: &ReadView, shards: &[usize]) {
-        let missing: Vec<(usize, &DynEngine)> = shards
-            .iter()
-            .filter(|&&s| view.shard_predictions(s).is_none())
-            .map(|&s| (s, &self.engines[s]))
+    /// The read behind `Predict` and `PredictItems`: fill the owning
+    /// shards' slabs, then gather `items` in request order (every item,
+    /// in item order, for `None`). Returns the rows and their view's epoch.
+    fn gather_predictions(&self, items: Option<&[usize]>) -> Result<(Vec<LabelSet>, u64), String> {
+        let view = self.fill(ReadKind::Predictions, items)?;
+        let slabs: Vec<_> = (0..self.num_shards())
+            .map(|s| view.shard_predictions(s))
             .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let computed = per_shard(self.pool.as_ref(), missing, |(s, engine)| {
-            (s, engine.predict_all())
-        });
-        for (s, preds) in computed {
-            view.shard_predictions_or_init(s, || preds);
-        }
+        let row =
+            |i: usize| slabs[self.index.shard_of(i)].as_ref().expect("slab filled")[i].clone();
+        let rows = match items {
+            Some(items) => items.iter().map(|&i| row(i)).collect(),
+            None => (0..self.index.num_items()).map(row).collect(),
+        };
+        Ok((rows, view.epoch()))
     }
 
-    /// Fills every missing estimate slab among `shards` on `view`,
-    /// concurrently, in shard order.
-    fn fill_shard_estimates(&self, view: &ReadView, shards: &[usize]) {
-        let missing: Vec<(usize, &DynEngine)> = shards
-            .iter()
-            .filter(|&&s| view.shard_estimate(s).is_none())
-            .map(|&s| (s, &self.engines[s]))
+    /// The read behind `EstimateItems`: fill the owning shards' slabs, then
+    /// slice the requested items' rows in request order. Rows equal the
+    /// corresponding slices of the merged [`Fleet::estimate_all`] —
+    /// per-item fields come verbatim from the owning shard in both.
+    fn gather_estimates(&self, items: &[usize]) -> Result<(Vec<ItemEstimate>, u64), String> {
+        let view = self.fill(ReadKind::Estimate, Some(items))?;
+        let slabs: Vec<_> = (0..self.num_shards())
+            .map(|s| view.shard_estimate(s))
             .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let computed = per_shard(self.pool.as_ref(), missing, |(s, engine)| {
-            (s, engine.estimate())
-        });
-        for (s, est) in computed {
-            view.shard_estimate_or_init(s, || est);
-        }
-    }
-
-    /// The ranged-read merge behind `PredictItems`: fill the owning
-    /// shards' slabs, then gather the requested items in request order.
-    fn try_predict_items(&self, view: &ReadView, items: &[usize]) -> Result<Vec<LabelSet>, String> {
-        let shards = self.ranged_shards(items)?;
-        self.fill_shard_predictions(view, &shards);
-        let mut slabs: Vec<Option<Arc<Vec<LabelSet>>>> = vec![None; self.num_shards()];
-        for &s in &shards {
-            slabs[s] = view.shard_predictions(s);
-        }
-        Ok(items
-            .iter()
-            .map(|&i| slabs[self.router.route(i)].as_ref().expect("slab filled")[i].clone())
-            .collect())
-    }
-
-    /// The ranged-read merge behind `EstimateItems`: fill the owning
-    /// shards' slabs, then slice the requested items' rows in request
-    /// order. Rows equal the corresponding slices of the merged
-    /// [`Fleet::estimate_all`] — per-item fields come verbatim from the
-    /// owning shard in both.
-    fn try_estimate_items(
-        &self,
-        view: &ReadView,
-        items: &[usize],
-    ) -> Result<Vec<ItemEstimate>, String> {
-        let shards = self.ranged_shards(items)?;
-        self.fill_shard_estimates(view, &shards);
-        let mut slabs: Vec<Option<Arc<TruthEstimate>>> = vec![None; self.num_shards()];
-        for &s in &shards {
-            slabs[s] = view.shard_estimate(s);
-        }
-        Ok(items
+        let rows = items
             .iter()
             .map(|&i| {
-                let est = slabs[self.router.route(i)].as_ref().expect("slab filled");
+                let est = slabs[self.index.shard_of(i)].as_ref().expect("slab filled");
                 ItemEstimate::from_estimate(est, i)
             })
-            .collect())
+            .collect();
+        Ok((rows, view.epoch()))
     }
 
     /// The `SubscribeReads` arm of [`Fleet::apply`]: normalize the item set
-    /// (`None` = the whole universe; explicit lists are sorted and
-    /// deduplicated, then echoed), and build the bootstrap snapshot — every
+    /// ([`subscribed_items`]) and build the bootstrap snapshot — every
     /// subscribed item's row at the current epoch, with every covering
     /// shard listed dirty. The per-mutation push stream that follows is an
     /// interpreter concern.
     fn read_bootstrap(&self, kind: ReadKind, items: Option<Vec<usize>>) -> FleetReply {
-        let items = match items {
-            Some(mut list) => {
-                list.sort_unstable();
-                list.dedup();
-                list
+        let items = subscribed_items(items, self.index.num_items());
+        let covering = |items: &[usize]| {
+            let mut shards: Vec<usize> = items.iter().map(|&i| self.index.shard_of(i)).collect();
+            shards.sort_unstable();
+            shards.dedup();
+            shards
+        };
+        let reply = match kind {
+            ReadKind::Predictions => {
+                self.gather_predictions(Some(&items))
+                    .map(|(predictions, epoch)| FleetReply::PredictedDelta {
+                        dirty_shards: covering(&items),
+                        items,
+                        predictions,
+                        epoch,
+                    })
             }
-            None => (0..self.num_items).collect(),
+            ReadKind::Estimate => {
+                self.gather_estimates(&items)
+                    .map(|(rows, epoch)| FleetReply::EstimatedDelta {
+                        dirty_shards: covering(&items),
+                        items,
+                        rows,
+                        epoch,
+                    })
+            }
         };
-        let dirty_shards = match self.ranged_shards(&items) {
-            Ok(shards) => shards,
-            Err(e) => return FleetReply::err(e),
-        };
-        let view = self.views.current();
-        match kind {
-            ReadKind::Predictions => match self.try_predict_items(&view, &items) {
-                Ok(predictions) => FleetReply::PredictedDelta {
-                    items,
-                    predictions,
-                    dirty_shards,
-                    epoch: view.epoch(),
-                },
-                Err(e) => FleetReply::err(e),
-            },
-            ReadKind::Estimate => match self.try_estimate_items(&view, &items) {
-                Ok(rows) => FleetReply::EstimatedDelta {
-                    items,
-                    rows,
-                    dirty_shards,
-                    epoch: view.epoch(),
-                },
-                Err(e) => FleetReply::err(e),
-            },
-        }
-    }
-
-    /// The merge behind [`Fleet::predict_all`] and `Predict`: ensure every
-    /// shard's slab is on `view` (computing only the missing ones), then
-    /// gather each item's label set from the shard that owns it.
-    fn merge_predictions(&self, view: &ReadView) -> Vec<LabelSet> {
-        let all: Vec<usize> = (0..self.num_shards()).collect();
-        self.fill_shard_predictions(view, &all);
-        let slabs: Vec<Arc<Vec<LabelSet>>> = all
-            .iter()
-            .map(|&s| view.shard_predictions(s).expect("slab filled"))
-            .collect();
-        (0..self.num_items)
-            .map(|i| slabs[self.router.route(i)][i].clone())
-            .collect()
+        reply.unwrap_or_else(FleetReply::err)
     }
 
     /// Merged soft-truth estimate in global item order, gathered from the
@@ -870,22 +802,24 @@ impl Fleet {
     /// weight 1). `community_reliability` is left empty: community structure
     /// is a per-shard notion — read it from [`Fleet::shard`] estimates.
     pub fn estimate_all(&self) -> TruthEstimate {
-        self.merge_estimate(&self.views.current())
+        self.merge_estimate().0
     }
 
     /// The merge behind [`Fleet::estimate_all`] and `Estimate`, over the
-    /// per-shard estimate slabs (computing only the missing ones).
-    fn merge_estimate(&self, view: &ReadView) -> TruthEstimate {
-        let all: Vec<usize> = (0..self.num_shards()).collect();
-        self.fill_shard_estimates(view, &all);
-        let shard_ests: Vec<Arc<TruthEstimate>> = all
-            .iter()
-            .map(|&s| view.shard_estimate(s).expect("slab filled"))
+    /// per-shard estimate slabs of the view [`Fleet::fill`] returns; also
+    /// returns that view's epoch.
+    fn merge_estimate(&self) -> (TruthEstimate, u64) {
+        let view = self
+            .fill(ReadKind::Estimate, None)
+            .expect("a full read names no item to reject");
+        let shard_ests: Vec<Arc<TruthEstimate>> = (0..self.num_shards())
+            .map(|s| view.shard_estimate(s).expect("slab filled"))
             .collect();
-        let mut soft = Vec::with_capacity(self.num_items);
-        let mut expected_size = Vec::with_capacity(self.num_items);
-        for i in 0..self.num_items {
-            let est = &shard_ests[self.router.route(i)];
+        let num_items = self.index.num_items();
+        let mut soft = Vec::with_capacity(num_items);
+        let mut expected_size = Vec::with_capacity(num_items);
+        for i in 0..num_items {
+            let est = &shard_ests[self.index.shard_of(i)];
             soft.push(est.soft[i].clone());
             expected_size.push(est.expected_size[i]);
         }
@@ -911,12 +845,13 @@ impl Fleet {
                 }
             }
         }
-        TruthEstimate {
+        let estimate = TruthEstimate {
             soft,
             expected_size,
             worker_weight,
             community_reliability: Vec::new(),
-        }
+        };
+        (estimate, view.epoch())
     }
 
     /// Captures the whole fleet as a versioned manifest of per-shard
@@ -925,7 +860,7 @@ impl Fleet {
     pub fn snapshot(&self) -> FleetManifest {
         FleetManifest {
             version: FLEET_MANIFEST_VERSION,
-            num_items: self.num_items,
+            num_items: self.index.num_items(),
             num_workers: self.num_workers,
             num_labels: self.num_labels,
             arrived_workers: self.arrived.iter().copied().collect(),
@@ -1011,13 +946,11 @@ impl Fleet {
         }
         let index = Arc::new(ShardIndex::new(router, manifest.num_items));
         Ok(Self {
-            router,
             views: ViewHandle::new(manifest.epoch, index.clone()),
             index,
             threads,
             pool: build_pool(threads),
             engines,
-            num_items: manifest.num_items,
             num_workers: manifest.num_workers,
             num_labels: manifest.num_labels,
             arrived,

@@ -27,9 +27,10 @@
 //!   `Predict`/`Estimate` — all-items or item-ranged
 //!   (`PredictItems`/`EstimateItems`) — are answered from per-shard slabs
 //!   and reply rows cached once per epoch, without re-driving the shards —
-//!   and, over `cpa-transport`, without a driver round trip. Publication
-//!   is **incremental**: shards untouched by a mutation carry their filled
-//!   `Arc` cells into the next epoch's view.
+//!   and, over `cpa-transport`, by splicing those rows, with a driver
+//!   round trip only to fill a cold slab ([`fleet::Fleet::fill`]).
+//!   Publication is **incremental**: shards untouched by a mutation carry
+//!   their filled `Arc` cells into the next epoch's view.
 //! - [`push`] — the read-delta subscription cache: a [`push::ReadCache`]
 //!   built from a `SubscribeReads` bootstrap applies the per-mutation
 //!   delta frames a leader pushes (rows for only the dirty shards'
@@ -86,7 +87,9 @@ pub mod router;
 pub mod view;
 
 pub use fleet::{Fleet, FleetError, FleetManifest, FLEET_MANIFEST_VERSION};
-pub use protocol::{ops_from_jsonl, ops_to_jsonl, FleetOp, FleetReply, ItemEstimate};
+pub use protocol::{
+    ops_from_jsonl, ops_to_jsonl, subscribed_items, FleetOp, FleetReply, ItemEstimate,
+};
 pub use push::{AppliedDelta, PushError, ReadCache};
 pub use replica::{Follower, ReplicaError, ShippedOp};
 pub use router::{ShardIndex, ShardRouter};

@@ -375,6 +375,21 @@ impl FleetReply {
     }
 }
 
+/// The items a [`FleetOp::SubscribeReads`] watches over a `num_items`
+/// universe: its list sorted and deduplicated, or for `None` every item (a
+/// full subscription pins the universe it saw). The bootstrap echoes this
+/// list, and every later delta carries rows for a subset of it.
+pub fn subscribed_items(items: Option<Vec<usize>>, num_items: usize) -> Vec<usize> {
+    match items {
+        Some(mut list) => {
+            list.sort_unstable();
+            list.dedup();
+            list
+        }
+        None => (0..num_items).collect(),
+    }
+}
+
 /// Serializes an op stream as a versioned JSONL op-log
 /// ([`cpa_data::io::oplog_to_jsonl`]): a `{"op_log_version": 1}` header
 /// line, then one op per line in applied order.

@@ -14,7 +14,7 @@
 //! a gather, not an index translation.
 
 use cpa_data::answers::{AnswerMatrix, AnswerMatrixBuilder};
-use cpa_data::stream::{shard_of, WorkerBatch};
+use cpa_data::stream::shard_of;
 
 /// Deterministic item → shard assignment for a fixed shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,12 +66,6 @@ impl ShardRouter {
             .into_iter()
             .map(AnswerMatrixBuilder::build)
             .collect()
-    }
-
-    /// Splits one arrival batch into per-shard batches — delegates to
-    /// [`WorkerBatch::shard_split`] under this router's shard count.
-    pub fn split_batch(&self, batch: &WorkerBatch, answers: &AnswerMatrix) -> Vec<WorkerBatch> {
-        batch.shard_split(answers, self.num_shards)
     }
 }
 

@@ -76,16 +76,6 @@ impl Default for ClientConfig {
     }
 }
 
-impl ClientConfig {
-    /// No deadlines at all — the original block-forever client.
-    pub fn no_timeouts() -> Self {
-        Self {
-            read_timeout: None,
-            write_timeout: None,
-        }
-    }
-}
-
 /// Rewrites a deadline-expiry io error into the typed
 /// [`TransportError::TimedOut`] (the kind differs by platform:
 /// `WouldBlock` on unix, `TimedOut` on windows).

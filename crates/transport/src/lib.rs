@@ -14,9 +14,10 @@
 //! - [`FleetServer`] — accepts N concurrent clients on named handler
 //!   threads, funnels every **mutation** into one `Fleet::apply` driver
 //!   (one global op order, the queue arrival contract enforced per ingest),
-//!   answers warm **reads** handler-side by splicing per-item rows cached
+//!   answers **view reads** handler-side by splicing per-item rows cached
 //!   in the fleet's epoch-published `cpa_serve::ReadView` (encoded once
-//!   per epoch, shard and codec — no driver round trip), streams replies
+//!   per epoch, shard and codec; the driver is asked only to fill a cold
+//!   slab), streams replies
 //!   back per-connection FIFO, and can record the accepted mutations as a
 //!   replayable op-log;
 //! - [`FleetClient`] — a blocking client mirroring the `Fleet` method

@@ -7,7 +7,8 @@
 //! thread inside one `std::thread::scope`:
 //!
 //! - one **driver** (`cpa-driver`) owns the fleet and is the only thread
-//!   that touches it: it drains a single mpsc op channel and runs every op
+//!   that touches it: it drains a single mpsc op channel, fills read slabs
+//!   on request ([`cpa_serve::Fleet::fill`]), and runs every other op
 //!   through [`cpa_serve::Fleet::apply`] — so **mutations** from all
 //!   connections are applied in one global arrival order, with the full
 //!   queue arrival contract (worker partition, range checks) enforced per
@@ -26,22 +27,27 @@
 //!
 //! # Read path
 //!
-//! A read is answered one of two ways. The handler **splices** `Predict`,
-//! `PredictItems` and `EstimateItems` from the fleet's current
-//! epoch-published [`cpa_serve::ReadView`]: each needed shard's reply rows
-//! are encoded once per (epoch, shard, codec) from its slab, and the reply
-//! is those cached rows in reply order inside the variant's envelope
-//! ([`codec::splice_reply`]) — so reads proceed fully concurrently with
-//! each other *and* with mutations the driver is applying. Everything else
-//! goes to the **driver**: a read whose slabs are still cold this epoch
-//! (the driver's `apply` fills them, so the next read splices), and every
-//! full `Estimate`, whose struct-of-arrays reply cannot be spliced from
-//! per-item rows and whose worker-weight merge reads engine answer counts.
-//! Replies carry the view's epoch tag, so a client can replay the recorded
-//! mutation prefix up to that epoch and reproduce the served payload bit
-//! for bit (`cpa_serve::Fleet::replay_to_epoch`). Because a mutation's ack
-//! is sent only after the new view is published, a client that observed
-//! its own ack never reads an older epoch afterwards.
+//! The handler answers `Predict`, `PredictItems` and `EstimateItems` one
+//! way: it **splices** the reply from an epoch-published
+//! [`cpa_serve::ReadView`]. Each needed shard's reply rows are encoded
+//! once per (epoch, shard, codec) from its slab, and the reply is those
+//! cached rows in reply order inside the variant's envelope
+//! ([`codec::splice_reply`]) — so warm reads proceed fully concurrently
+//! with each other *and* with mutations the driver is applying. When the
+//! current view cannot answer — a needed slab is still cold this epoch —
+//! the handler sends the op to the driver as a **fill request**: the
+//! driver fills the missing slabs on its current view
+//! ([`cpa_serve::Fleet::fill`]) and sends that view back, and the handler
+//! splices from it, so the reply still reflects the driver's current epoch
+//! (an item outside the universe gets the driver's framed error instead).
+//! The one read the driver builds is a full `Estimate`, whose
+//! struct-of-arrays reply cannot be spliced from per-item rows and whose
+//! worker-weight merge reads engine answer counts (`Snapshot`'s manifest
+//! is driver-built too). Replies carry the view's epoch tag, so a client
+//! can replay the recorded mutation prefix up to that epoch and reproduce
+//! the served payload bit for bit (`cpa_serve::Fleet::replay_to_epoch`).
+//! Because a mutation's ack is sent only after the new view is published,
+//! a client that observed its ack never reads an older epoch afterwards.
 //!
 //! # Replication and push subscriptions
 //!
@@ -60,14 +66,18 @@
 //! `cpa_serve::replica`).
 //!
 //! A `FleetOp::SubscribeReads { kind, items }` turns its connection into a
-//! **read-delta subscription**: the driver acks with a bootstrap snapshot
-//! (a `PredictedDelta`/`EstimatedDelta` frame carrying every subscribed
-//! row at the current epoch), then after every accepted mutation pushes
-//! one delta frame carrying **only the dirty shards'** rows — spliced from
-//! the view's per-(epoch, shard, codec) row caches without re-encoding
-//! ([`codec::splice_reply`]), under the same enqueue-before-ack
-//! ordering as `OpApplied` (both are shipped from one place, the
-//! server-internal `Broadcast::mutation_applied`). A mutation that dirties none of the
+//! **read-delta subscription**: the driver fills the slabs of every shard
+//! covering the subscribed items and sends that view to the handler,
+//! whose first pushed frame is the bootstrap spliced from it (a
+//! `PredictedDelta`/`EstimatedDelta` frame carrying every subscribed row
+//! at the current epoch, every covering shard listed dirty). After every
+//! accepted mutation the driver fills the slabs each subscriber watches
+//! and pushes the published view, and the handler splices one delta frame
+//! carrying **only the dirty shards'** rows from the view's per-(epoch,
+//! shard, codec) row caches without re-encoding ([`codec::splice_reply`]),
+//! under the same enqueue-before-ack ordering as `OpApplied` (both are
+//! shipped from one place, the server-internal
+//! `Broadcast::mutation_applied`). A mutation that dirties none of the
 //! subscribed items' shards still pushes an (empty) delta, so the
 //! subscriber's epoch always tracks the head. Server wind-down is the same
 //! clean EOF as for op subscriptions.
@@ -77,8 +87,10 @@
 //! client from wedging the server, at most `max_clients - 1` handler slots
 //! may hold subscriptions at once — at least one slot always remains for
 //! request/reply traffic. A subscription past the cap is refused with a
-//! framed error and the connection stays usable (under `max_clients == 1`
-//! every subscription is refused).
+//! framed error, as is one the driver refuses (an op subscription resuming
+//! from an epoch it cannot replay from, a read subscription naming an item
+//! outside the universe); either way the connection stays usable (under
+//! `max_clients == 1` every subscription is refused).
 //!
 //! # Shutdown and hardening
 //!
@@ -107,7 +119,9 @@
 use crate::codec::{self, Envelope, Negotiated, WireFormat, WirePolicy};
 use crate::error::TransportError;
 use crate::frame::{read_frame_bytes_polling, write_frame_bytes};
-use cpa_serve::{Fleet, FleetOp, FleetReply, ItemEstimate, ReadKind, ReadView, ViewHandle};
+use cpa_serve::{
+    subscribed_items, Fleet, FleetOp, FleetReply, ItemEstimate, ReadKind, ReadView, ViewHandle,
+};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -161,15 +175,22 @@ pub struct FleetServer {
     config: ServerConfig,
 }
 
-/// One op handed from a handler to the driver. `view_tx` rides along only
-/// for `SubscribeReads`: on a successful bootstrap the driver retains it
-/// and pushes the `Arc<ReadView>` published by every subsequently accepted
-/// mutation through it (the handler encodes the delta frame under its own
-/// connection's codec).
+/// One op handed from a handler to the driver, with the channel the driver
+/// answers on.
 struct Submitted {
     op: FleetOp,
-    reply_tx: Sender<FleetReply>,
-    view_tx: Option<Sender<Arc<ReadView>>>,
+    answer_tx: Sender<Answer>,
+}
+
+/// What the driver sends back on a submitted op's answer channel.
+enum Answer {
+    /// A reply to frame: the op's own reply, a refusal, or — on an op
+    /// subscription — each shipped `OpApplied`.
+    Reply(FleetReply),
+    /// A view to splice from: the filled view that answers a fill request
+    /// or bootstraps a read subscription, then every view published for
+    /// that subscription afterwards.
+    View(Arc<ReadView>),
 }
 
 /// Caps how many handler slots may be held by live subscriptions (op or
@@ -211,13 +232,13 @@ impl Drop for SlotGuard<'_> {
 }
 
 /// One live read-delta subscription, as the driver tracks it: the items it
-/// watches (materialized and normalized at bootstrap time — a full
-/// subscription pinned the universe it saw), so the driver can warm
-/// exactly the dirty shards subscribers need before pushing the view.
+/// watches (normalized at bootstrap time — a full subscription pins the
+/// universe it saw), so the driver can fill exactly the slabs its handler
+/// splices before pushing each view.
 struct ReadSub {
     kind: ReadKind,
     items: Vec<usize>,
-    view_tx: Sender<Arc<ReadView>>,
+    answer_tx: Sender<Answer>,
 }
 
 /// Everything the driver pushes to subscribers, in one place — the single
@@ -228,10 +249,10 @@ struct ReadSub {
 /// always already enqueued to every subscriber of either kind.
 struct Broadcast {
     record: bool,
-    /// Live op subscriptions: each the retained reply channel of a
+    /// Live op subscriptions: each the retained answer channel of a
     /// `SubscribeOps` connection. A dead subscriber is dropped on its
     /// first failed send.
-    op_subs: Vec<Sender<FleetReply>>,
+    op_subs: Vec<Sender<Answer>>,
     /// Live read subscriptions (see [`ReadSub`]).
     read_subs: Vec<ReadSub>,
     /// `(epoch, op)` for every accepted mutation, kept only while
@@ -254,8 +275,7 @@ impl Broadcast {
     /// replay the recorded backlog past `from_epoch`, then go live. A
     /// `from_epoch` ahead of the head, or behind it without recording, is
     /// refused with a framed error naming both epochs.
-    fn subscribe_ops(&mut self, fleet: &mut Fleet, from_epoch: u64, reply_tx: Sender<FleetReply>) {
-        let head = fleet.epoch();
+    fn subscribe_ops(&mut self, head: u64, from_epoch: u64, answer_tx: Sender<Answer>) {
         let refusal = if from_epoch > head {
             Some("it is ahead of the server")
         } else if from_epoch < head && !self.record {
@@ -264,74 +284,51 @@ impl Broadcast {
             None
         };
         if let Some(cause) = refusal {
-            let _ = reply_tx.send(FleetReply::err(format!(
+            let _ = answer_tx.send(Answer::Reply(FleetReply::err(format!(
                 "cannot resume subscription from epoch {from_epoch}: {cause} \
                  (head is epoch {head})"
-            )));
+            ))));
             return;
         }
-        if reply_tx
-            .send(fleet.apply(FleetOp::SubscribeOps { from_epoch }))
-            .is_err()
-        {
-            return;
-        }
-        let backlog_delivered = self
-            .log
-            .iter()
-            .filter(|(epoch, _)| *epoch > from_epoch)
-            .all(|(epoch, past)| {
-                reply_tx
-                    .send(FleetReply::OpApplied {
-                        epoch: *epoch,
-                        op: past.clone(),
-                    })
-                    .is_ok()
-            });
-        if backlog_delivered {
-            self.op_subs.push(reply_tx);
+        let backlog = self.log.iter().filter(|(epoch, _)| *epoch > from_epoch);
+        let delivered = std::iter::once(FleetReply::Subscribed { epoch: head })
+            .chain(backlog.map(|(epoch, past)| FleetReply::OpApplied {
+                epoch: *epoch,
+                op: past.clone(),
+            }))
+            .all(|frame| answer_tx.send(Answer::Reply(frame)).is_ok());
+        if delivered {
+            self.op_subs.push(answer_tx);
         }
     }
 
-    /// Registers a `SubscribeReads` connection: bootstrap through the
-    /// normal reply channel (a full snapshot of the subscribed rows at the
-    /// current epoch), then retain `view_tx` so every subsequently
-    /// accepted mutation pushes its published view. A refused bootstrap
-    /// (bad items) sends the framed error and registers nothing.
+    /// Registers a `SubscribeReads` connection: fill the slabs of every
+    /// shard covering its items, send that view first (the handler splices
+    /// it into the bootstrap frame), then retain the channel so every
+    /// subsequently accepted mutation pushes its published view. An item
+    /// outside the universe refuses the subscription with a framed error
+    /// and registers nothing.
     fn subscribe_reads(
         &mut self,
-        fleet: &mut Fleet,
-        op: FleetOp,
-        reply_tx: Sender<FleetReply>,
-        view_tx: Option<Sender<Arc<ReadView>>>,
+        fleet: &Fleet,
+        kind: ReadKind,
+        items: Option<Vec<usize>>,
+        answer_tx: Sender<Answer>,
     ) {
-        let Some(view_tx) = view_tx else {
-            let _ = reply_tx.send(FleetReply::err(
-                "SubscribeReads submitted without a delta channel (server bug)",
-            ));
-            return;
-        };
-        let kind = match op {
-            FleetOp::SubscribeReads { kind, .. } => kind,
-            _ => unreachable!("subscribe_reads is only called with SubscribeReads"),
-        };
-        let bootstrap = fleet.apply(op);
-        // The bootstrap echoes the normalized item list; that list is what
-        // the subscription watches from here on, even across restores.
-        let items = match &bootstrap {
-            FleetReply::PredictedDelta { items, .. } | FleetReply::EstimatedDelta { items, .. } => {
-                Some(items.clone())
+        let num_items = fleet.view_handle().current().index().num_items();
+        let items = subscribed_items(items, num_items);
+        let view = match fleet.fill(kind, Some(&items)) {
+            Ok(view) => view,
+            Err(e) => {
+                let _ = answer_tx.send(Answer::Reply(FleetReply::err(e)));
+                return;
             }
-            _ => None,
         };
-        if reply_tx.send(bootstrap).is_err() {
-            return;
-        }
-        if let Some(items) = items {
+        if answer_tx.send(Answer::View(view)).is_ok() {
             self.read_subs.push(ReadSub {
                 kind,
                 items,
-                view_tx,
+                answer_tx,
             });
         }
     }
@@ -346,63 +343,42 @@ impl Broadcast {
     /// after `Fleet::apply` published its view and before the mutator's
     /// ack is sent. Ships one `OpApplied` to every op subscriber and
     /// records the mutation (`op` is `Some` exactly when
-    /// [`Broadcast::keeps_ops`]), warms the dirty shards read subscribers
-    /// need, and pushes the published view to every read subscriber —
-    /// whose handler encodes the delta under its own codec.
+    /// [`Broadcast::keeps_ops`]), then fills the slabs each read
+    /// subscriber watches and pushes it the published view — its handler
+    /// splices the delta under its own codec. A subscriber whose items
+    /// fell out of range (a restore shrank the universe) is not filled for
+    /// but still gets the view: its handler owns the framed error and ends
+    /// the subscription.
     fn mutation_applied(&mut self, fleet: &Fleet, op: Option<FleetOp>) {
         if let Some(op) = op {
             let epoch = fleet.epoch();
             self.op_subs.retain(|sub| {
-                sub.send(FleetReply::OpApplied {
-                    epoch,
-                    op: op.clone(),
-                })
-                .is_ok()
+                let op = op.clone();
+                sub.send(Answer::Reply(FleetReply::OpApplied { epoch, op }))
+                    .is_ok()
             });
             if self.record {
                 self.log.push((epoch, op));
             }
         }
-        self.push_read_deltas(fleet);
-    }
-
-    /// Ships the freshly published view to every read subscriber, warming
-    /// first: the driver (the only thread with engine access) fills the
-    /// value slabs of exactly the dirty shards some subscriber watches, so
-    /// handlers can encode delta rows without ever falling back to the
-    /// driver. Subscribers whose items fell out of range (a restore shrank
-    /// the universe) still get the view — their handler owns the framed
-    /// error and winds the subscription down.
-    fn push_read_deltas(&mut self, fleet: &Fleet) {
-        if self.read_subs.is_empty() {
-            return;
+        for sub in &self.read_subs {
+            let _ = fleet.fill(sub.kind, Some(&sub.items));
         }
         let view = fleet.view_handle().current();
-        let index = view.index().clone();
-        let mut dirty = vec![false; index.num_shards()];
-        for &s in view.dirty_shards() {
-            if s < dirty.len() {
-                dirty[s] = true;
-            }
-        }
-        for kind in [ReadKind::Predictions, ReadKind::Estimate] {
-            let mut needed = vec![false; index.num_shards()];
-            for sub in self.read_subs.iter().filter(|sub| sub.kind == kind) {
-                if sub.items.iter().any(|&i| i >= index.num_items()) {
-                    continue;
-                }
-                for &i in &sub.items {
-                    let s = index.shard_of(i);
-                    needed[s] = needed[s] || dirty[s];
-                }
-            }
-            let warm: Vec<usize> = (0..index.num_shards()).filter(|&s| needed[s]).collect();
-            if !warm.is_empty() {
-                fleet.warm_view(kind, &warm);
-            }
-        }
         self.read_subs
-            .retain(|sub| sub.view_tx.send(view.clone()).is_ok());
+            .retain(|sub| sub.answer_tx.send(Answer::View(view.clone())).is_ok());
+    }
+}
+
+/// The view read `op` asks for — `Predict` (every item), `PredictItems` or
+/// `EstimateItems` — which handlers answer only by splicing; `None` for
+/// every other op.
+fn view_read(op: &FleetOp) -> Option<(ReadKind, Option<&[usize]>)> {
+    match op {
+        FleetOp::Predict => Some((ReadKind::Predictions, None)),
+        FleetOp::PredictItems { items } => Some((ReadKind::Predictions, Some(items))),
+        FleetOp::EstimateItems { items } => Some((ReadKind::Estimate, Some(items))),
+        _ => None,
     }
 }
 
@@ -493,6 +469,9 @@ impl FleetServer {
 /// The driver role: the only thread that touches the fleet. Applies every
 /// submitted op in arrival order until a `Shutdown` op or until every
 /// handler has gone, then hands back the final fleet and the recorded log.
+/// A view read reaches the driver only as a **fill request** — a handler
+/// found a slab it needs cold — and is answered with the filled view, never
+/// a built reply.
 fn run_driver(
     mut fleet: Fleet,
     op_rx: Receiver<Submitted>,
@@ -500,18 +479,21 @@ fn run_driver(
     shutdown: &AtomicBool,
 ) -> ServeOutcome {
     let mut broadcast = Broadcast::new(record);
-    while let Ok(Submitted {
-        op,
-        reply_tx,
-        view_tx,
-    }) = op_rx.recv()
-    {
+    while let Ok(Submitted { op, answer_tx }) = op_rx.recv() {
+        if let Some((kind, items)) = view_read(&op) {
+            let answer = match fleet.fill(kind, items) {
+                Ok(view) => Answer::View(view),
+                Err(e) => Answer::Reply(FleetReply::err(e)),
+            };
+            let _ = answer_tx.send(answer);
+            continue;
+        }
         match op {
             FleetOp::SubscribeOps { from_epoch } => {
-                broadcast.subscribe_ops(&mut fleet, from_epoch, reply_tx);
+                broadcast.subscribe_ops(fleet.epoch(), from_epoch, answer_tx);
             }
-            FleetOp::SubscribeReads { .. } => {
-                broadcast.subscribe_reads(&mut fleet, op, reply_tx, view_tx);
+            FleetOp::SubscribeReads { kind, items } => {
+                broadcast.subscribe_reads(&fleet, kind, items, answer_tx);
             }
             op => {
                 let stop = matches!(op, FleetOp::Shutdown);
@@ -526,7 +508,7 @@ fn run_driver(
                     // already has the frame enqueued.
                     broadcast.mutation_applied(&fleet, kept);
                 }
-                let _ = reply_tx.send(reply);
+                let _ = answer_tx.send(Answer::Reply(reply));
                 if stop {
                     break;
                 }
@@ -631,7 +613,7 @@ fn run_handler(
 }
 
 /// Serves one connection: negotiate the codec, then frame in, answer —
-/// spliced from the published view where it can be, everything else
+/// view reads by splicing from the published view, everything else
 /// through the driver — frame out, strictly in request order
 /// (per-connection FIFO replies).
 fn handle_connection(
@@ -666,14 +648,7 @@ fn handle_connection(
                 Ok(Some(payload)) => payload,
                 // Clean disconnect between frames: the client is done.
                 Ok(None) => return Ok(()),
-                Err(TransportError::ShuttingDown) => {
-                    let _ = send_reply(
-                        &mut stream,
-                        format,
-                        &FleetReply::err("server is shutting down"),
-                    );
-                    return Ok(());
-                }
+                Err(TransportError::ShuttingDown) => return shutting_down(&mut stream, format),
                 // Truncated/oversized/unreadable frame: drop the connection
                 // (there is no frame boundary left to answer on).
                 Err(e) => return Err(e),
@@ -693,21 +668,38 @@ fn handle_connection(
                 return Ok(());
             }
         };
-        // Read path: splice the reply from the current epoch's view, no
-        // driver round trip. Anything `splice_read` declines — a cold slab,
-        // a full `Estimate`, an out-of-range item, any non-read — goes to
-        // the driver below.
-        if splice_read(views, &op, format, &mut spliced).is_some() {
+        if let Some((kind, items)) = view_read(&op) {
+            // Read path: splice the reply from the current view. If the
+            // view cannot answer (a needed slab is cold this epoch, or an
+            // item is beyond its universe), the op goes to the driver as a
+            // fill request, and the reply is spliced from the view the
+            // driver filled — its current epoch — or is the driver's
+            // refusal (an item outside the universe).
+            if splice_read(&views.current(), kind, items, format, &mut spliced).is_none() {
+                let filled = match submit(op_tx, op.clone()) {
+                    Some((Answer::View(filled), _)) => filled,
+                    Some((Answer::Reply(refusal), _)) => {
+                        send_reply(&mut stream, format, &refusal)?;
+                        continue;
+                    }
+                    None => return shutting_down(&mut stream, format),
+                };
+                splice_read(&filled, kind, items, format, &mut spliced)
+                    .expect("the driver filled every slab of this read on its own view");
+            }
             write_frame_bytes(&mut stream, &spliced)?;
             continue;
         }
-        let subscribing_reads = matches!(op, FleetOp::SubscribeReads { .. });
-        let subscribing = subscribing_reads || matches!(op, FleetOp::SubscribeOps { .. });
+        let subscribing = matches!(
+            op,
+            FleetOp::SubscribeOps { .. } | FleetOp::SubscribeReads { .. }
+        );
         // Subscriptions hold this handler slot for their whole lifetime;
         // cap them at `max_clients - 1` so at least one handler always
-        // remains for request/reply traffic. A refused subscription is a
-        // framed error and the connection stays usable.
-        let slot = if subscribing {
+        // remains for request/reply traffic. A refused subscription — past
+        // the cap here, or by the driver below — is a framed error, and the
+        // connection stays usable (the slot guard drops with this request).
+        let _slot = if subscribing {
             let Some(guard) = slots.try_acquire() else {
                 send_reply(
                     &mut stream,
@@ -725,87 +717,72 @@ fn handle_connection(
         } else {
             None
         };
-        // A `SubscribeReads` also hands the driver `view_tx`, through which
-        // it pushes every accepted mutation's published view.
-        let (view_tx, view_rx) = channel();
-        let (reply_tx, reply_rx) = channel();
-        let submitted = Submitted {
-            op,
-            reply_tx,
-            view_tx: subscribing_reads.then_some(view_tx),
-        };
-        let reply = match op_tx.send(submitted) {
-            Ok(()) => reply_rx.recv().ok(),
-            Err(_) => None,
-        };
-        let Some(reply) = reply else {
-            let _ = send_reply(
-                &mut stream,
-                format,
-                &FleetReply::err("server is shutting down"),
-            );
-            return Ok(());
-        };
-        let watched = match &reply {
-            FleetReply::PredictedDelta { items, .. } => {
-                Some((ReadKind::Predictions, items.clone()))
-            }
-            FleetReply::EstimatedDelta { items, .. } => Some((ReadKind::Estimate, items.clone())),
+        let watched = match &op {
+            FleetOp::SubscribeReads { kind, items } => Some((*kind, items.clone())),
             _ => None,
         };
-        let refused = matches!(reply, FleetReply::Error { .. });
-        send_reply(&mut stream, format, &reply)?;
-        drop(reply);
-        if slot.is_none() {
-            continue;
-        }
-        // A granted subscription flips the connection to push-only until
-        // the driver drops its channel (server wind-down → the subscriber
-        // sees clean EOF) or the subscriber hangs up; a refused one ends
-        // here, its framed error being the reply. A read subscription's
-        // reply was the bootstrap snapshot, and this handler encodes each
-        // pushed view into a delta frame under the connection's codec; an
-        // op subscription's was the `Subscribed` ack, and the driver
-        // streams any recorded backlog, then one `OpApplied` per accepted
-        // mutation, through the retained reply channel.
-        return match watched {
-            _ if refused => Ok(()),
-            Some((kind, items)) => pump_read_deltas(&mut stream, format, kind, &items, &view_rx),
-            None => {
-                while let Ok(frame) = reply_rx.recv() {
-                    send_reply(&mut stream, format, &frame)?;
-                }
-                Ok(())
-            }
+        let Some((answer, answers)) = submit(op_tx, op) else {
+            return shutting_down(&mut stream, format);
         };
+        match (answer, watched) {
+            // A granted read subscription flips the connection to
+            // push-only: the driver's first view is spliced into the
+            // bootstrap frame and every view it pushes after into a delta
+            // frame, until the driver drops the channel (server wind-down →
+            // the subscriber sees clean EOF) or the subscriber hangs up.
+            (Answer::View(first), Some((kind, items))) => {
+                let items = subscribed_items(items, first.index().num_items());
+                return pump_read_deltas(&mut stream, format, kind, &items, first, &answers);
+            }
+            (Answer::Reply(reply), _) => {
+                send_reply(&mut stream, format, &reply)?;
+                // A granted op subscription flips the connection to
+                // push-only too: the reply was the `Subscribed` ack, and
+                // the driver streams any recorded backlog, then one
+                // `OpApplied` per accepted mutation.
+                if subscribing && !matches!(reply, FleetReply::Error { .. }) {
+                    while let Ok(Answer::Reply(frame)) = answers.recv() {
+                        send_reply(&mut stream, format, &frame)?;
+                    }
+                    return Ok(());
+                }
+            }
+            (Answer::View(_), None) => {
+                unreachable!(
+                    "the driver answers only fill requests and read subscriptions with views"
+                )
+            }
+        }
     }
 }
 
-/// Splices `Predict`, `PredictItems` or `EstimateItems` into `out` from
-/// the view's cached rows ([`splice_rows`]), or returns `None` to send the
-/// op to the driver: any other op — a full `Estimate` included, whose
-/// struct-of-arrays reply cannot be spliced from per-item rows — an
-/// out-of-range item (the driver owns the error reply), or a cold slab
-/// (the driver's `apply` fills it).
+/// Hands `op` to the driver and waits for its first answer, returned with
+/// the channel any later answers arrive on (a subscription's stream).
+/// `None` once the driver is gone.
+fn submit(op_tx: &Sender<Submitted>, op: FleetOp) -> Option<(Answer, Receiver<Answer>)> {
+    let (answer_tx, answers) = channel();
+    op_tx.send(Submitted { op, answer_tx }).ok()?;
+    let first = answers.recv().ok()?;
+    Some((first, answers))
+}
+
+/// Splices the reply to a view read (see [`view_read`]) into `out` from
+/// `view`'s cached rows ([`splice_rows`]), or returns `None` when `view`
+/// cannot answer it: a needed slab is cold, or an item is beyond the
+/// view's universe.
 fn splice_read(
-    views: &ViewHandle,
-    op: &FleetOp,
+    view: &ReadView,
+    kind: ReadKind,
+    items: Option<&[usize]>,
     format: WireFormat,
     out: &mut Vec<u8>,
 ) -> Option<()> {
-    let (kind, items) = match op {
-        FleetOp::Predict => (ReadKind::Predictions, None),
-        FleetOp::PredictItems { items } => (ReadKind::Predictions, Some(&items[..])),
-        FleetOp::EstimateItems { items } => (ReadKind::Estimate, Some(&items[..])),
-        _ => return None,
-    };
-    let view = views.current();
     let num_items = view.index().num_items();
     match items {
-        None => splice_rows(&view, kind, format, 0..num_items, Envelope::Full, out),
+        None => splice_rows(view, kind, format, 0..num_items, Envelope::Full, out),
         Some(items) if items.iter().all(|&i| i < num_items) => {
             let envelope = Envelope::Ranged(items);
-            splice_rows(&view, kind, format, items.iter().copied(), envelope, out)
+            splice_rows(view, kind, format, items.iter().copied(), envelope, out)
         }
         Some(_) => None,
     }
@@ -845,24 +822,32 @@ fn splice_rows(
     Some(())
 }
 
-/// Pumps one read subscription: for every view the driver pushes, encode
-/// and send one delta frame carrying rows for exactly the subscribed items
-/// whose shards the publishing mutation dirtied — spliced from the view's
-/// per-(epoch, shard, codec) row caches, zero re-encode after the first
-/// subscriber of an epoch under a codec ([`splice_rows`]).
-/// A mutation that dirtied none of the subscribed shards still sends an
-/// empty delta so the subscriber's epoch tracks the head. Returns cleanly
-/// when the driver drops the channel (server wind-down → the subscriber
-/// sees EOF) and with the write error when the subscriber hangs up.
+/// Pumps one read subscription, one spliced frame per view. The first view
+/// — filled by the driver when it granted the subscription — becomes the
+/// bootstrap frame: every subscribed item's row, with every covering shard
+/// listed dirty. Every view the driver pushes after that becomes a delta
+/// frame carrying rows for exactly the subscribed items whose shards the
+/// publishing mutation dirtied. Rows come from the view's per-(epoch,
+/// shard, codec) row caches, encoded once per epoch and codec
+/// ([`splice_rows`]). A mutation that dirtied none of the subscribed
+/// shards still sends an empty delta so the subscriber's epoch tracks the
+/// head. Returns cleanly when the driver drops the channel (server
+/// wind-down → the subscriber sees EOF) and with the write error when the
+/// subscriber hangs up.
 fn pump_read_deltas(
     stream: &mut TcpStream,
     format: WireFormat,
     kind: ReadKind,
     items: &[usize],
-    view_rx: &Receiver<Arc<ReadView>>,
+    first: Arc<ReadView>,
+    answers: &Receiver<Answer>,
 ) -> Result<(), TransportError> {
+    let pushed = std::iter::from_fn(|| match answers.recv() {
+        Ok(Answer::View(view)) => Some(view),
+        _ => None,
+    });
     let mut body = Vec::new();
-    while let Ok(view) = view_rx.recv() {
+    for (n, view) in std::iter::once(first).chain(pushed).enumerate() {
         let index = view.index();
         if items.iter().any(|&i| i >= index.num_items()) {
             // A restore shrank the universe under the subscription: the
@@ -879,11 +864,10 @@ fn pump_read_deltas(
             );
             return Ok(());
         }
-        let mut dirty = vec![false; index.num_shards()];
+        // The bootstrap (frame 0) carries every subscribed row.
+        let mut dirty = vec![n == 0; index.num_shards()];
         for &s in view.dirty_shards() {
-            if s < dirty.len() {
-                dirty[s] = true;
-            }
+            dirty[s] = true;
         }
         let delta_items: Vec<usize> = items
             .iter()
@@ -906,10 +890,10 @@ fn pump_read_deltas(
             &mut body,
         );
         if spliced.is_none() {
-            // The driver warms every dirty shard a subscriber watches
-            // before pushing the view, so a cold slab here means the
-            // stream cannot be continued faithfully; end it rather than
-            // skip an epoch.
+            // The driver fills every slab a subscriber watches before
+            // sending the view, so a cold slab here means the stream
+            // cannot be continued faithfully; end it rather than skip an
+            // epoch.
             let _ = send_reply(
                 stream,
                 format,
@@ -952,6 +936,13 @@ fn encode_shard_rows(
                 .collect()
         }
     }
+}
+
+/// Tells the client the server is winding down (best effort) and ends the
+/// connection.
+fn shutting_down(stream: &mut TcpStream, format: WireFormat) -> Result<(), TransportError> {
+    let _ = send_reply(stream, format, &FleetReply::err("server is shutting down"));
+    Ok(())
 }
 
 /// Frames one reply onto the stream under the connection's codec.

@@ -11,15 +11,22 @@
 //! of K = 4 shards, the pushed delta carries rows for exactly that shard's
 //! items — the other three shards ship nothing.
 //!
-//! Contract 3 (slot exhaustion): subscriptions (op-stream or read-delta)
-//! hold at most `max_clients - 1` handler slots; one past the cap is
-//! refused with a readable framed error, the refused connection stays
-//! usable, and a dropped subscription's slot is reclaimed.
+//! Contract 3 (refusals): subscriptions (op-stream or read-delta) hold at
+//! most `max_clients - 1` handler slots; one past the cap is refused with
+//! a readable framed error, the refused connection stays usable, and a
+//! dropped subscription's slot is reclaimed. A read subscription naming an
+//! item outside the universe is refused the same way, naming the item.
 //!
 //! Contract 4 (stream endings): server wind-down is a clean EOF
 //! (`Ok(None)`, cache still readable at its last epoch); a server that
 //! goes silent without closing surfaces as `TimedOut` via the read
 //! deadline instead of hanging the subscriber.
+//!
+//! Contract 5 (restores): after a `Restore`, every subscription's next
+//! frame carries all its rows at the manifest's epoch, and cache ≡ poll
+//! keeps holding as ingesting continues. A restore that shrinks the
+//! universe under a subscription's items ends that subscription with a
+//! framed error; the others keep streaming and the server keeps serving.
 
 use cpa::data::labels::LabelSet;
 use cpa::data::profile::DatasetProfile;
@@ -388,6 +395,131 @@ fn subscriptions_cap_at_max_clients_minus_one_and_free_their_slot() {
     let mut closer = FleetClient::connect(addr).expect("closer connects");
     closer.shutdown().expect("shutdown");
     running.join().expect("server joins");
+}
+
+#[test]
+fn a_read_subscription_outside_the_universe_is_refused_and_the_connection_stays_usable() {
+    let (d, _) = fixture();
+    let (addr, running) = spawn_server(fleet_for(&d, 2), ServerConfig::default());
+    let mut client = FleetClient::connect(addr).expect("client connects");
+    let outside = d.num_items();
+    let err = client
+        .apply_op(&FleetOp::SubscribeReads {
+            kind: ReadKind::Predictions,
+            items: Some(vec![outside]),
+        })
+        .expect_err("an item outside the universe is refused");
+    assert!(
+        matches!(&err, TransportError::Rejected(m) if m.contains(&format!("item {outside}"))),
+        "refusal names the item: {err}"
+    );
+    let (preds, epoch) = client
+        .predict_tagged()
+        .expect("the refused connection still answers reads");
+    assert_eq!((preds.len(), epoch), (d.num_items(), 0));
+    client.shutdown().expect("shutdown");
+    running.join().expect("server joins");
+}
+
+/// Takes `sub`'s next frame and checks it against a poll over `writer` at
+/// the writer's `acked` epoch: the frame's epoch, all of the subscribed
+/// rows when `every_row`, and cache ≡ poll.
+fn next_matches_poll(
+    writer: &mut FleetClient,
+    sub: &mut ReadSubscription,
+    acked: u64,
+    every_row: bool,
+) {
+    let delta = sub
+        .next_delta()
+        .expect("delta frame")
+        .expect("stream not ended");
+    let (kind, items) = (sub.cache().kind(), sub.cache().items().to_vec());
+    assert_eq!(delta.applied.epoch, acked, "{kind:?}: frame epoch");
+    if every_row {
+        assert_eq!(delta.applied.rows, items.len(), "{kind:?}: every row");
+    }
+    let (rows, tag) = poll_rows(writer, kind, &items);
+    assert_eq!(tag, acked, "the poll reads the acked epoch");
+    assert_eq!(
+        cache_rows(sub),
+        rows,
+        "{kind:?}: cache diverged from poll at epoch {acked}"
+    );
+}
+
+#[test]
+fn read_subscriptions_follow_a_restore_and_end_when_the_universe_shrinks() {
+    let (d, batches) = fixture();
+    let shards = 2;
+    let fleet = fleet_for(&d, shards).with_restore_hook(cpa::eval::runner::restore_engine);
+    let (addr, running) = spawn_server(fleet, ServerConfig::default());
+    let mut writer = FleetClient::connect(addr).expect("writer connects");
+    let ingest = |writer: &mut FleetClient, batch: &WorkerBatch| {
+        let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, batch) else {
+            unreachable!()
+        };
+        writer.ingest_tagged(workers, answers).expect("ingest").1
+    };
+    ingest(&mut writer, &batches[0]);
+    ingest(&mut writer, &batches[1]);
+    let manifest = writer.snapshot().expect("snapshot");
+    ingest(&mut writer, &batches[2]);
+    ingest(&mut writer, &batches[3]);
+
+    // A full predictions subscription, and a ranged estimate one over
+    // items a half-size universe still holds.
+    let small = d.num_items() / 2;
+    let subscribe = |kind, items| {
+        FleetClient::connect(addr)
+            .expect("subscriber connects")
+            .subscribe_reads(kind, items)
+            .expect("subscription acked")
+    };
+    let mut full = subscribe(ReadKind::Predictions, None);
+    let mut ranged = subscribe(ReadKind::Estimate, Some((0..small).step_by(2).collect()));
+
+    // Restoring the earlier manifest moves every subscription to its
+    // epoch with every row, and ingesting on from there keeps cache ≡ poll.
+    let restored = writer.restore_tagged(manifest.clone()).expect("restore");
+    assert_eq!(restored, manifest.epoch);
+    for sub in [&mut full, &mut ranged] {
+        next_matches_poll(&mut writer, sub, restored, true);
+    }
+    for batch in &batches[2..] {
+        let acked = ingest(&mut writer, batch);
+        for sub in [&mut full, &mut ranged] {
+            next_matches_poll(&mut writer, sub, acked, false);
+        }
+    }
+
+    // A restore over a half-size universe ends the full subscription; the
+    // ranged one keeps streaming, and the server keeps serving.
+    let (u, c) = (d.num_workers(), d.num_labels());
+    let smaller = Fleet::new(shards, 1, small, u, c, |_| {
+        Method::CpaSvi.engine(small, u, c, SEED)
+    })
+    .snapshot();
+    let restored = writer.restore_tagged(smaller).expect("smaller restore");
+    let err = full
+        .next_delta()
+        .expect_err("the watched items left the universe");
+    assert!(
+        matches!(&err, TransportError::Rejected(m) if m.contains("beyond the restored universe")),
+        "{err}"
+    );
+    next_matches_poll(&mut writer, &mut ranged, restored, true);
+    let acked = writer.refit_tagged().expect("refit");
+    next_matches_poll(&mut writer, &mut ranged, acked, true);
+    let (preds, _) = writer.predict_tagged().expect("the server keeps serving");
+    assert_eq!(preds.len(), small);
+
+    writer.shutdown().expect("shutdown");
+    running.join().expect("server joins");
+    assert!(
+        ranged.next_delta().expect("wind-down").is_none(),
+        "clean EOF after wind-down"
+    );
 }
 
 #[test]

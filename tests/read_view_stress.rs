@@ -18,11 +18,12 @@
 //! its own mutation ack never reads an older epoch afterwards
 //! (read-your-writes through the publish-before-ack ordering).
 //!
-//! Contract 4 (path equivalence): reads answered by the driver (the first
-//! read of an epoch, and every full `Estimate`) and reads spliced from the
-//! view's cached rows (every repeat) both serve exactly the reply the
-//! in-process fleet gives on the same ops — for full and item-ranged
-//! `Predict` and `Estimate` alike.
+//! Contract 4 (cold ≡ warm): a cold read (the first of an epoch, spliced
+//! from the view after the driver fills its slabs on request) and a warm
+//! one (every repeat, spliced from the view's cached rows) both serve
+//! exactly the reply the in-process fleet gives on the same ops — for full
+//! and item-ranged `Predict` and `EstimateItems` alike — and so does the
+//! full `Estimate`, the one read the driver builds.
 
 use cpa::data::labels::LabelSet;
 use cpa::data::stream::{WorkerBatch, WorkerStream};
@@ -227,7 +228,7 @@ fn a_client_never_reads_an_epoch_older_than_its_own_ack() {
 }
 
 #[test]
-fn driver_served_reads_match_view_served_reads() {
+fn cold_and_warm_reads_match_the_in_process_reply() {
     let (d, batches) = fixture();
     let probe: Vec<usize> = (0..d.num_items()).step_by(5).collect();
     let mut mutations = ingest_ops(&d, &batches);
@@ -243,10 +244,10 @@ fn driver_served_reads_match_view_served_reads() {
     for op in &mutations {
         client.apply_op(op).expect("mutation accepted");
     }
-    // Each read twice at one epoch: a cold slab (or a full `Estimate`)
-    // sends the first to the driver, and the repeat is spliced from the
-    // view's cached rows — except the full `Estimate`, driver-served both
-    // times.
+    // Each read twice at one epoch: the first finds its slabs cold (the
+    // driver fills them, and the handler encodes the rows it splices), the
+    // repeat is spliced from the cached rows — except the full `Estimate`,
+    // which the driver builds both times.
     for op in [
         FleetOp::Predict,
         FleetOp::PredictItems {

@@ -271,6 +271,21 @@ fn a_subscription_from_ahead_of_the_head_is_refused() {
         matches!(&err, TransportError::Rejected(m) if m.contains(&ahead) && m.contains(&head.to_string())),
         "refusal names both epochs: {err}"
     );
+    // The refused subscription leaves its connection usable.
+    let mut probe = FleetClient::connect(addr).expect("probe connects");
+    let err = probe
+        .apply_op(&FleetOp::SubscribeOps {
+            from_epoch: head + 5,
+        })
+        .expect_err("a future resume point must be refused");
+    assert!(
+        matches!(&err, TransportError::Rejected(m) if m.contains(&ahead)),
+        "{err}"
+    );
+    let (_, epoch) = probe
+        .predict_tagged()
+        .expect("the refused connection still answers reads");
+    assert_eq!(epoch, head);
 
     writer.shutdown().expect("shutdown");
     running.join().expect("server joins");

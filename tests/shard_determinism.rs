@@ -79,7 +79,7 @@ fn merged_predictions_equal_standalone_shard_engines() {
                     Method::CpaSvi.engine(d.num_items(), d.num_workers(), d.num_labels(), SEED);
                 let shard_batches: Vec<WorkerBatch> = batches
                     .iter()
-                    .map(|b| router.split_batch(b, &d.answers)[s].clone())
+                    .map(|b| b.shard_split(&d.answers, k)[s].clone())
                     .filter(|split| !split.items.is_empty())
                     .collect();
                 drive(

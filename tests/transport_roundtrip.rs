@@ -193,11 +193,14 @@ fn two_concurrent_clients_are_bit_identical_to_the_in_process_fleet() {
     }
 }
 
-/// Full reads on the wire, over a raw socket: at one epoch, the cold
-/// `Predict` (answered by the driver), the first warm one (rows encoded
-/// into the view) and a repeat (spliced from cached rows) each answer
-/// exactly what the in-process fleet answers on the same ops — byte for
-/// byte under JSON, decode-equal under the binary codec.
+/// View reads on the wire, over a raw socket, for `Predict`,
+/// `PredictItems` and `EstimateItems`: at one epoch, the cold read (its
+/// slabs filled by the driver on request, its rows encoded into the view),
+/// the first warm one and a repeat (both spliced from the cached rows) are
+/// byte-identical frames under both codecs, and each answers exactly what
+/// the in-process fleet answers on the same ops — byte for byte under
+/// JSON, decode-equal under the binary codec. A `Refit` after each read
+/// kind dirties every shard, so the next kind's first read is cold too.
 #[test]
 fn full_reads_match_the_in_process_reply_cold_warm_and_spliced() {
     use cpa::transport::codec::{self, WireFormat};
@@ -206,10 +209,25 @@ fn full_reads_match_the_in_process_reply_cold_warm_and_spliced() {
     let (d, batches) = fixture();
     let mut mutations = ingest_ops(&d, &batches);
     mutations.push(FleetOp::Refit);
+    let probe: Vec<usize> = (0..d.num_items()).rev().step_by(3).collect();
+    let reads = [
+        FleetOp::Predict,
+        FleetOp::PredictItems {
+            items: probe.clone(),
+        },
+        FleetOp::EstimateItems { items: probe },
+    ];
     for k in [1usize, 4] {
         let mut reference = fleet_for(&d, k);
         reference.replay(mutations.clone());
-        let want = reference.apply(FleetOp::Predict);
+        let wants: Vec<FleetReply> = reads
+            .iter()
+            .map(|op| {
+                let want = reference.apply(op.clone());
+                reference.apply(FleetOp::Refit);
+                want
+            })
+            .collect();
         for format in [WireFormat::Json, WireFormat::Binary] {
             let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
             let addr = server.local_addr().expect("addr");
@@ -227,23 +245,28 @@ fn full_reads_match_the_in_process_reply_cold_warm_and_spliced() {
                     format
                 );
             }
-            let predict = codec::encode(format, &FleetOp::Predict).expect("op encodes");
-            for read in ["cold", "first warm", "repeat"] {
-                write_frame_bytes(&mut raw, &predict).expect("request");
-                let reply = read_frame_bytes(&mut raw)
-                    .expect("reply")
-                    .expect("reply frame");
-                let at = format!("K={k} {format:?} {read} read");
+            for (op, want) in reads.iter().zip(&wants) {
+                let request = codec::encode(format, op).expect("op encodes");
+                let frames = ["cold", "first warm", "repeat"].map(|_| {
+                    write_frame_bytes(&mut raw, &request).expect("request");
+                    read_frame_bytes(&mut raw)
+                        .expect("reply")
+                        .expect("reply frame")
+                });
+                let at = format!("K={k} {format:?} {}", op.name());
+                assert_eq!(frames[1], frames[0], "{at}: first warm frame != cold frame");
+                assert_eq!(frames[2], frames[0], "{at}: repeat frame != cold frame");
                 if format == WireFormat::Json {
-                    assert_eq!(reply, codec::encode(format, &want).unwrap(), "{at}");
+                    assert_eq!(frames[0], codec::encode(format, want).unwrap(), "{at}");
                 } else {
-                    let served: FleetReply = codec::decode(format, &reply).expect("decodes");
+                    let served: FleetReply = codec::decode(format, &frames[0]).expect("decodes");
                     assert_eq!(
                         serde_json::to_string(&served).unwrap(),
-                        serde_json::to_string(&want).unwrap(),
+                        serde_json::to_string(want).unwrap(),
                         "{at}"
                     );
                 }
+                writer.refit_all().expect("refit dirties every shard");
             }
             drop(raw);
             writer.shutdown().expect("shutdown");

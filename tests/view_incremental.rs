@@ -284,8 +284,9 @@ fn ranged_reads_match_sliced_full_reads_over_the_wire() {
         }
         client.refit_all().expect("refit");
 
-        // A ranged read at a fresh epoch (no slabs filled yet) falls
-        // through to the driver and still answers correctly.
+        // A ranged read at a fresh epoch (no slabs filled yet) asks the
+        // driver to fill the owning shards' slabs and still answers
+        // correctly.
         let probe = probe_items(num_items);
         let (cold_rows, cold_epoch) = client
             .predict_items_tagged(probe.clone())
