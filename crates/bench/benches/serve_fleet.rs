@@ -2,10 +2,10 @@
 //! shards, written to `BENCH_serve.json`.
 //!
 //! Per shard count: one warmup, then `CPA_BENCH_SAMPLES` (default 3) timed
-//! runs of the full serving protocol — replay the arrival stream into a
-//! live `cpa_data::queue`, drive the fleet (`ingest` every batch +
-//! `refit_all`), one merged `predict_all`. The minimum wall-clock is
-//! reported as answers/sec, with the K=1 run as the speedup baseline. The
+//! runs of the full serving protocol — drive the fleet from the canonical
+//! arrival stream (one `FleetOp::Ingest` per batch, then `refit_all`), one
+//! merged `predict_all`. The minimum wall-clock is reported as
+//! answers/sec, with the K=1 run as the speedup baseline. The
 //! manifest leg times fleet `snapshot` → JSON → parse → `restore` and
 //! records the JSON size — the durability cost of pausing a whole fleet.
 //!
@@ -20,9 +20,7 @@
 //! workspace root).
 
 use cpa_data::dataset::Dataset;
-use cpa_data::queue::queue;
 use cpa_data::simulate::simulate;
-use cpa_data::stream::BatchSource;
 use cpa_eval::runner::{arrival_source, restore_engine, Method};
 use cpa_serve::{Fleet, FleetManifest};
 use serde::Serialize;
@@ -66,43 +64,20 @@ fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
-/// The replayed arrival batches every run feeds: the canonical eval-layer
-/// arrival stream (the same one the `sharded` experiment measures), the
+/// One full serving run: drive the fleet over the canonical eval-layer
+/// arrival stream (the same one the `sharded` experiment measures, the
 /// same worker partition for every K — so the series differ only in
-/// sharding.
-fn arrival_batches(dataset: &Dataset) -> Vec<Vec<usize>> {
-    let mut source = arrival_source(dataset, SEED);
-    let mut batches = Vec::new();
-    while let Some(b) = source.next_batch() {
-        batches.push(b.workers);
-    }
-    batches
-}
-
-/// One full serving run: queue-feed every batch, drive the fleet, predict.
-/// Returns (elapsed seconds, the driven fleet).
-fn serve_once(
-    method: Method,
-    dataset: &Dataset,
-    batches: &[Vec<usize>],
-    shards: usize,
-    threads: usize,
-) -> (f64, Fleet) {
+/// sharding), then predict. Returns (elapsed seconds, the driven fleet).
+fn serve_once(method: Method, dataset: &Dataset, shards: usize, threads: usize) -> (f64, Fleet) {
     let (i, u, c) = (
         dataset.num_items(),
         dataset.num_workers(),
         dataset.num_labels(),
     );
     let mut fleet = Fleet::new(shards, threads, i, u, c, |_| method.engine(i, u, c, SEED));
-    let (producer, mut live) = queue(i, u, c);
-    for workers in batches {
-        producer
-            .push_workers(&dataset.answers, workers)
-            .expect("replayed batches satisfy the queue contract");
-    }
-    drop(producer);
+    let mut arrivals = arrival_source(dataset, SEED);
     let start = Instant::now();
-    fleet.drive(&mut live);
+    fleet.drive(&mut arrivals);
     black_box(fleet.predict_all());
     (start.elapsed().as_secs_f64(), fleet)
 }
@@ -125,13 +100,13 @@ fn main() {
         SEED,
     );
     let d = &sim.dataset;
-    let batches = arrival_batches(d);
+    let batches = arrival_source(d, SEED).len();
     eprintln!(
         "serve_fleet: {} items × {} workers, {} answers, {} batches, {} samples/series",
         d.num_items(),
         d.num_workers(),
         d.answers.num_answers(),
-        batches.len(),
+        batches,
         samples
     );
 
@@ -140,9 +115,9 @@ fn main() {
     for &shards in &SHARD_COUNTS {
         let threads = shards.min(max_threads);
         // Warmup, then timed samples.
-        let (_, warm_fleet) = serve_once(method, d, &batches, shards, threads);
+        let (_, warm_fleet) = serve_once(method, d, shards, threads);
         let mut times: Vec<f64> = (0..samples)
-            .map(|_| serve_once(method, d, &batches, shards, threads).0)
+            .map(|_| serve_once(method, d, shards, threads).0)
             .collect();
         times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let fit_secs_min = times[0];
@@ -180,13 +155,13 @@ fn main() {
     }
 
     let report = BenchReport {
-        workload: format!("movie ×{scale}, queue-fed arrival stream"),
+        workload: format!("movie ×{scale}, arrival stream as Ingest ops"),
         method: method.name().to_string(),
         items: d.num_items(),
         workers: d.num_workers(),
         answers: d.answers.num_answers(),
         labels: d.num_labels(),
-        batches: batches.len(),
+        batches,
         samples_per_series: samples,
         host_available_parallelism: std::thread::available_parallelism()
             .map(|n| n.get())

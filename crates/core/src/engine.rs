@@ -4,8 +4,8 @@
 //!
 //! The paper's central claim is that one probabilistic model subsumes the
 //! baseline zoo while scaling to streaming workloads; [`Engine`] is that
-//! claim as an API. An engine *ingests* worker batches pulled from any
-//! [`cpa_data::stream::BatchSource`], *refits* whatever state is not
+//! claim as an API. An engine *ingests* worker batches pulled from a
+//! [`cpa_data::stream::MemorySource`], *refits* whatever state is not
 //! maintained incrementally, and *predicts* consensus label sets — so the
 //! evaluation layer (and any future serving layer) can treat "an inference
 //! method" as a value.
@@ -61,7 +61,7 @@ use crate::predict;
 use crate::truth::{estimate_truth_with, KnownLabels, TruthEstimate};
 use cpa_data::answers::AnswerMatrix;
 use cpa_data::labels::LabelSet;
-use cpa_data::stream::{BatchSource, WorkerBatch};
+use cpa_data::stream::{MemorySource, WorkerBatch};
 use cpa_math::rng::seeded;
 use serde::{Deserialize, Serialize};
 
@@ -119,7 +119,7 @@ pub trait Engine {
 /// Pulls every batch out of `source` through [`Engine::ingest`], then
 /// [`Engine::refit`]s once — the canonical way to run any engine to
 /// completion over a batch source.
-pub fn drive(engine: &mut dyn Engine, source: &mut dyn BatchSource) {
+pub fn drive(engine: &mut dyn Engine, source: &mut MemorySource) {
     while let Some(batch) = source.next_batch() {
         engine.ingest(source.answers(), &batch);
     }

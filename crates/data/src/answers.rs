@@ -28,8 +28,11 @@
 //! 4. both orientations contain the same `(item, worker, labels)` triples,
 //!    and `num_answers == item_entries.len() == worker_entries.len()`.
 //!
-//! [`AnswerMatrix::check_consistency`] verifies all four invariants and is
-//! exercised by the test suite.
+//! [`AnswerMatrix::check_consistency`] verifies all four invariants, plus
+//! every item, worker and label index against its dimension, and is
+//! exercised by the test suite. Decoding runs the same check, so a
+//! malformed matrix in a checkpoint, a fleet manifest or a binary frame is
+//! a decode error, never a panic on first use.
 //!
 //! # Construction and mutation
 //!
@@ -58,7 +61,7 @@ pub struct Answer {
 
 /// Sparse `I × U` answer matrix over `C` labels in dual-orientation CSR
 /// layout (see the module docs for the invariants).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AnswerMatrix {
     num_items: usize,
     num_workers: usize,
@@ -72,6 +75,39 @@ pub struct AnswerMatrix {
     /// Worker-major `(item, labels)` entries, sorted by item within worker.
     worker_entries: Vec<(u32, LabelSet)>,
     num_answers: usize,
+}
+
+/// The serialized fields of an [`AnswerMatrix`], decoded as they stand and
+/// checked before they become one.
+#[derive(Deserialize)]
+struct CsrFields {
+    num_items: usize,
+    num_workers: usize,
+    num_labels: usize,
+    item_offsets: Vec<usize>,
+    item_entries: Vec<(u32, LabelSet)>,
+    worker_offsets: Vec<usize>,
+    worker_entries: Vec<(u32, LabelSet)>,
+    num_answers: usize,
+}
+
+impl Deserialize for AnswerMatrix {
+    fn deserialize<'de, D: serde::Deserializer<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        let f = CsrFields::deserialize(d)?;
+        let m = AnswerMatrix {
+            num_items: f.num_items,
+            num_workers: f.num_workers,
+            num_labels: f.num_labels,
+            item_offsets: f.item_offsets,
+            item_entries: f.item_entries,
+            worker_offsets: f.worker_offsets,
+            worker_entries: f.worker_entries,
+            num_answers: f.num_answers,
+        };
+        m.validate()
+            .map_err(|e| serde::Error::custom(format!("malformed answer matrix: {e}")))?;
+        Ok(m)
+    }
 }
 
 impl AnswerMatrix {
@@ -384,56 +420,111 @@ impl AnswerMatrix {
         (votes, answers.len() as u32)
     }
 
-    /// Debug-checks the CSR invariants (module docs) including the agreement
-    /// of the two orientations. Exposed for tests.
+    /// Checks the CSR invariants (module docs), including the agreement of
+    /// the two orientations and every index against its dimension. Never
+    /// panics, whatever the arrays hold. Exposed for tests.
     pub fn check_consistency(&self) -> bool {
-        // Offset shape (invariant 1, both orientations).
-        let offsets_ok = |offsets: &[usize], rows: usize, entries: usize| {
-            offsets.len() == rows + 1
-                && offsets[0] == 0
+        self.validate().is_ok()
+    }
+
+    /// The check behind [`AnswerMatrix::check_consistency`] and decoding:
+    /// the first violation found, naming its invariant.
+    fn validate(&self) -> Result<(), String> {
+        // Offset shape (invariant 1, both orientations). Once it holds,
+        // every row slice below is in bounds. `len - 1` cannot overflow once
+        // a first offset exists; `rows + 1` could, on a decoded dimension.
+        let offsets_ok = |name: &str, offsets: &[usize], rows: usize, entries: usize| {
+            if offsets.first() == Some(&0)
+                && offsets.len() - 1 == rows
                 && offsets.windows(2).all(|w| w[0] <= w[1])
                 && offsets[rows] == entries
+            {
+                Ok(())
+            } else {
+                Err(format!(
+                    "invariant 1: {name} must be one more than its {rows} rows, \
+                     non-decreasing from 0 to {entries}"
+                ))
+            }
         };
-        if !offsets_ok(&self.item_offsets, self.num_items, self.item_entries.len())
-            || !offsets_ok(
-                &self.worker_offsets,
-                self.num_workers,
-                self.worker_entries.len(),
-            )
-        {
-            return false;
-        }
+        offsets_ok(
+            "item_offsets",
+            &self.item_offsets,
+            self.num_items,
+            self.item_entries.len(),
+        )?;
+        offsets_ok(
+            "worker_offsets",
+            &self.worker_offsets,
+            self.num_workers,
+            self.worker_entries.len(),
+        )?;
         if self.num_answers != self.item_entries.len()
             || self.num_answers != self.worker_entries.len()
         {
-            return false;
+            return Err(format!(
+                "invariant 4: num_answers {} against {} item-major and {} worker-major entries",
+                self.num_answers,
+                self.item_entries.len(),
+                self.worker_entries.len()
+            ));
         }
-        let mut n = 0;
-        for i in 0..self.num_items {
-            let row = self.item_answers(i);
-            // Strictly increasing worker indices (invariant 2) and non-empty
-            // label sets of the right universe (invariant 3).
-            if !row.windows(2).all(|w| w[0].0 < w[1].0) {
-                return false;
-            }
-            for (w, l) in row {
-                if l.is_empty() || l.universe() != self.num_labels {
-                    return false;
+        // Strictly increasing in-range indices per row (invariant 2, both
+        // orientations).
+        let rows_ok = |name: &str, offsets: &[usize], entries: &[(u32, LabelSet)], dim: usize| {
+            for (r, span) in offsets.windows(2).enumerate() {
+                let row = &entries[span[0]..span[1]];
+                if let Some(&(x, _)) = row.iter().find(|e| e.0 as usize >= dim) {
+                    return Err(format!(
+                        "invariant 2: {name} row {r} names index {x} of {dim}"
+                    ));
                 }
-                n += 1;
-                // Orientation agreement (invariant 4).
+                if !row.windows(2).all(|w| w[0].0 < w[1].0) {
+                    return Err(format!(
+                        "invariant 2: {name} row {r} is not strictly increasing"
+                    ));
+                }
+            }
+            Ok(())
+        };
+        rows_ok(
+            "item-major",
+            &self.item_offsets,
+            &self.item_entries,
+            self.num_workers,
+        )?;
+        rows_ok(
+            "worker-major",
+            &self.worker_offsets,
+            &self.worker_entries,
+            self.num_items,
+        )?;
+        for i in 0..self.num_items {
+            for (w, l) in self.item_answers(i) {
+                // Non-empty label sets of the right universe (invariant 3).
+                if l.is_empty() || l.universe() != self.num_labels || !l.is_well_formed() {
+                    return Err(format!(
+                        "invariant 3: the answer of worker {w} to item {i} is not a \
+                         non-empty set of the {}-label universe",
+                        self.num_labels
+                    ));
+                }
+                // Orientation agreement (invariant 4). The rows are sorted
+                // and equally many, so matching every item-major entry
+                // matches every worker-major one.
                 let wrow = self.worker_answers(*w as usize);
                 match wrow.binary_search_by_key(&(i as u32), |e| e.0) {
-                    Ok(pos) => {
-                        if wrow[pos].1 != *l {
-                            return false;
-                        }
+                    Ok(pos) if wrow[pos].1 == *l => {}
+                    _ => {
+                        return Err(format!(
+                            "invariant 4: the answer of worker {w} to item {i} differs \
+                             between the orientations"
+                        ))
                     }
-                    Err(_) => return false,
                 }
             }
         }
-        n == self.num_answers
+        Ok(())
     }
 }
 
@@ -680,6 +771,117 @@ mod tests {
         m.extend_bulk(Vec::new());
         assert_eq!(m.num_answers(), 1);
         assert!(m.check_consistency());
+    }
+
+    /// A 3-item × 3-worker × 4-label matrix with four answers.
+    fn sample() -> AnswerMatrix {
+        let mut m = AnswerMatrix::new(3, 3, 4);
+        m.insert(0, 0, ls(4, &[0]));
+        m.insert(0, 2, ls(4, &[1, 3]));
+        m.insert(1, 0, ls(4, &[2]));
+        m.insert(2, 1, ls(4, &[0, 1]));
+        m
+    }
+
+    /// Decodes `m` from JSON and from the binary codec.
+    fn decode(m: &AnswerMatrix) -> [Result<AnswerMatrix, String>; 2] {
+        [
+            serde_json::from_str(&serde_json::to_string(m).unwrap()).map_err(|e| e.to_string()),
+            crate::codec::from_bytes(&crate::codec::to_bytes(m)).map_err(|e| e.to_string()),
+        ]
+    }
+
+    /// `sample()` with `defect` applied must fail to decode under both
+    /// codecs, naming `invariant`, and `check_consistency` must say no
+    /// without panicking.
+    fn refused(defect: impl Fn(&mut AnswerMatrix), invariant: &str) {
+        let mut m = sample();
+        defect(&mut m);
+        assert!(!m.check_consistency());
+        for decoded in decode(&m) {
+            let err = decoded.expect_err("a malformed matrix decodes");
+            assert!(
+                err.contains("malformed answer matrix") && err.contains(invariant),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn valid_matrices_round_trip_under_both_codecs() {
+        for m in [
+            sample(),
+            AnswerMatrix::new(0, 0, 0),
+            AnswerMatrix::new(2, 3, 70),
+        ] {
+            for decoded in decode(&m) {
+                let back = decoded.expect("a valid matrix decodes");
+                assert!(back.check_consistency());
+                assert_eq!(back.num_answers(), m.num_answers());
+                assert!(back.iter().eq(m.iter()));
+            }
+        }
+    }
+
+    #[test]
+    fn decoding_refuses_malformed_offsets() {
+        // Invariant 1: length, start, order and end, both orientations.
+        refused(|m| m.item_offsets = vec![0], "invariant 1: item_offsets");
+        refused(|m| m.item_offsets[0] = 1, "invariant 1: item_offsets");
+        refused(|m| m.item_offsets.swap(1, 2), "invariant 1: item_offsets");
+        refused(
+            |m| *m.item_offsets.last_mut().unwrap() = 9,
+            "invariant 1: item_offsets",
+        );
+        refused(|m| m.worker_offsets.push(4), "invariant 1: worker_offsets");
+        refused(
+            |m| {
+                m.num_items = usize::MAX;
+                m.item_offsets.clear();
+            },
+            "invariant 1: item_offsets",
+        );
+    }
+
+    #[test]
+    fn decoding_refuses_unsorted_or_out_of_range_rows() {
+        // Invariant 2, plus every item and worker index in range.
+        refused(
+            |m| m.item_entries.swap(0, 1),
+            "invariant 2: item-major row 0",
+        );
+        refused(|m| m.item_entries[3].0 = 3, "index 3 of 3");
+        refused(|m| m.worker_entries[0].0 = 7, "index 7 of 3");
+        refused(
+            |m| m.worker_entries.swap(0, 1),
+            "invariant 2: worker-major row 0",
+        );
+    }
+
+    #[test]
+    fn decoding_refuses_empty_or_foreign_label_sets() {
+        // Invariant 3: non-empty, of the matrix's universe, no label past it.
+        refused(|m| m.item_entries[0].1 = LabelSet::empty(4), "invariant 3");
+        refused(|m| m.item_entries[0].1 = ls(5, &[0]), "invariant 3");
+        let wide: LabelSet = serde_json::from_str(r#"{"num_labels":4,"blocks":[17]}"#).unwrap();
+        refused(move |m| m.item_entries[0].1 = wide.clone(), "invariant 3");
+        let long: LabelSet = serde_json::from_str(r#"{"num_labels":4,"blocks":[1,0]}"#).unwrap();
+        refused(move |m| m.item_entries[0].1 = long.clone(), "invariant 3");
+    }
+
+    #[test]
+    fn decoding_refuses_orientations_that_disagree() {
+        // Invariant 4: the same triples, equally many, in both orientations.
+        refused(|m| m.num_answers = 5, "invariant 4: num_answers");
+        refused(|m| m.worker_entries[0].1 = ls(4, &[3]), "invariant 4");
+        refused(
+            |m| {
+                // Worker 2's answer moved to item 1 on the worker side only.
+                let last = m.worker_entries.len() - 1;
+                m.worker_entries[last].0 = 1;
+            },
+            "invariant 4",
+        );
     }
 
     #[test]

@@ -10,8 +10,7 @@
 use crate::answers::{AnswerMatrix, AnswerMatrixBuilder};
 use crate::dataset::Dataset;
 use crate::labels::LabelSet;
-use crate::stream::{BatchSource, WorkerBatch};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -179,176 +178,6 @@ pub fn truth_from_csv(
     Ok(truth)
 }
 
-/// One recorded arrival batch: the workers of `U_b` plus their answers as
-/// `(item, worker, labels)` triples. One JSON object per JSONL line.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct BatchRecord {
-    /// Workers arriving in this batch.
-    workers: Vec<usize>,
-    /// Their answers: `(item, worker, labels)` triples.
-    answers: Vec<(u32, u32, Vec<usize>)>,
-}
-
-/// Records a batch sequence as JSONL — one line per arrival batch, carrying
-/// the batch's workers and all of their answers — so a live stream can be
-/// replayed later through [`JsonlReplay`].
-pub fn batches_to_jsonl(answers: &AnswerMatrix, batches: &[WorkerBatch]) -> String {
-    let mut out = String::new();
-    for batch in batches {
-        let record = BatchRecord {
-            workers: batch.workers.clone(),
-            answers: batch
-                .workers
-                .iter()
-                .flat_map(|&w| {
-                    answers
-                        .worker_answers(w)
-                        .iter()
-                        .map(move |(item, labels)| (*item, w as u32, labels.to_vec()))
-                })
-                .collect(),
-        };
-        let _ = writeln!(
-            out,
-            "{}",
-            serde_json::to_string(&record).expect("batch record serialises")
-        );
-    }
-    out
-}
-
-/// A recorded batch stream parsed back from JSONL: the second
-/// [`BatchSource`] implementation (after the in-memory shuffle), replaying
-/// batches exactly in recorded order.
-#[derive(Debug, Clone)]
-pub struct JsonlReplay {
-    answers: AnswerMatrix,
-    batches: Vec<WorkerBatch>,
-    cursor: usize,
-}
-
-impl JsonlReplay {
-    /// Parses JSONL produced by [`batches_to_jsonl`]. Dimensions are inferred
-    /// from the maxima unless larger minima are supplied (as in
-    /// [`answers_from_csv`]). Blank lines are skipped; a malformed line is a
-    /// [`IoError::BadRecord`] with its 1-based line number.
-    ///
-    /// Batches must *partition* the workers — the paper's arrival model, and
-    /// what engine ingestion assumes (a worker's answers are copied from the
-    /// full universe at its arrival batch, so a worker recurring in a later
-    /// batch would leak that batch's answers into the earlier step). A
-    /// worker appearing in two batches is rejected as a bad record rather
-    /// than replayed unfaithfully.
-    pub fn from_jsonl(
-        text: &str,
-        min_items: usize,
-        min_workers: usize,
-        min_labels: usize,
-    ) -> Result<Self, IoError> {
-        let mut records: Vec<BatchRecord> = Vec::new();
-        let (mut max_i, mut max_w, mut max_c) = (0usize, 0usize, 0usize);
-        let mut seen_workers = std::collections::BTreeSet::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let record: BatchRecord =
-                serde_json::from_str(line).map_err(|e| IoError::BadRecord {
-                    line: lineno + 1,
-                    message: format!("bad batch record: {e}"),
-                })?;
-            for &w in &record.workers {
-                if !seen_workers.insert(w) {
-                    return Err(IoError::BadRecord {
-                        line: lineno + 1,
-                        message: format!(
-                            "worker {w} already arrived in an earlier batch \
-                             (batches must partition the workers)"
-                        ),
-                    });
-                }
-            }
-            let batch_workers: std::collections::BTreeSet<usize> =
-                record.workers.iter().copied().collect();
-            for &(i, w, ref labels) in &record.answers {
-                if !batch_workers.contains(&(w as usize)) {
-                    return Err(IoError::BadRecord {
-                        line: lineno + 1,
-                        message: format!(
-                            "answer by worker {w} who is not in this batch's worker list"
-                        ),
-                    });
-                }
-                if labels.is_empty() {
-                    return Err(IoError::BadRecord {
-                        line: lineno + 1,
-                        message: format!("empty label set for item {i}, worker {w}"),
-                    });
-                }
-                max_i = max_i.max(i as usize + 1);
-                max_w = max_w.max(w as usize + 1);
-                max_c = max_c.max(labels.iter().max().copied().unwrap_or(0) + 1);
-            }
-            for &w in &record.workers {
-                max_w = max_w.max(w + 1);
-            }
-            records.push(record);
-        }
-        let items = max_i.max(min_items);
-        let workers = max_w.max(min_workers);
-        let labels = max_c.max(min_labels);
-
-        let mut builder = AnswerMatrixBuilder::new(items, workers, labels);
-        let mut batches = Vec::with_capacity(records.len());
-        for (index, record) in records.into_iter().enumerate() {
-            let mut batch_items: Vec<usize> = Vec::new();
-            for (i, w, cs) in record.answers {
-                batch_items.push(i as usize);
-                builder.insert(i as usize, w as usize, LabelSet::from_labels(labels, cs));
-            }
-            batch_items.sort_unstable();
-            batch_items.dedup();
-            batches.push(WorkerBatch {
-                index: index + 1,
-                workers: record.workers,
-                items: batch_items,
-            });
-        }
-        Ok(Self {
-            answers: builder.build(),
-            batches,
-            cursor: 0,
-        })
-    }
-
-    /// Number of recorded batches.
-    pub fn len(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// True when no batches were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.batches.is_empty()
-    }
-}
-
-impl BatchSource for JsonlReplay {
-    fn answers(&self) -> &AnswerMatrix {
-        &self.answers
-    }
-
-    fn next_batch(&mut self) -> Option<WorkerBatch> {
-        let batch = self.batches.get(self.cursor).cloned();
-        self.cursor += batch.is_some() as usize;
-        batch
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.batches.len())
-    }
-}
-
 /// Reads the top-level `version` field of a JSON document without building
 /// the document: a one-field probe whose reader skips every other field.
 /// `Ok(None)` when the field is missing or not an unsigned integer, or the
@@ -419,8 +248,7 @@ pub fn oplog_to_jsonl<T: serde::Serialize>(ops: &[T]) -> String {
 }
 
 /// Parses a JSONL op-log written by [`oplog_to_jsonl`] back into its op
-/// sequence, with the same truncated-input hardening as [`JsonlReplay`]:
-/// a file cut mid-line fails as a [`IoError::BadRecord`] naming the cut
+/// sequence, hardened against truncated input: a file cut mid-line fails as a [`IoError::BadRecord`] naming the cut
 /// line, never a panic or a silently dropped tail. Blank lines are skipped;
 /// a header-only log parses as zero ops.
 ///
@@ -496,6 +324,7 @@ mod tests {
     use super::*;
     use crate::profile::DatasetProfile;
     use crate::simulate::simulate;
+    use serde::Serialize;
 
     #[test]
     fn answers_roundtrip() {
@@ -565,126 +394,6 @@ mod tests {
     fn truth_bounds_checked() {
         let err = truth_from_csv("5,0\n", 2, 3).unwrap_err();
         assert!(err.to_string().contains("out of bounds"));
-    }
-
-    #[test]
-    fn jsonl_replay_roundtrips_a_worker_stream() {
-        use crate::stream::WorkerStream;
-        use cpa_math::rng::seeded;
-        let sim = simulate(&DatasetProfile::movie().scaled(0.05), 207);
-        let mut rng = seeded(6);
-        let stream = WorkerStream::new(&sim.dataset, 7, &mut rng);
-        let jsonl = batches_to_jsonl(&sim.dataset.answers, stream.batches());
-        let mut replay = JsonlReplay::from_jsonl(
-            &jsonl,
-            sim.dataset.num_items(),
-            sim.dataset.num_workers(),
-            sim.dataset.num_labels(),
-        )
-        .unwrap();
-        assert_eq!(replay.len(), stream.len());
-        // Replayed universe carries exactly the recorded answers.
-        assert_eq!(
-            replay.answers().num_answers(),
-            sim.dataset.answers.num_answers()
-        );
-        for a in sim.dataset.answers.iter() {
-            assert_eq!(
-                replay.answers().get(a.item as usize, a.worker as usize),
-                Some(&a.labels)
-            );
-        }
-        // Batches come back in recorded order with identical membership.
-        for want in stream.iter() {
-            let got = replay.next_batch().expect("same batch count");
-            assert_eq!(got.index, want.index);
-            assert_eq!(got.workers, want.workers);
-            assert_eq!(got.items, want.items);
-        }
-        assert!(replay.next_batch().is_none());
-    }
-
-    #[test]
-    fn jsonl_bad_line_reports_line_number() {
-        let err = JsonlReplay::from_jsonl("{\"workers\":[0],\"answers\":[]}\nnot json\n", 0, 0, 0)
-            .unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn jsonl_truncated_file_reports_the_cut_line() {
-        // Simulate a crash mid-write: record a healthy stream, then cut the
-        // file in the middle of its final record. The loader must fail with
-        // a BadRecord naming the truncated line, not panic or silently drop
-        // the tail.
-        use crate::stream::WorkerStream;
-        use cpa_math::rng::seeded;
-        let sim = simulate(&DatasetProfile::movie().scaled(0.05), 209);
-        let mut rng = seeded(8);
-        let stream = WorkerStream::new(&sim.dataset, 9, &mut rng);
-        let jsonl = batches_to_jsonl(&sim.dataset.answers, stream.batches());
-        assert!(stream.len() >= 2, "need a multi-line file to truncate");
-        let cut = jsonl.len() - jsonl.lines().last().unwrap().len() / 2 - 1;
-        let truncated = &jsonl[..cut];
-        let err = JsonlReplay::from_jsonl(truncated, 0, 0, 0).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains(&format!("line {}", stream.len())) && msg.contains("bad batch record"),
-            "{msg}"
-        );
-    }
-
-    #[test]
-    fn jsonl_truncated_to_nothing_yields_an_empty_replay() {
-        // Truncation at a line boundary is indistinguishable from a shorter
-        // recording; zero lines must parse as an empty, immediately
-        // exhausted source rather than an error.
-        let mut replay = JsonlReplay::from_jsonl("", 2, 3, 4).unwrap();
-        assert!(replay.is_empty());
-        assert_eq!(replay.len(), 0);
-        assert_eq!(replay.answers().num_items(), 2);
-        assert!(replay.next_batch().is_none());
-    }
-
-    #[test]
-    fn jsonl_wrong_shape_record_is_a_bad_record() {
-        // Structurally valid JSON that is not a batch record (answers not an
-        // array of triples) must be rejected with the line number.
-        let err = JsonlReplay::from_jsonl("{\"workers\":[0],\"answers\":[[0,0]]}\n", 0, 0, 0)
-            .unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("line 1") && msg.contains("bad batch record"),
-            "{msg}"
-        );
-    }
-
-    #[test]
-    fn jsonl_rejects_empty_label_sets() {
-        let line = "{\"workers\":[0],\"answers\":[[0,0,[]]]}\n";
-        let err = JsonlReplay::from_jsonl(line, 0, 0, 0).unwrap_err();
-        assert!(err.to_string().contains("empty label set"), "{err}");
-    }
-
-    #[test]
-    fn jsonl_rejects_worker_recurring_across_batches() {
-        // A recurring worker would leak its later answers into the earlier
-        // arrival step on replay; the loader must refuse.
-        let text = "{\"workers\":[0],\"answers\":[[0,0,[1]]]}\n\
-                    {\"workers\":[0],\"answers\":[[1,0,[2]]]}\n";
-        let err = JsonlReplay::from_jsonl(text, 0, 0, 0).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("line 2") && msg.contains("already arrived"),
-            "{msg}"
-        );
-    }
-
-    #[test]
-    fn jsonl_rejects_answer_by_non_batch_worker() {
-        let text = "{\"workers\":[0],\"answers\":[[0,1,[1]]]}\n";
-        let err = JsonlReplay::from_jsonl(text, 0, 0, 0).unwrap_err();
-        assert!(err.to_string().contains("not in this batch"), "{err}");
     }
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -42,6 +42,15 @@ impl LabelSet {
         self.num_labels
     }
 
+    /// True when the bitset is exactly the universe wide: one block per 64
+    /// labels and no bit past the last label. Every constructor keeps this;
+    /// only a decoded set can break it.
+    pub(crate) fn is_well_formed(&self) -> bool {
+        let tail = self.num_labels % 64;
+        self.blocks.len() == self.num_labels.div_ceil(64)
+            && (tail == 0 || self.blocks.last().is_some_and(|&b| b >> tail == 0))
+    }
+
     /// Adds a label.
     ///
     /// # Panics

@@ -1,63 +1,37 @@
-//! A live, producer-fed [`BatchSource`]: the queue backing of the serving
-//! layer.
+//! The arrival contract: what one batch of arriving workers must satisfy
+//! before any engine sees it.
 //!
-//! [`crate::stream::MemorySource`] replays a precomputed batch sequence and
-//! [`crate::io::JsonlReplay`] a recorded one; [`QueueSource`] closes the
-//! remaining gap to serving: a producer — another thread, a network
-//! endpoint, a test — pushes arrival batches through a [`QueueProducer`]
-//! while an engine (or a whole `cpa-serve` fleet) drains them through the
-//! ordinary [`BatchSource`] pull loop. The channel is a plain
-//! [`std::sync::mpsc`], so producers and the consumer can live on different
-//! threads.
+//! The paper's streaming inference (Algorithm 2) consumes arrival batches:
+//! some workers plus all of their answers. [`validate_batch`] is the one
+//! implementation of the checks such a batch must pass, and `cpa-serve`'s
+//! `Fleet::apply` runs it on every `Ingest` op — in process, replayed from
+//! an op-log, or arriving over `cpa-transport` — before anything is
+//! mutated:
 //!
-//! # Contract
-//!
-//! The queue enforces, *at push time*, the same arrival model that
-//! [`crate::io::JsonlReplay`] enforces at parse time:
-//!
-//! - batches partition the workers — a worker that already arrived is
-//!   rejected ([`QueueError::WorkerAlreadyArrived`]), because engine
-//!   ingestion copies a worker's answers exactly once, at its arrival batch;
+//! - batches partition the workers — a worker that already arrived, or
+//!   that appears twice in one batch, is rejected
+//!   ([`QueueError::WorkerAlreadyArrived`]), because engine ingestion
+//!   copies a worker's answers exactly once, at its arrival batch;
 //! - every answer belongs to a worker of its own batch;
-//! - label sets are non-empty and indices lie inside the declared universe.
+//! - item, worker and label indices lie inside the declared universe;
+//! - label sets are non-empty, and no `(item, worker)` pair is answered
+//!   twice in one batch.
 //!
-//! Rejected pushes leave the queue untouched, so a producer can drop a bad
-//! batch and keep streaming.
-//!
-//! # Drain semantics
-//!
-//! [`BatchSource::next_batch`] **blocks** until a batch is available or every
-//! producer handle has been dropped, then returns `None` forever — the
-//! natural behaviour for a serving loop that waits for traffic. Batches
-//! drain in push order (FIFO) and are numbered 1, 2, … in arrival order.
-//! The answer universe returned by [`BatchSource::answers`] grows as batches
-//! are drained: after `next_batch` returns batch `b`, the universe contains
-//! exactly the answers of batches 1..=b.
+//! An empty batch (no workers, no answers) is valid.
 
-use crate::answers::AnswerMatrix;
 use crate::labels::LabelSet;
-use crate::stream::{BatchSource, WorkerBatch};
 use std::collections::BTreeSet;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
 
-/// One pushed arrival batch, in transit between producer and source.
-#[derive(Debug, Clone)]
-struct QueueRecord {
-    workers: Vec<usize>,
-    answers: Vec<(usize, usize, LabelSet)>,
-}
-
-/// Why a push was rejected. The queue is left untouched on any error.
+/// Why an arrival batch was rejected.
 ///
-/// Every rejection that can be pinned on one worker carries that worker's
-/// id — both in the variant payload and through [`QueueError::worker`] — so
-/// a producer on another thread (or the far side of a socket) can report
-/// *which* arrival was bad, not just that one was.
+/// Every rejection carries the worker it is pinned on where one is known —
+/// both in the variant payload and through [`QueueError::worker`] — so a
+/// producer on the far side of a socket can report *which* arrival was
+/// bad, not just that one was.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueueError {
-    /// The worker already arrived in an earlier pushed batch; batches must
-    /// partition the workers (see the module docs).
+    /// The worker already arrived, in an earlier batch or earlier in this
+    /// one; batches must partition the workers (see the module docs).
     WorkerAlreadyArrived {
         /// The recurring worker.
         worker: usize,
@@ -90,14 +64,11 @@ pub enum QueueError {
         /// Worker of the duplicated answer.
         worker: usize,
     },
-    /// The consumer side was dropped; nothing is listening any more.
-    Disconnected,
 }
 
 impl QueueError {
-    /// The worker this rejection is pinned on, when one is known
-    /// ([`QueueError::Disconnected`] has none; an out-of-range *worker*
-    /// index is its own offender).
+    /// The worker this rejection is pinned on, when one is known (an
+    /// out-of-range *worker* index is its own offender).
     pub fn worker(&self) -> Option<usize> {
         match *self {
             QueueError::WorkerAlreadyArrived { worker }
@@ -105,7 +76,6 @@ impl QueueError {
             | QueueError::EmptyLabels { worker, .. }
             | QueueError::DuplicateAnswer { worker, .. } => Some(worker),
             QueueError::OutOfRange { worker, .. } => worker,
-            QueueError::Disconnected => None,
         }
     }
 }
@@ -134,23 +104,17 @@ impl std::fmt::Display for QueueError {
             QueueError::DuplicateAnswer { item, worker } => {
                 write!(f, "duplicate answer for item {item} by worker {worker}")
             }
-            QueueError::Disconnected => write!(f, "queue consumer was dropped"),
         }
     }
 }
 
 impl std::error::Error for QueueError {}
 
-/// Validates one arrival batch against the queue contract (module docs):
+/// Validates one arrival batch against the arrival contract (module docs):
 /// workers in range and not already arrived (in `arrived` or earlier in
 /// `workers` itself), every answer by a batch worker, indices inside the
 /// `num_items × num_workers × num_labels` universe, label sets non-empty,
 /// no `(item, worker)` pair answered twice.
-///
-/// This is *the* arrival contract, shared by every ingest path:
-/// [`QueueProducer::push`] enforces it per push, and the `cpa-serve` fleet
-/// enforces it on every `Ingest` op (so a batch arriving over a socket is
-/// checked by exactly the code that checks an in-process push).
 ///
 /// # Errors
 /// The first violation found, as a [`QueueError`] carrying the offending
@@ -213,151 +177,6 @@ pub fn validate_batch(
     Ok(())
 }
 
-/// The producing end of a live batch queue. Cloneable: multiple producer
-/// threads may feed one source; the worker-partition check is shared across
-/// clones. The source is exhausted once every clone has been dropped.
-#[derive(Debug, Clone)]
-pub struct QueueProducer {
-    tx: Sender<QueueRecord>,
-    seen_workers: Arc<Mutex<BTreeSet<usize>>>,
-    num_items: usize,
-    num_workers: usize,
-    num_labels: usize,
-}
-
-impl QueueProducer {
-    /// Pushes one arrival batch: the arriving workers plus their answers as
-    /// `(item, worker, labels)` triples. Validates the arrival contract
-    /// (module docs) before anything is enqueued.
-    ///
-    /// # Errors
-    /// Returns a [`QueueError`] and enqueues nothing if the batch violates
-    /// the contract or the consumer is gone.
-    pub fn push(
-        &self,
-        workers: Vec<usize>,
-        answers: Vec<(usize, usize, LabelSet)>,
-    ) -> Result<(), QueueError> {
-        // The stateless O(answers) checks run outside the lock (concurrent
-        // producers validate in parallel); an empty arrived set makes
-        // `validate_batch` check everything except cross-batch recurrence.
-        validate_batch(
-            self.num_items,
-            self.num_workers,
-            self.num_labels,
-            &BTreeSet::new(),
-            &workers,
-            &answers,
-        )?;
-        // Claim the workers and enqueue under one short lock, so concurrent
-        // producers cannot both claim the same worker and a failed send
-        // (consumer gone) claims nothing — a rejected push really does
-        // leave the queue untouched. The unbounded mpsc send never blocks,
-        // so holding the mutex across it is fine.
-        let mut seen = self.seen_workers.lock().expect("queue registry poisoned");
-        if let Some(&w) = workers.iter().find(|w| seen.contains(w)) {
-            return Err(QueueError::WorkerAlreadyArrived { worker: w });
-        }
-        self.tx
-            .send(QueueRecord {
-                workers: workers.clone(),
-                answers,
-            })
-            .map_err(|_| QueueError::Disconnected)?;
-        seen.extend(workers);
-        Ok(())
-    }
-
-    /// Convenience for replay-style feeding: pushes `workers` as one batch,
-    /// copying all of their answers out of `source`.
-    ///
-    /// # Errors
-    /// Same conditions as [`QueueProducer::push`].
-    ///
-    /// # Panics
-    /// Panics if `source`'s worker dimension is smaller than a pushed worker
-    /// index.
-    pub fn push_workers(&self, source: &AnswerMatrix, workers: &[usize]) -> Result<(), QueueError> {
-        let answers = workers
-            .iter()
-            .flat_map(|&w| {
-                source
-                    .worker_answers(w)
-                    .iter()
-                    .map(move |(item, labels)| (*item as usize, w, labels.clone()))
-            })
-            .collect();
-        self.push(workers.to_vec(), answers)
-    }
-}
-
-/// The consuming end: a [`BatchSource`] whose batches arrive live from
-/// [`QueueProducer`]s. See the module docs for the drain semantics.
-#[derive(Debug)]
-pub struct QueueSource {
-    rx: Receiver<QueueRecord>,
-    answers: AnswerMatrix,
-    next_index: usize,
-    exhausted: bool,
-}
-
-/// Creates a connected producer/source pair over a fixed
-/// `num_items × num_workers × num_labels` universe (a serving deployment
-/// declares its universe up front; pushes outside it are rejected).
-pub fn queue(
-    num_items: usize,
-    num_workers: usize,
-    num_labels: usize,
-) -> (QueueProducer, QueueSource) {
-    let (tx, rx) = channel();
-    (
-        QueueProducer {
-            tx,
-            seen_workers: Arc::new(Mutex::new(BTreeSet::new())),
-            num_items,
-            num_workers,
-            num_labels,
-        },
-        QueueSource {
-            rx,
-            answers: AnswerMatrix::new(num_items, num_workers, num_labels),
-            next_index: 1,
-            exhausted: false,
-        },
-    )
-}
-
-impl BatchSource for QueueSource {
-    fn answers(&self) -> &AnswerMatrix {
-        &self.answers
-    }
-
-    fn next_batch(&mut self) -> Option<WorkerBatch> {
-        if self.exhausted {
-            return None;
-        }
-        match self.rx.recv() {
-            Ok(record) => {
-                let mut items: Vec<usize> = record.answers.iter().map(|&(i, _, _)| i).collect();
-                items.sort_unstable();
-                items.dedup();
-                self.answers.extend_bulk(record.answers);
-                let batch = WorkerBatch {
-                    index: self.next_index,
-                    workers: record.workers,
-                    items,
-                };
-                self.next_index += 1;
-                Some(batch)
-            }
-            Err(_) => {
-                self.exhausted = true;
-                None
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,169 +185,87 @@ mod tests {
         LabelSet::from_labels(3, labels.iter().copied())
     }
 
-    #[test]
-    fn drains_pushed_batches_in_order_and_grows_the_universe() {
-        let (tx, mut rx) = queue(4, 4, 3);
-        tx.push(vec![1], vec![(0, 1, ls(&[0])), (2, 1, ls(&[1, 2]))])
-            .unwrap();
-        tx.push(vec![0, 2], vec![(0, 0, ls(&[1])), (0, 2, ls(&[1]))])
-            .unwrap();
-        drop(tx);
+    /// Validates against a 2-item × 3-worker × 3-label universe in which
+    /// worker 2 already arrived.
+    fn check(workers: &[usize], answers: &[(usize, usize, LabelSet)]) -> Result<(), QueueError> {
+        validate_batch(2, 3, 3, &BTreeSet::from([2]), workers, answers)
+    }
 
-        let b1 = rx.next_batch().expect("first batch");
+    #[test]
+    fn an_empty_batch_is_accepted() {
+        assert_eq!(check(&[], &[]), Ok(()));
         assert_eq!(
-            (b1.index, b1.workers.clone(), b1.items.clone()),
-            (1, vec![1], vec![0, 2])
+            check(&[0, 1], &[(0, 0, ls(&[0])), (1, 1, ls(&[1, 2]))]),
+            Ok(())
         );
-        assert_eq!(rx.answers().num_answers(), 2, "universe holds batch 1 only");
-
-        let b2 = rx.next_batch().expect("second batch");
-        assert_eq!(b2.index, 2);
-        assert_eq!(b2.workers, vec![0, 2]);
-        assert_eq!(b2.items, vec![0]);
-        assert_eq!(rx.answers().num_answers(), 4);
-        assert!(rx.answers().check_consistency());
-
-        assert!(rx.next_batch().is_none());
-        assert!(rx.next_batch().is_none(), "stays exhausted");
     }
 
     #[test]
-    fn rejects_duplicate_worker_across_pushes() {
-        let (tx, _rx) = queue(2, 2, 3);
-        tx.push(vec![0], vec![(0, 0, ls(&[0]))]).unwrap();
-        let err = tx.push(vec![0], vec![(1, 0, ls(&[1]))]).unwrap_err();
-        assert_eq!(err, QueueError::WorkerAlreadyArrived { worker: 0 });
+    fn a_worker_outside_the_universe_is_out_of_range() {
+        let err = check(&[3], &[]).unwrap_err();
+        assert!(
+            matches!(&err, QueueError::OutOfRange { worker: Some(3), message } if message.contains("worker 3")),
+            "{err:?}"
+        );
+        assert_eq!(err.worker(), Some(3));
     }
 
     #[test]
-    fn rejects_duplicate_worker_within_one_push() {
-        // The same contract violation as a cross-batch recurrence: the SVI
-        // update would run the duplicated worker's MAP step twice.
-        let (tx, _rx) = queue(2, 2, 3);
-        let err = tx.push(vec![1, 1], vec![(0, 1, ls(&[0]))]).unwrap_err();
+    fn a_worker_twice_in_one_batch_already_arrived() {
+        let err = check(&[1, 1], &[(0, 1, ls(&[0]))]).unwrap_err();
         assert_eq!(err, QueueError::WorkerAlreadyArrived { worker: 1 });
-        // The rejected batch claimed nothing.
-        tx.push(vec![1], vec![(0, 1, ls(&[0]))]).unwrap();
+        assert_eq!(err.worker(), Some(1));
     }
 
     #[test]
-    fn disconnected_push_claims_no_workers() {
-        let (tx, rx) = queue(2, 2, 3);
-        drop(rx);
-        assert_eq!(
-            tx.push(vec![0], vec![(0, 0, ls(&[0]))]).unwrap_err(),
-            QueueError::Disconnected
+    fn a_worker_in_arrived_already_arrived() {
+        let err = check(&[0, 2], &[(0, 2, ls(&[0]))]).unwrap_err();
+        assert_eq!(err, QueueError::WorkerAlreadyArrived { worker: 2 });
+        assert_eq!(err.worker(), Some(2));
+    }
+
+    #[test]
+    fn an_answer_by_a_worker_outside_the_batch_is_foreign() {
+        let err = check(&[0], &[(0, 0, ls(&[0])), (1, 1, ls(&[1]))]).unwrap_err();
+        assert_eq!(err, QueueError::ForeignWorker { worker: 1 });
+        assert_eq!(err.worker(), Some(1));
+    }
+
+    #[test]
+    fn an_item_outside_the_universe_is_out_of_range() {
+        let err = check(&[0], &[(2, 0, ls(&[0]))]).unwrap_err();
+        assert!(
+            matches!(&err, QueueError::OutOfRange { worker: Some(0), message } if message.contains("item 2")),
+            "{err:?}"
         );
-        // Worker 0 was not claimed by the failed push: a retry against a
-        // dead consumer keeps reporting Disconnected, never
-        // WorkerAlreadyArrived.
-        assert_eq!(
-            tx.push(vec![0], vec![(0, 0, ls(&[0]))]).unwrap_err(),
-            QueueError::Disconnected
+        assert_eq!(err.worker(), Some(0));
+    }
+
+    #[test]
+    fn a_label_set_of_another_universe_is_out_of_range() {
+        let err = check(&[1], &[(0, 1, LabelSet::from_labels(5, [0]))]).unwrap_err();
+        assert!(
+            matches!(&err, QueueError::OutOfRange { worker: Some(1), message } if message.contains("label universe 5")),
+            "{err:?}"
         );
+        assert_eq!(err.worker(), Some(1));
     }
 
     #[test]
-    fn rejects_foreign_worker_empty_labels_and_out_of_range() {
-        let (tx, _rx) = queue(2, 2, 3);
-        assert_eq!(
-            tx.push(vec![0], vec![(0, 1, ls(&[0]))]).unwrap_err(),
-            QueueError::ForeignWorker { worker: 1 }
-        );
-        assert_eq!(
-            tx.push(vec![0], vec![(0, 0, LabelSet::empty(3))])
-                .unwrap_err(),
-            QueueError::EmptyLabels { item: 0, worker: 0 }
-        );
-        assert!(matches!(
-            tx.push(vec![5], vec![]).unwrap_err(),
-            QueueError::OutOfRange { .. }
-        ));
-        assert!(matches!(
-            tx.push(vec![0], vec![(9, 0, ls(&[0]))]).unwrap_err(),
-            QueueError::OutOfRange { .. }
-        ));
-        // A mismatched label universe is out of range too.
-        assert!(matches!(
-            tx.push(vec![0], vec![(0, 0, LabelSet::from_labels(5, [0]))])
-                .unwrap_err(),
-            QueueError::OutOfRange { .. }
-        ));
+    fn an_empty_label_set_is_rejected() {
+        let err = check(&[0], &[(1, 0, LabelSet::empty(3))]).unwrap_err();
+        assert_eq!(err, QueueError::EmptyLabels { item: 1, worker: 0 });
+        assert_eq!(err.worker(), Some(0));
     }
 
     #[test]
-    fn rejected_push_leaves_queue_untouched() {
-        let (tx, mut rx) = queue(2, 3, 3);
-        tx.push(vec![0], vec![(0, 0, ls(&[0]))]).unwrap();
-        // Foreign worker → rejected; worker 1 must NOT be claimed.
-        assert!(tx.push(vec![1], vec![(0, 2, ls(&[0]))]).is_err());
-        tx.push(vec![1], vec![(1, 1, ls(&[1]))]).unwrap();
-        drop(tx);
-        assert_eq!(rx.next_batch().unwrap().workers, vec![0]);
-        assert_eq!(rx.next_batch().unwrap().workers, vec![1]);
-        assert!(rx.next_batch().is_none());
-    }
-
-    #[test]
-    fn empty_batch_is_allowed_and_drained() {
-        let (tx, mut rx) = queue(2, 2, 3);
-        tx.push(Vec::new(), Vec::new()).unwrap();
-        drop(tx);
-        let b = rx.next_batch().expect("empty batch still arrives");
-        assert!(b.workers.is_empty() && b.items.is_empty());
-        assert_eq!(b.index, 1);
-        assert!(rx.next_batch().is_none());
-    }
-
-    #[test]
-    fn cloned_producers_share_the_worker_partition() {
-        let (tx, mut rx) = queue(2, 4, 3);
-        let tx2 = tx.clone();
-        tx.push(vec![0], vec![(0, 0, ls(&[0]))]).unwrap();
-        assert_eq!(
-            tx2.push(vec![0], vec![(1, 0, ls(&[1]))]).unwrap_err(),
-            QueueError::WorkerAlreadyArrived { worker: 0 }
-        );
-        tx2.push(vec![1], vec![(1, 1, ls(&[1]))]).unwrap();
-        drop(tx);
-        drop(tx2);
-        assert_eq!(rx.next_batch().unwrap().index, 1);
-        assert_eq!(rx.next_batch().unwrap().index, 2);
-        assert!(rx.next_batch().is_none());
-    }
-
-    #[test]
-    fn push_workers_copies_from_a_source_matrix() {
-        let mut m = AnswerMatrix::new(3, 3, 3);
-        m.insert(0, 0, ls(&[0]));
-        m.insert(1, 0, ls(&[1, 2]));
-        m.insert(2, 2, ls(&[2]));
-        let (tx, mut rx) = queue(3, 3, 3);
-        tx.push_workers(&m, &[0, 2]).unwrap();
-        drop(tx);
-        let b = rx.next_batch().unwrap();
-        assert_eq!(b.workers, vec![0, 2]);
-        assert_eq!(b.items, vec![0, 1, 2]);
-        assert_eq!(rx.answers().num_answers(), 3);
-        assert_eq!(rx.answers().get(1, 0), m.get(1, 0));
-    }
-
-    #[test]
-    fn feeding_from_another_thread_works() {
-        let (tx, mut rx) = queue(2, 8, 3);
-        let handle = std::thread::spawn(move || {
-            for w in 0..8usize {
-                tx.push(vec![w], vec![(w % 2, w, ls(&[w % 3]))]).unwrap();
-            }
-        });
-        let mut batches = Vec::new();
-        while let Some(b) = rx.next_batch() {
-            batches.push(b);
-        }
-        handle.join().unwrap();
-        assert_eq!(batches.len(), 8);
-        assert!(batches.iter().enumerate().all(|(i, b)| b.index == i + 1));
-        assert_eq!(rx.answers().num_answers(), 8);
+    fn a_duplicate_item_worker_pair_is_rejected() {
+        let err = check(
+            &[0, 1],
+            &[(1, 0, ls(&[0])), (0, 1, ls(&[1])), (1, 0, ls(&[2]))],
+        )
+        .unwrap_err();
+        assert_eq!(err, QueueError::DuplicateAnswer { item: 1, worker: 0 });
+        assert_eq!(err.worker(), Some(0));
     }
 }

@@ -6,11 +6,10 @@
 //! shuffled batches; the Fig. 6 data-arrival experiment replays them in
 //! order, measuring accuracy after each arrival step.
 //!
-//! Engines do not consume [`WorkerStream`] directly: the pull-based
-//! [`BatchSource`] trait abstracts *where batches come from*, so the same
-//! inference loop can be driven by an in-memory shuffle ([`MemorySource`]),
-//! a recorded JSONL replay ([`crate::io::JsonlReplay`]), or any future
-//! network/queue-backed source.
+//! Engines do not consume [`WorkerStream`] directly: they pull batches from
+//! a [`MemorySource`] — a batch sequence over the answer universe it
+//! indexes into — through `cpa_core::engine::drive`, or (for a `cpa-serve`
+//! fleet) `Fleet::drive`, which lowers each batch into a `FleetOp::Ingest`.
 
 use crate::answers::AnswerMatrix;
 use crate::dataset::Dataset;
@@ -183,27 +182,11 @@ impl WorkerStream {
     }
 }
 
-/// A pull-based supply of worker batches over a fixed answer universe.
-///
-/// Implementations own (or borrow) the complete [`AnswerMatrix`] their
-/// batches index into; engines pull one batch at a time and copy that batch's
-/// answers out of [`BatchSource::answers`]. Sources are exhausted after
-/// [`BatchSource::next_batch`] returns `None`.
-pub trait BatchSource {
-    /// The full answer universe the batches index into.
-    fn answers(&self) -> &AnswerMatrix;
-
-    /// Pulls the next batch in arrival order, or `None` when exhausted.
-    fn next_batch(&mut self) -> Option<WorkerBatch>;
-
-    /// Total number of batches this source will yield, when known upfront.
-    fn len_hint(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// In-memory [`BatchSource`]: a borrowed answer matrix plus a precomputed
-/// batch sequence (today's shuffled-arrival experiments).
+/// A pull-based supply of worker batches: a borrowed answer matrix plus a
+/// precomputed batch sequence (the shuffled-arrival experiments). Engines
+/// pull one batch at a time and copy that batch's answers out of
+/// [`MemorySource::answers`]; the source is exhausted once
+/// [`MemorySource::next_batch`] returns `None`.
 #[derive(Debug, Clone)]
 pub struct MemorySource<'a> {
     answers: &'a AnswerMatrix,
@@ -256,21 +239,27 @@ impl<'a> MemorySource<'a> {
         };
         Self::new(answers, batches)
     }
-}
 
-impl BatchSource for MemorySource<'_> {
-    fn answers(&self) -> &AnswerMatrix {
+    /// The full answer universe the batches index into.
+    pub fn answers(&self) -> &AnswerMatrix {
         self.answers
     }
 
-    fn next_batch(&mut self) -> Option<WorkerBatch> {
+    /// Pulls the next batch in arrival order, or `None` when exhausted.
+    pub fn next_batch(&mut self) -> Option<WorkerBatch> {
         let batch = self.batches.get(self.cursor).cloned();
         self.cursor += batch.is_some() as usize;
         batch
     }
 
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.batches.len())
+    /// Total number of batches this source yields.
+    pub fn len(&self) -> usize {
+        self.batches.len()
+    }
+
+    /// True when the source yields no batches at all.
+    pub fn is_empty(&self) -> bool {
+        self.batches.is_empty()
     }
 }
 
@@ -360,7 +349,7 @@ mod tests {
         let expected = WorkerStream::new(&sim.dataset, 8, &mut rng).into_batches();
         let mut rng = seeded(5);
         let mut source = MemorySource::shuffled(&sim.dataset, 8, &mut rng);
-        assert_eq!(source.len_hint(), Some(expected.len()));
+        assert_eq!(source.len(), expected.len());
         for want in &expected {
             let got = source.next_batch().expect("same batch count");
             assert_eq!(got.index, want.index);
@@ -375,7 +364,7 @@ mod tests {
     fn single_batch_covers_all_active_workers() {
         let sim = simulate(&DatasetProfile::movie().scaled(0.05), 66);
         let mut source = MemorySource::single_batch(&sim.dataset.answers);
-        assert_eq!(source.len_hint(), Some(1));
+        assert_eq!(source.len(), 1);
         let b = source.next_batch().expect("one batch");
         assert_eq!(b.index, 1);
         for &w in &b.workers {

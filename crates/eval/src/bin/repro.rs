@@ -6,7 +6,7 @@
 //!       [--methods M,M,...] [--shards K] [--full]
 //! repro serve [--addr A] [--shards K] [--threads T] [--method M]
 //!             [--scale F] [--seed S] [--max-clients N] [--op-log PATH]
-//!             [--wire auto|json|binary] [--subscribe-reads]
+//!             [--subscribe-reads]
 //!
 //! EXPERIMENT: table1 fig1 table3 table4 fig3 fig4 fig5 fig6 table5
 //!             prequential sharded served fig7 fig8 fig9 fig10 all
@@ -30,10 +30,9 @@
 //! serves framed FleetOps until a client sends Shutdown. With `--op-log
 //! PATH`, every accepted mutation is recorded and written as a versioned
 //! JSONL op-log on shutdown — replaying it reproduces the run
-//! bit-identically.
-//! `--wire` picks the codec policy: `auto` (the default) grants the binary
-//! handshake to clients that request it and JSON to everyone else, `json`
-//! pins every connection to JSON, and `binary` requires the handshake.
+//! bit-identically. Each client picks its wire codec: the server grants the
+//! binary handshake to clients that request it and speaks JSON to everyone
+//! else.
 //! `--subscribe-reads` attaches a demo `SubscribeReads` client that holds a
 //! delta-maintained prediction cache and logs every pushed frame (epoch,
 //! rows, dirty shards, bytes) to stderr until the server winds down; it
@@ -153,7 +152,6 @@ fn serve_main(args: Vec<String>) {
     let mut seed = 7u64;
     let mut max_clients = 4usize;
     let mut op_log: Option<std::path::PathBuf> = None;
-    let mut wire_policy = cpa_transport::WirePolicy::Auto;
     let mut subscribe_reads = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -202,25 +200,12 @@ fn serve_main(args: Vec<String>) {
                         .unwrap_or_else(|| die("--op-log needs a path")),
                 );
             }
-            "--wire" => {
-                let spec = it
-                    .next()
-                    .unwrap_or_else(|| die("--wire needs auto|json|binary"));
-                wire_policy = match spec.as_str() {
-                    "auto" => cpa_transport::WirePolicy::Auto,
-                    "json" => cpa_transport::WirePolicy::JsonOnly,
-                    "binary" => cpa_transport::WirePolicy::BinaryOnly,
-                    other => die(&format!(
-                        "--wire must be auto, json, or binary, not {other}"
-                    )),
-                };
-            }
             "--subscribe-reads" => subscribe_reads = true,
             "--help" | "-h" => {
                 println!(
                     "repro serve [--addr A] [--shards K] [--threads T] [--method M] \
                      [--scale F] [--seed S] [--max-clients N] [--op-log PATH] \
-                     [--wire auto|json|binary] [--subscribe-reads]"
+                     [--subscribe-reads]"
                 );
                 return;
             }
@@ -244,7 +229,6 @@ fn serve_main(args: Vec<String>) {
     let config = cpa_transport::ServerConfig {
         max_clients,
         record_ops: op_log.is_some(),
-        wire_policy,
     };
     let server = cpa_transport::FleetServer::bind(&addr, config)
         .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
@@ -253,8 +237,8 @@ fn serve_main(args: Vec<String>) {
         .unwrap_or_else(|e| die(&format!("no local address: {e}")));
     eprintln!(
         "# fleet server on {bound} — {} × {i} items × {u} workers × {c} labels, \
-         K={shards} shards, {threads} threads, {max_clients} clients, \
-         wire {wire_policy:?} (send a Shutdown op to stop)",
+         K={shards} shards, {threads} threads, {max_clients} clients \
+         (send a Shutdown op to stop)",
         method.name()
     );
     // Demo subscriber: a SubscribeReads client holding a delta-maintained

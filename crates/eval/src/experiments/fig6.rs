@@ -2,8 +2,9 @@
 //! accuracy as data arrives in 10% steps of the worker population.
 //!
 //! Both engines are driven through `dyn Engine` from the same
-//! [`BatchSource`]: the online engine updates inside `ingest`, the offline
-//! one accumulates and is `refit` at each evaluation point.
+//! [`cpa_data::stream::MemorySource`]: the online engine updates inside
+//! `ingest`, the offline one accumulates and is `refit` at each evaluation
+//! point.
 
 use crate::metrics::{evaluate, PrMetrics};
 use crate::report::{f3, pm, Report};
@@ -11,7 +12,6 @@ use crate::runner::{EvalConfig, Method};
 use cpa_data::dataset::Dataset;
 use cpa_data::profile::DatasetProfile;
 use cpa_data::simulate::simulate;
-use cpa_data::stream::BatchSource;
 use cpa_math::stats::{mean, std_dev};
 
 /// The paper's forgetting rate (§5.3: best results for r ∈ [0.85, 0.9]).
@@ -31,7 +31,7 @@ fn arrival_curve(
     let mut online = crate::runner::engine_for(Method::CpaSvi, dataset, seed);
     let mut offline = crate::runner::engine_for(Method::Cpa, dataset, seed);
     let mut out = Vec::new();
-    let n_batches = source.len_hint().expect("in-memory source counts batches");
+    let n_batches = source.len();
     while let Some(batch) = source.next_batch() {
         online.ingest(source.answers(), &batch);
         offline.ingest(source.answers(), &batch);

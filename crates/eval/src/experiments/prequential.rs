@@ -21,7 +21,6 @@ use cpa_data::dataset::Dataset;
 use cpa_data::labels::LabelSet;
 use cpa_data::profile::DatasetProfile;
 use cpa_data::simulate::simulate;
-use cpa_data::stream::BatchSource;
 use cpa_math::stats::mean;
 
 /// Default roster: the voting baseline, the batch engine (refit each step)

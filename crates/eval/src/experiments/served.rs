@@ -2,8 +2,8 @@
 //! client vs the in-process fleet, asserting identical predictions.
 //!
 //! This is the serving-layer counterpart of the [`crate::experiments::sharded`]
-//! experiment one seam further out: instead of feeding the fleet through an
-//! in-process queue, the canonical arrival stream is framed over a real TCP
+//! experiment one seam further out: instead of driving the fleet in
+//! process, the canonical arrival stream is framed over a real TCP
 //! socket — one `Ingest` op per batch, a `Refit`, a `Predict` — and the
 //! merged predictions come back the same way. The experiment measures what
 //! the wire costs:
@@ -21,7 +21,6 @@ use cpa_data::dataset::Dataset;
 use cpa_data::labels::LabelSet;
 use cpa_data::profile::DatasetProfile;
 use cpa_data::simulate::simulate;
-use cpa_data::stream::BatchSource;
 use cpa_serve::{Fleet, FleetOp, FleetReply, ReadKind};
 use cpa_transport::{codec, FleetClient, FleetServer, ServerConfig, WireFormat};
 
@@ -154,7 +153,7 @@ pub fn run_loopback_with(fleet: Fleet, ops: Vec<FleetOp>, format: WireFormat) ->
         let t = std::time::Instant::now();
         client
             .ingest(workers, answers)
-            .expect("arrival batches satisfy the queue contract");
+            .expect("arrival batches satisfy the arrival contract");
         rtt_total += t.elapsed().as_secs_f64();
         ingests += 1;
     }

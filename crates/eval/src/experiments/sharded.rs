@@ -3,9 +3,10 @@
 //!
 //! This is the serving-layer counterpart of the paper's scalability study
 //! (Fig. 7): instead of more threads inside one engine, the fleet partitions
-//! the *item space* across K engines and drives them concurrently from one
-//! live [`cpa_data::queue::queue`] stream — the deployment shape of the
-//! north-star serving scenario. The experiment quantifies the trade:
+//! the *item space* across K engines and drives them concurrently from the
+//! canonical arrival stream ([`crate::runner::arrival_source`]), each batch
+//! entering as one `FleetOp::Ingest` through `Fleet::apply`, the fleet's
+//! one way in. The experiment quantifies the trade:
 //!
 //! - **throughput** — answers/sec through ingest + refit, K engines working
 //!   concurrently on `threads` OS threads;
@@ -22,9 +23,7 @@ use crate::runner::{arrival_source, EvalConfig, Method};
 use cpa_data::dataset::Dataset;
 use cpa_data::labels::LabelSet;
 use cpa_data::profile::DatasetProfile;
-use cpa_data::queue::queue;
 use cpa_data::simulate::simulate;
-use cpa_data::stream::BatchSource;
 use cpa_math::stats::mean;
 use cpa_serve::Fleet;
 
@@ -59,7 +58,7 @@ pub struct ShardedRun {
 }
 
 /// Drives a K-shard fleet of `method` engines over the canonical arrival
-/// stream of `dataset`, fed through a live queue, and times it.
+/// stream of `dataset` and times it.
 pub fn sharded_run(
     method: Method,
     dataset: &Dataset,
@@ -74,20 +73,11 @@ pub fn sharded_run(
     );
     let mut fleet = Fleet::new(shards, threads, i, u, c, |_| method.engine(i, u, c, seed));
 
-    // Replay the canonical arrival batches through a live queue — the same
-    // batch sequence every arrival-style experiment uses, but entering
-    // through the serving path.
-    let (producer, mut live) = queue(i, u, c);
+    // The same batch sequence every arrival-style experiment uses; each
+    // batch enters as one `Ingest` op.
     let mut arrivals = arrival_source(dataset, seed);
-    while let Some(batch) = arrivals.next_batch() {
-        producer
-            .push_workers(arrivals.answers(), &batch.workers)
-            .expect("arrival batches satisfy the queue contract");
-    }
-    drop(producer);
-
     let start = std::time::Instant::now();
-    fleet.drive(&mut live);
+    fleet.drive(&mut arrivals);
     let fit_secs = start.elapsed().as_secs_f64();
     let answers = fleet.num_answers_seen();
 
@@ -196,7 +186,7 @@ pub fn run(cfg: &EvalConfig) -> Report {
         "fleet threads = {threads}; shards never pool posterior state, so J(vs K=1) < 1 \
          measures what cross-item pooling is worth"
     ));
-    r.note("batches enter through a live queue (cpa_data::queue), the serving ingest path");
+    r.note("each arrival batch enters as one FleetOp::Ingest through Fleet::apply");
     r.note(
         "predict_ms = first predict after the fit (computes every shard's slab into the \
          epoch's read view); repredict_ms = repeat at the same epoch (reuses the slabs, \
@@ -223,7 +213,7 @@ mod tests {
 
     #[test]
     fn single_shard_run_matches_run_method_stream() {
-        // K=1 through the queue serving path must equal the plain engine
+        // K=1 through the fleet's ingest ops must equal the plain engine
         // driven over the same arrival batches.
         let dataset = simulate(&DatasetProfile::movie().scaled(0.05), 193).dataset;
         let seed = 193;
@@ -245,6 +235,6 @@ mod tests {
         let r = run(&cfg);
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.columns.len(), 10);
-        assert!(r.notes.iter().any(|n| n.contains("queue")));
+        assert!(r.notes.iter().any(|n| n.contains("FleetOp::Ingest")));
     }
 }

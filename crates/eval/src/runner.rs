@@ -5,7 +5,7 @@
 //! here: [`Method`] names it, [`Method::engine`] instantiates it as a
 //! [`DynEngine`] (a `Send` boxed engine a serving fleet can own), [`run_method`]
 //! drives it from a
-//! [`cpa_data::stream::BatchSource`], and [`restore_engine`] rebuilds any
+//! [`cpa_data::stream::MemorySource`], and [`restore_engine`] rebuilds any
 //! method from its JSON [`Checkpoint`].
 
 use crate::metrics::{evaluate, PrMetrics};

@@ -63,7 +63,7 @@ use cpa_core::truth::TruthEstimate;
 use cpa_data::answers::{AnswerMatrix, AnswerMatrixBuilder};
 use cpa_data::labels::LabelSet;
 use cpa_data::queue::{validate_batch, QueueError};
-use cpa_data::stream::{BatchSource, WorkerBatch};
+use cpa_data::stream::{MemorySource, WorkerBatch};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -99,11 +99,11 @@ pub struct Fleet {
     engines: Vec<DynEngine>,
     num_workers: usize,
     num_labels: usize,
-    /// Workers that already arrived, across every ingest path — the fleet's
-    /// copy of the queue arrival contract (`cpa_data::queue`).
+    /// Workers that already arrived — the state the arrival contract
+    /// (`cpa_data::queue::validate_batch`) checks each batch against.
     arrived: BTreeSet<usize>,
     /// Arrival batches absorbed so far; the next batch is numbered
-    /// `batches_ingested + 1`, matching the queue's 1-based numbering.
+    /// `batches_ingested + 1`, the 1-based numbering of `WorkerStream`.
     batches_ingested: usize,
     /// Engine-construction hook for [`FleetOp::Restore`]; `None` until
     /// installed by [`Fleet::with_restore_hook`] or [`Fleet::restore`].
@@ -237,7 +237,8 @@ impl Fleet {
     /// `snapshot`) lower into ops and call this, so a transport, an op-log
     /// replay, and in-process code all share one set of semantics:
     ///
-    /// - `Ingest` validates the batch against the queue arrival contract
+    /// - `Ingest` — the one way an arrival batch enters a fleet — validates
+    ///   the batch against the arrival contract
     ///   ([`cpa_data::queue::validate_batch`] — worker partition, in-range
     ///   indices, non-empty labels) **before anything is mutated**, then
     ///   shard-splits it and ingests it into exactly the shards the batch
@@ -392,7 +393,7 @@ impl Fleet {
         )?;
         let index = self.batches_ingested + 1;
         // The batch's item set is derived from its answers (sorted,
-        // deduplicated) — exactly how the live queue derives it.
+        // deduplicated) — exactly how `WorkerStream` derives it.
         let mut items: Vec<usize> = triples.iter().map(|&(item, _, _)| item).collect();
         items.sort_unstable();
         items.dedup();
@@ -513,15 +514,14 @@ impl Fleet {
     ///
     /// The batch is renumbered by the fleet's own arrival counter (1, 2, …
     /// in apply order) and its item set is derived from the batch workers'
-    /// answers, exactly as the live queue derives it — identical to
-    /// `batch.index`/`batch.items` for every batch a real
-    /// [`BatchSource`] produces.
+    /// answers — identical to `batch.index`/`batch.items` for every batch a
+    /// [`MemorySource`] yields from the start.
     ///
     /// # Panics
     /// Panics if `answers` does not have the fleet's global shape, or if
-    /// the batch violates the queue arrival contract (e.g. a worker that
-    /// already arrived) — push through [`cpa_data::queue`] or use
-    /// [`Fleet::apply`] directly to handle rejections without panicking.
+    /// the batch violates the arrival contract (e.g. a worker that already
+    /// arrived) — use [`Fleet::apply`] directly to handle rejections as
+    /// [`FleetReply::Error`] without panicking.
     pub fn ingest(&mut self, answers: &AnswerMatrix, batch: &WorkerBatch) {
         assert!(
             answers.num_items() == self.index.num_items()
@@ -552,9 +552,9 @@ impl Fleet {
 
     /// Pulls every batch out of `source`, lowers each into a
     /// [`FleetOp::Ingest`], and finishes with one [`FleetOp::Refit`] — the
-    /// fleet analogue of [`cpa_core::engine::drive`], now an op-stream
-    /// consumer over [`Fleet::apply`].
-    pub fn drive(&mut self, source: &mut dyn BatchSource) {
+    /// fleet analogue of [`cpa_core::engine::drive`], an op-stream consumer
+    /// over [`Fleet::apply`].
+    pub fn drive(&mut self, source: &mut MemorySource) {
         while let Some(batch) = source.next_batch() {
             self.ingest(source.answers(), &batch);
         }

@@ -44,36 +44,40 @@
 //!   observable lag — failover is replay-to-head then
 //!   [`replica::Follower::promote`].
 //!
-//! Live traffic enters through `cpa_data::queue::QueueSource` (any
-//! `BatchSource` works — recorded JSONL replays and in-memory shuffles
-//! drive a fleet the same way), or from another process through the
-//! `cpa-transport` TCP front-end, which frames ops over a socket and
-//! funnels them into [`fleet::Fleet::apply`].
+//! Live traffic enters one way: as [`protocol::FleetOp::Ingest`] ops
+//! through [`fleet::Fleet::apply`], which checks each batch against the
+//! arrival contract (`cpa_data::queue::validate_batch`). In process,
+//! [`fleet::Fleet::drive`] lowers every batch of a
+//! `cpa_data::stream::MemorySource` into one; from another process, the
+//! `cpa-transport` TCP front-end frames the same ops over a socket and
+//! funnels them into `apply`; a recorded op-log replays them through
+//! [`fleet::Fleet::replay`].
 //!
 //! ```
 //! use cpa_core::engine::DynEngine;
 //! use cpa_core::{BatchCpa, CpaConfig};
 //! use cpa_data::profile::DatasetProfile;
-//! use cpa_data::queue::queue;
 //! use cpa_data::simulate::simulate;
+//! use cpa_data::stream::MemorySource;
 //! use cpa_serve::fleet::Fleet;
+//! use cpa_serve::{FleetOp, FleetReply};
 //!
 //! let sim = simulate(&DatasetProfile::movie().scaled(0.04), 7);
 //! let d = &sim.dataset;
 //! let (i, u, c) = (d.num_items(), d.num_workers(), d.num_labels());
 //!
-//! // A 2-shard fleet of batch engines, fed over a live queue.
+//! // A 2-shard fleet of batch engines, fed every worker in one batch.
 //! let mut fleet = Fleet::new(2, 1, i, u, c, |_| {
 //!     Box::new(BatchCpa::new(CpaConfig::default().with_truncation(4, 5), i, u, c)) as DynEngine
 //! });
-//! let (producer, mut source) = queue(i, u, c);
-//! let workers: Vec<usize> = (0..u).filter(|&w| !d.answers.worker_answers(w).is_empty()).collect();
-//! producer.push_workers(&d.answers, &workers).unwrap();
-//! drop(producer);
-//! fleet.drive(&mut source);
-//!
+//! fleet.drive(&mut MemorySource::single_batch(&d.answers));
 //! let consensus = fleet.predict_all();
 //! assert_eq!(consensus.len(), i);
+//!
+//! // A batch that breaks the arrival contract is refused, fleet untouched.
+//! let again = FleetOp::Ingest { workers: vec![0, 0], answers: vec![] };
+//! assert!(matches!(fleet.apply(again), FleetReply::Error { .. }));
+//! assert_eq!(fleet.predict_all(), consensus);
 //! ```
 
 #![warn(missing_docs)]

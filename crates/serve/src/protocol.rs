@@ -11,8 +11,12 @@
 //! - a transport (`cpa-transport` frames ops over TCP),
 //! - a recorded **op-log** ([`ops_to_jsonl`] / [`ops_from_jsonl`], the
 //!   versioned JSONL format of `cpa_data::io`) replayed through
-//!   [`crate::Fleet::replay`],
-//! - or plain in-process code.
+//!   [`crate::Fleet::replay`] — the one recorded form of an arrival stream,
+//! - or plain in-process code ([`crate::Fleet::apply`], or
+//!   [`crate::Fleet::drive`] over a `cpa_data::stream::MemorySource`).
+//!
+//! [`FleetOp::Ingest`] is the only way an arrival batch enters a fleet, on
+//! every one of these paths.
 //!
 //! Because `apply` is deterministic (the PR 3/4 determinism story lifted to
 //! the serving tier), replaying a recorded op-log against a fresh fleet
@@ -25,11 +29,9 @@
 //! tagged enum encoding: unit variants as a JSON string (`"Refit"`), struct
 //! variants as a one-key object (`{"Ingest": {...}}`). An ingest batch
 //! carries the arriving workers plus their answers as
-//! `(item, worker, labels)` triples — the same shape
-//! [`cpa_data::queue::QueueProducer::push`] takes, validated by the same
-//! [`cpa_data::queue::validate_batch`] contract. The batch's item set is
-//! derived from the answers (as the live queue derives it), so an op is
-//! self-contained.
+//! `(item, worker, labels)` triples, checked by the arrival contract
+//! ([`cpa_data::queue::validate_batch`]). The batch's item set is derived
+//! from the answers, so an op is self-contained.
 
 use crate::fleet::FleetManifest;
 use crate::view::ReadKind;
@@ -45,8 +47,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum FleetOp {
     /// Ingest one arrival batch: the arriving workers plus their answers as
-    /// `(item, worker, labels)` triples, validated against the queue
-    /// arrival contract before anything is mutated.
+    /// `(item, worker, labels)` triples, validated against the arrival
+    /// contract before anything is mutated.
     Ingest {
         /// Workers arriving in this batch.
         workers: Vec<usize>,
@@ -124,8 +126,8 @@ pub enum FleetOp {
 impl FleetOp {
     /// Builds the ingest op equivalent to one [`WorkerBatch`] over its
     /// source universe: each batch worker's answers to the batch's items,
-    /// as self-contained triples. This is how the legacy
-    /// `Fleet::ingest(answers, batch)` surface lowers into the protocol.
+    /// as self-contained triples. This is how `Fleet::ingest(answers,
+    /// batch)` and `Fleet::drive` lower into the protocol.
     pub fn ingest_from(answers: &AnswerMatrix, batch: &WorkerBatch) -> FleetOp {
         let mut triples = Vec::new();
         for &w in &batch.workers {

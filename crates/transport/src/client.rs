@@ -193,7 +193,7 @@ impl FleetClient {
     }
 
     /// Ingests one arrival batch (workers plus `(item, worker, labels)`
-    /// triples — the queue push shape) and returns its arrival index.
+    /// triples — one `FleetOp::Ingest`) and returns its arrival index.
     ///
     /// # Errors
     /// [`TransportError::Rejected`] when the batch violates the arrival
@@ -223,9 +223,9 @@ impl FleetClient {
         }
     }
 
-    /// Convenience mirroring `QueueProducer::push_workers`: ingests
-    /// `workers` as one batch, copying all of their answers out of
-    /// `source`.
+    /// Ingests `workers` as one batch, copying all of their answers out of
+    /// `source` — the wire form of `cpa_serve::FleetOp::ingest_from` for a
+    /// batch of whole workers.
     ///
     /// # Errors
     /// As [`FleetClient::ingest`].

@@ -26,21 +26,19 @@
 //! - A binary-capable client opens with an 8-byte preamble:
 //!   [`WIRE_MAGIC`] (`"CPAW"`) then a big-endian `u32` requested version.
 //!   The server answers with an 8-byte ack — the magic echoed back, then
-//!   the **accepted** version (big-endian), where `0` means "refused, speak
-//!   JSON". On a non-zero ack both sides switch to binary frames; on a
+//!   the **accepted** version (big-endian): [`WIRE_VERSION`] when that is
+//!   what the client asked for, `0` ("refused, speak JSON") for any other
+//!   version. On a non-zero ack both sides switch to binary frames; on a
 //!   zero ack the client falls back to JSON on the same connection.
+//!
+//! So each client picks its own codec: one that wants JSON just never
+//! sends the preamble.
 //!
 //! The preamble cannot be mistaken for a JSON frame: read as a big-endian
 //! length, `"CPAW"` is `0x43504157` ≈ 1.1 GiB, far beyond the 64 MiB
 //! [`crate::frame::MAX_FRAME_BYTES`] cap, so a pre-negotiation server
 //! would have rejected it rather than misparse it — and a negotiating
 //! server can classify the first four bytes unambiguously.
-//!
-//! Servers apply a [`WirePolicy`]: [`WirePolicy::Auto`] accepts either
-//! codec (the default), [`WirePolicy::JsonOnly`] refuses the preamble so
-//! clients fall back, and [`WirePolicy::BinaryOnly`] rejects JSON clients
-//! with a framed JSON `Error` reply (readable by definition) and drops the
-//! connection.
 
 use crate::error::TransportError;
 use crate::frame;
@@ -80,21 +78,6 @@ impl WireFormat {
             _ => WireFormat::Json,
         }
     }
-}
-
-/// Which codecs a server will speak (per-server, applied per-connection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WirePolicy {
-    /// Accept the binary preamble, serve JSON to everyone else.
-    #[default]
-    Auto,
-    /// Refuse the binary preamble (ack version `0`); every connection
-    /// proceeds in JSON. The debugging switch.
-    JsonOnly,
-    /// Require the binary handshake; JSON clients get a framed JSON
-    /// `Error` reply explaining the requirement, then the connection is
-    /// dropped.
-    BinaryOnly,
 }
 
 /// The `cpa_serve::view::ReadView` row-cache slot this codec caches under:
@@ -337,21 +320,15 @@ pub(crate) enum Negotiated {
 }
 
 /// Server side of the handshake. Reads the first four bytes: the
-/// [`WIRE_MAGIC`] preamble is answered with an ack per `policy`; anything
+/// [`WIRE_MAGIC`] preamble is answered with an ack granting
+/// [`WIRE_VERSION`] if the client asked for it and `0` otherwise; anything
 /// else is a JSON frame's length prefix, whose frame is read here and
 /// handed back as `pending`.
 ///
-/// Under [`WirePolicy::BinaryOnly`] a JSON client is an error —
-/// [`TransportError::Rejected`] — and the caller is expected to send a
-/// framed JSON `Error` reply before dropping the connection (JSON, because
-/// that is the one codec the refused client certainly reads).
-///
 /// # Errors
-/// Framing errors as [`frame::read_frame_bytes_polling`], plus
-/// [`TransportError::Rejected`] under `BinaryOnly` with a JSON peer.
+/// Framing errors as [`frame::read_frame_bytes_polling`].
 pub(crate) fn server_handshake<S: Read + Write>(
     stream: &mut S,
-    policy: WirePolicy,
     shutdown: &AtomicBool,
 ) -> Result<Negotiated, TransportError> {
     let Some(first) = frame::read_prefix(stream, Some(shutdown))? else {
@@ -366,9 +343,9 @@ pub(crate) fn server_handshake<S: Read + Write>(
             version_bytes[2],
             version_bytes[3],
         ]);
-        // Accept only versions we implement, and only if policy allows
-        // binary at all; `0` in the ack tells the client to fall back.
-        let accepted = if policy != WirePolicy::JsonOnly && requested == WIRE_VERSION {
+        // Accept only the version we implement; `0` in the ack tells the
+        // client to fall back.
+        let accepted = if requested == WIRE_VERSION {
             requested
         } else {
             0
@@ -390,11 +367,6 @@ pub(crate) fn server_handshake<S: Read + Write>(
     }
 
     // Not the magic: these four bytes are a JSON frame's length prefix.
-    if policy == WirePolicy::BinaryOnly {
-        return Err(TransportError::Rejected(
-            "server requires the binary wire codec; reconnect with a CPAW handshake".to_string(),
-        ));
-    }
     let len = frame::check_frame_len(u32::from_be_bytes(first) as usize)?;
     let pending = frame::read_body(stream, len, "frame payload", Some(shutdown))?;
     Ok(Negotiated::Format {
@@ -414,6 +386,55 @@ mod tests {
         // plausible payload length.
         let as_len = u32::from_be_bytes(WIRE_MAGIC) as usize;
         assert!(as_len > frame::MAX_FRAME_BYTES);
+    }
+
+    /// An in-memory peer: reads drain `incoming`, writes land in `sent`.
+    struct Peer {
+        incoming: std::io::Cursor<Vec<u8>>,
+        sent: Vec<u8>,
+    }
+
+    impl Peer {
+        fn new(incoming: Vec<u8>) -> Self {
+            Peer {
+                incoming: std::io::Cursor::new(incoming),
+                sent: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for Peer {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.incoming.read(buf)
+        }
+    }
+
+    impl Write for Peer {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.sent.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A preamble or an ack: the magic, then `version`.
+    fn hello(version: u32) -> Vec<u8> {
+        [WIRE_MAGIC.as_slice(), &version.to_be_bytes()].concat()
+    }
+
+    #[test]
+    fn the_client_falls_back_to_json_on_ack_zero() {
+        let mut refused = Peer::new(hello(0));
+        assert_eq!(client_handshake(&mut refused).unwrap(), WireFormat::Json);
+        assert_eq!(
+            refused.sent,
+            hello(WIRE_VERSION),
+            "the preamble asks for WIRE_VERSION"
+        );
+        let mut granted = Peer::new(hello(WIRE_VERSION));
+        assert_eq!(client_handshake(&mut granted).unwrap(), WireFormat::Binary);
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! **cpa-transport** — the std-only TCP transport that makes a `cpa-serve`
 //! fleet a deployable service.
 //!
-//! PR 4 left the serving queue in-process; this crate closes the seam with
-//! plain `std::net` — no async runtime, no external protocol crates:
+//! It carries a fleet's `FleetOp`s to another process over plain `std::net`
+//! — no async runtime, no external protocol crates:
 //!
 //! - [`frame`] — the wire format: 4-byte big-endian length prefix + one
 //!   serialized `FleetOp`/`FleetReply` per frame, with truncation and
 //!   oversize hardening on both sides;
 //! - [`codec`] — the per-connection payload codec: UTF-8 JSON by default
 //!   (and as the universal fallback), or the `cpa_data::codec` binary
-//!   encoding after a `CPAW` preamble handshake — old JSON clients keep
-//!   working against binary-capable servers unchanged;
+//!   encoding after a `CPAW` preamble handshake — each client picks its
+//!   codec, and old JSON clients keep working unchanged;
 //! - [`FleetServer`] — accepts N concurrent clients on named handler
 //!   threads, funnels every **mutation** into one `Fleet::apply` driver
-//!   (one global op order, the queue arrival contract enforced per ingest),
+//!   (one global op order, the arrival contract enforced per ingest),
 //!   answers **view reads** handler-side by splicing per-item rows cached
 //!   in the fleet's epoch-published `cpa_serve::ReadView` (encoded once
 //!   per epoch, shard and codec; the driver is asked only to fill a cold
@@ -72,7 +72,7 @@ pub mod frame;
 pub mod server;
 
 pub use client::{ClientConfig, FleetClient, OpSubscription, ReadDelta, ReadSubscription};
-pub use codec::{WireFormat, WirePolicy, WIRE_FORMAT_ENV, WIRE_MAGIC, WIRE_VERSION};
+pub use codec::{WireFormat, WIRE_FORMAT_ENV, WIRE_MAGIC, WIRE_VERSION};
 pub use error::TransportError;
 pub use frame::MAX_FRAME_BYTES;
 pub use server::{FleetServer, ServeOutcome, ServerConfig};

@@ -10,9 +10,9 @@
 //!   that touches it: it drains a single mpsc op channel, fills read slabs
 //!   on request ([`cpa_serve::Fleet::fill`]), and runs every other op
 //!   through [`cpa_serve::Fleet::apply`] — so **mutations** from all
-//!   connections are applied in one global arrival order, with the full
-//!   queue arrival contract (worker partition, range checks) enforced per
-//!   `Ingest`;
+//!   connections are applied in one global arrival order, with the
+//!   arrival contract (`cpa_data::queue::validate_batch`: worker
+//!   partition, range checks) enforced per `Ingest`;
 //! - one **acceptor** (`cpa-acceptor`) polls the listener (non-blocking +
 //!   shutdown flag) and hands accepted sockets to the handlers;
 //! - `max_clients` **handlers** (`cpa-handler-0`, `cpa-handler-1`, …) each
@@ -111,12 +111,12 @@
 //! bit.
 //!
 //! Each accepted connection negotiates its codec before the first op (see
-//! [`crate::codec`]): a `CPAW` preamble requests binary frames, anything
-//! else is the first JSON frame. [`ServerConfig::wire_policy`] decides
-//! what the server will grant; connections with different codecs are
-//! served concurrently and see identical fleet semantics.
+//! [`crate::codec`]): a `CPAW` preamble requests binary frames, which the
+//! server grants for the version it implements; anything else is the first
+//! JSON frame. Connections with different codecs are served concurrently
+//! and see identical fleet semantics.
 
-use crate::codec::{self, Envelope, Negotiated, WireFormat, WirePolicy};
+use crate::codec::{self, Envelope, Negotiated, WireFormat};
 use crate::error::TransportError;
 use crate::frame::{read_frame_bytes_polling, write_frame_bytes};
 use cpa_serve::{
@@ -142,9 +142,6 @@ pub struct ServerConfig {
     /// Record every accepted mutation into [`ServeOutcome::op_log`] (and
     /// keep it as the backlog op subscriptions resume from).
     pub record_ops: bool,
-    /// Which wire codecs to grant ([`WirePolicy::Auto`] by default:
-    /// binary to clients that ask, JSON to everyone else).
-    pub wire_policy: WirePolicy,
 }
 
 impl Default for ServerConfig {
@@ -152,7 +149,6 @@ impl Default for ServerConfig {
         Self {
             max_clients: 4,
             record_ops: false,
-            wire_policy: WirePolicy::default(),
         }
     }
 }
@@ -418,7 +414,6 @@ impl FleetServer {
         let (conn_tx, conn_rx) = channel();
         let conn_rx = Mutex::new(conn_rx);
         let record = self.config.record_ops;
-        let policy = self.config.wire_policy;
         let views = fleet.view_handle();
         let listener = self.listener;
         let slots = SubscriptionSlots::new(handlers);
@@ -437,7 +432,7 @@ impl FleetServer {
                     thread::Builder::new()
                         .name(format!("cpa-handler-{n}"))
                         .spawn_scoped(scope, move || {
-                            run_handler(op_tx, policy, views, shutdown, conn_rx, slots)
+                            run_handler(op_tx, views, shutdown, conn_rx, slots)
                         })?;
                 }
                 Ok::<_, std::io::Error>(driver)
@@ -589,7 +584,6 @@ fn run_acceptor(listener: TcpListener, conn_tx: Sender<TcpStream>, shutdown: &At
 /// fleet's read-view handle.
 fn run_handler(
     op_tx: Sender<Submitted>,
-    policy: WirePolicy,
     views: ViewHandle,
     shutdown: &AtomicBool,
     conn_rx: &Mutex<Receiver<TcpStream>>,
@@ -608,7 +602,7 @@ fn run_handler(
         let Ok(stream) = received else { break };
         // Connection-level failures are that connection's
         // problem, never the server's.
-        let _ = handle_connection(stream, &op_tx, shutdown, policy, &views, slots);
+        let _ = handle_connection(stream, &op_tx, shutdown, &views, slots);
     }
 }
 
@@ -620,22 +614,14 @@ fn handle_connection(
     mut stream: TcpStream,
     op_tx: &Sender<Submitted>,
     shutdown: &AtomicBool,
-    policy: WirePolicy,
     views: &ViewHandle,
     slots: &SubscriptionSlots,
 ) -> Result<(), TransportError> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let (format, mut pending) = match codec::server_handshake(&mut stream, policy, shutdown) {
-        Ok(Negotiated::Closed) => return Ok(()),
-        Ok(Negotiated::Format { format, pending }) => (format, pending),
-        Err(TransportError::Rejected(message)) => {
-            // BinaryOnly refusing a JSON peer: the one codec that peer
-            // certainly reads is JSON, so the goodbye is a JSON reply.
-            let _ = send_reply(&mut stream, WireFormat::Json, &FleetReply::err(message));
-            return Ok(());
-        }
-        // Truncated preamble/first frame: nothing answerable remains.
-        Err(e) => return Err(e),
+    // A truncated preamble or first frame leaves nothing answerable.
+    let (format, mut pending) = match codec::server_handshake(&mut stream, shutdown)? {
+        Negotiated::Closed => return Ok(()),
+        Negotiated::Format { format, pending } => (format, pending),
     };
     // Spliced replies are built here, reusing one buffer per connection.
     let mut spliced = Vec::new();

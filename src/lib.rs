@@ -61,9 +61,9 @@ pub mod prelude {
     pub use cpa_data::labels::LabelSet;
     pub use cpa_data::perturb::{inject_dependencies, inject_spammers, sparsify};
     pub use cpa_data::profile::DatasetProfile;
-    pub use cpa_data::queue::{queue, validate_batch, QueueError, QueueProducer, QueueSource};
+    pub use cpa_data::queue::{validate_batch, QueueError};
     pub use cpa_data::simulate::{simulate, SimulatedDataset};
-    pub use cpa_data::stream::{shard_of, BatchSource, MemorySource, WorkerStream};
+    pub use cpa_data::stream::{shard_of, MemorySource, WorkerStream};
     pub use cpa_data::workers::{WorkerMix, WorkerType};
     pub use cpa_eval::metrics::{evaluate, PrMetrics};
     pub use cpa_serve::{Fleet, FleetError, FleetManifest, FleetOp, FleetReply, ShardRouter};

@@ -23,7 +23,7 @@ use cpa::data::dataset::Dataset;
 use cpa::data::labels::LabelSet;
 use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::simulate;
-use cpa::data::stream::{BatchSource, MemorySource, WorkerStream};
+use cpa::data::stream::{MemorySource, WorkerStream};
 use cpa::eval::runner::{
     cpa_config, engine_for, method_source, restore_engine, run_method, Method,
 };
@@ -212,35 +212,4 @@ fn golden_engine_predictions_match_direct_apis_on_table1() {
             method.name()
         );
     }
-}
-
-#[test]
-fn jsonl_replay_drives_engines_identically_to_memory() {
-    // Record a live stream to JSONL, replay it, and require the replayed
-    // engine to match the in-memory one bit-for-bit.
-    let sim = simulate(&DatasetProfile::movie().scaled(0.05), 2213);
-    let d = &sim.dataset;
-    let mut rng = seeded(2214);
-    let stream = WorkerStream::new(d, 9, &mut rng);
-    let jsonl = cpa::data::io::batches_to_jsonl(&d.answers, stream.batches());
-
-    let mut live = engine_for(Method::CpaSvi, d, 23);
-    let mut live_source = MemorySource::new(&d.answers, stream.into_batches());
-    drive(live.as_mut(), &mut live_source);
-
-    let mut replay = cpa::data::io::JsonlReplay::from_jsonl(
-        &jsonl,
-        d.num_items(),
-        d.num_workers(),
-        d.num_labels(),
-    )
-    .expect("replay parses");
-    let mut replayed = engine_for(Method::CpaSvi, d, 23);
-    drive(replayed.as_mut(), &mut replay);
-
-    assert_eq!(replayed.predict_all(), live.predict_all());
-    assert_eq!(
-        replayed.seen_answers().num_answers(),
-        live.seen_answers().num_answers()
-    );
 }

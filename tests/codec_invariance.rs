@@ -17,10 +17,9 @@
 //!
 //! Contract 4 (negotiation): a JSON-only client round-trips unchanged
 //! against a binary-capable server; mixed-codec concurrent clients see one
-//! fleet bit-identically; a JSON-pinned server declines the binary
-//! handshake and the client falls back on the same connection; a
-//! binary-only server refuses JSON clients with a readable framed error;
-//! and the 64 MiB frame cap is enforced identically under both codecs.
+//! fleet bit-identically; a client asking for a binary version the server
+//! does not implement falls back to JSON on the same connection; and the
+//! 64 MiB frame cap is enforced identically under both codecs.
 
 use cpa::core::engine::{drive, Checkpoint};
 use cpa::data::codec;
@@ -30,9 +29,7 @@ use cpa::data::stream::{MemorySource, WorkerBatch, WorkerStream};
 use cpa::eval::runner::{engine_for, restore_engine, Method};
 use cpa::math::rng::seeded;
 use cpa::serve::{ops_to_jsonl, Fleet, FleetManifest, FleetOp, FleetReply};
-use cpa::transport::{
-    FleetClient, FleetServer, ServerConfig, WireFormat, WirePolicy, MAX_FRAME_BYTES,
-};
+use cpa::transport::{FleetClient, FleetServer, ServerConfig, WireFormat, MAX_FRAME_BYTES};
 use std::io::{Read, Write};
 
 const SEED: u64 = 6106;
@@ -236,67 +233,6 @@ fn mixed_codec_clients_round_trip_one_fleet_bit_identically() {
     binary_client.shutdown().expect("shutdown over binary");
     let outcome = running.join().expect("server joins");
     assert_eq!(outcome.fleet.predict_all(), want);
-}
-
-#[test]
-fn json_pinned_server_declines_the_handshake_and_the_client_falls_back() {
-    let (d, batches) = fixture();
-    let (addr, running) = spawn_server(
-        fleet_for(&d, 2),
-        ServerConfig {
-            wire_policy: WirePolicy::JsonOnly,
-            ..ServerConfig::default()
-        },
-    );
-
-    // The binary request degrades to JSON on the same connection.
-    let mut client = FleetClient::connect_with(addr, WireFormat::Binary).expect("client connects");
-    assert_eq!(
-        client.wire_format(),
-        WireFormat::Json,
-        "JsonOnly server must decline the binary handshake"
-    );
-    let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, &batches[0]) else {
-        unreachable!()
-    };
-    client.ingest(workers, answers).expect("fallback ingest");
-    client.refit_all().expect("fallback refit");
-    assert_eq!(
-        client.predict_all().expect("fallback predict").len(),
-        d.num_items()
-    );
-    client.shutdown().expect("shutdown");
-    running.join().expect("server joins");
-}
-
-#[test]
-fn binary_only_server_refuses_json_clients_readably() {
-    let (d, _) = fixture();
-    let (addr, running) = spawn_server(
-        fleet_for(&d, 1),
-        ServerConfig {
-            wire_policy: WirePolicy::BinaryOnly,
-            ..ServerConfig::default()
-        },
-    );
-
-    // A JSON client's first op is answered with a framed JSON error
-    // (the one codec it certainly reads), then the connection drops.
-    let mut json_client =
-        FleetClient::connect_with(addr, WireFormat::Json).expect("TCP connect succeeds");
-    let err = json_client.refit_all().expect_err("JSON is refused");
-    assert!(
-        err.to_string().contains("binary"),
-        "refusal names the requirement: {err}"
-    );
-
-    // A handshaking client is served normally.
-    let mut binary_client =
-        FleetClient::connect_with(addr, WireFormat::Binary).expect("binary connects");
-    assert_eq!(binary_client.wire_format(), WireFormat::Binary);
-    binary_client.refit_all().expect("binary refit");
-    binary_client.shutdown().expect("shutdown");
-    running.join().expect("server joins");
 }
 
 #[test]

@@ -22,7 +22,7 @@ use cpa::core::engine::{drive, Checkpoint};
 use cpa::data::labels::LabelSet;
 use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::{simulate, SimulatedDataset};
-use cpa::data::stream::{BatchSource, MemorySource, WorkerBatch, WorkerStream};
+use cpa::data::stream::{MemorySource, WorkerBatch, WorkerStream};
 use cpa::eval::runner::{engine_for, restore_engine, Method};
 use cpa::math::rng::seeded;
 

@@ -84,7 +84,6 @@ fn concurrent_reads_are_epoch_consistent_and_replay_bit_identically() {
         ServerConfig {
             max_clients: READERS + 1,
             record_ops: true,
-            ..ServerConfig::default()
         },
     )
     .expect("bind");

@@ -1,18 +1,11 @@
 //! Property and boundary tests for the serving-layer data plumbing:
 //! `WorkerBatch::shard_split` (K=1 identity, exact partition of items,
 //! workers routed to every shard they answered into, empty shards
-//! preserved) and `QueueSource` drain semantics (FIFO order, growing
-//! universe, equivalence with the in-memory source all the way through an
-//! engine fit).
+//! preserved).
 
-use cpa::core::engine::drive;
 use cpa::data::dataset::Dataset;
 use cpa::data::labels::LabelSet;
-use cpa::data::profile::DatasetProfile;
-use cpa::data::queue::queue;
-use cpa::data::simulate::simulate;
-use cpa::data::stream::{shard_of, BatchSource, MemorySource, WorkerStream};
-use cpa::eval::runner::{engine_for, Method};
+use cpa::data::stream::{shard_of, WorkerStream};
 use cpa::math::rng::seeded;
 use proptest::prelude::*;
 use rand::Rng;
@@ -105,74 +98,4 @@ proptest! {
             prop_assert_eq!(&shards[0].items, &batch.items);
         }
     }
-
-    #[test]
-    fn queue_drain_equals_memory_source(
-        items in 2usize..12,
-        workers in 2usize..10,
-        labels in 2usize..5,
-        seed in 0u64..10_000,
-        batch_size in 1usize..5,
-    ) {
-        // Pushing a worker stream through the queue must yield the same
-        // batches (same workers, same items, same indices) and the same
-        // final universe as replaying it from memory.
-        let d = arbitrary_dataset(items, workers, labels, seed);
-        let mut rng = seeded(seed ^ 0xfeed);
-        let batches = WorkerStream::new(&d, batch_size, &mut rng).into_batches();
-        let (producer, mut live) = queue(items, workers, labels);
-        for b in &batches {
-            producer.push_workers(&d.answers, &b.workers).unwrap();
-        }
-        drop(producer);
-        let mut memory = MemorySource::new(&d.answers, batches);
-        while let Some(want) = memory.next_batch() {
-            let got = live.next_batch().expect("queue has the same batch count");
-            prop_assert_eq!(got.index, want.index);
-            prop_assert_eq!(got.workers, want.workers);
-            prop_assert_eq!(got.items, want.items);
-        }
-        prop_assert!(live.next_batch().is_none());
-        prop_assert!(live.next_batch().is_none(), "stays exhausted");
-        prop_assert_eq!(live.answers().num_answers(), d.answers.num_answers());
-        for a in d.answers.iter() {
-            prop_assert_eq!(
-                live.answers().get(a.item as usize, a.worker as usize),
-                Some(&a.labels)
-            );
-        }
-    }
-}
-
-#[test]
-fn queue_fed_engine_is_bit_identical_to_memory_fed() {
-    // The strongest drain-semantics statement: an incremental engine driven
-    // from the queue matches one driven from memory, bit for bit.
-    let sim = simulate(&DatasetProfile::movie().scaled(0.05), 6011);
-    let d = &sim.dataset;
-    let mut rng = seeded(6012);
-    let batches = WorkerStream::new(d, 7, &mut rng).into_batches();
-
-    let mut from_memory = engine_for(Method::CpaSvi, d, 13);
-    drive(
-        from_memory.as_mut(),
-        &mut MemorySource::new(&d.answers, batches.clone()),
-    );
-
-    let (producer, mut live) = queue(d.num_items(), d.num_workers(), d.num_labels());
-    for b in &batches {
-        producer.push_workers(&d.answers, &b.workers).unwrap();
-    }
-    drop(producer);
-    let mut from_queue = engine_for(Method::CpaSvi, d, 13);
-    drive(from_queue.as_mut(), &mut live);
-
-    assert_eq!(from_queue.predict_all(), from_memory.predict_all());
-    assert_eq!(
-        from_queue.seen_answers().num_answers(),
-        from_memory.seen_answers().num_answers()
-    );
-    let (a, b) = (from_queue.estimate(), from_memory.estimate());
-    assert_eq!(a.soft, b.soft);
-    assert_eq!(a.worker_weight, b.worker_weight);
 }

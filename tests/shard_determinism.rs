@@ -21,7 +21,7 @@
 use cpa::core::engine::drive;
 use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::simulate;
-use cpa::data::stream::{BatchSource, MemorySource, WorkerBatch, WorkerStream};
+use cpa::data::stream::{MemorySource, WorkerBatch, WorkerStream};
 use cpa::eval::runner::{engine_for, restore_engine, Method};
 use cpa::math::rng::seeded;
 use cpa::serve::{Fleet, FleetManifest, ShardRouter};

@@ -77,7 +77,6 @@ fn serve_two_clients(
         ServerConfig {
             max_clients: 2,
             record_ops: true,
-            ..ServerConfig::default()
         },
     )
     .expect("bind");
@@ -608,26 +607,69 @@ fn a_malformed_restore_frame_gets_an_error_and_the_server_keeps_serving() {
     use cpa::transport::frame::{read_frame_bytes, write_frame_bytes};
     let mut fleet = restorable_fleet();
     let (before, _) = predict(&mut fleet);
-    let manifest = with_defect(&fleet.snapshot(), |p| p.kappa = short_by_one(&p.kappa));
+    let short_kappa = with_defect(&fleet.snapshot(), |p| p.kappa = short_by_one(&p.kappa));
+    let frames = [
+        (
+            codec::encode(
+                WireFormat::Json,
+                &FleetOp::Restore {
+                    manifest: short_kappa,
+                },
+            )
+            .expect("encode"),
+            "κ holds",
+        ),
+        // Accepted, this `seen` would panic the driver's ownership scan.
+        (
+            cut_item_offsets(&fleet.snapshot()),
+            "invariant 1: item_offsets",
+        ),
+    ];
     let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr().expect("addr");
     let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
 
-    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-    let frame = codec::encode(WireFormat::Json, &FleetOp::Restore { manifest }).expect("encode");
-    write_frame_bytes(&mut raw, &frame).expect("restore frame");
-    let reply = read_frame_bytes(&mut raw)
-        .expect("reply")
-        .expect("framed error comes back");
-    match codec::decode::<FleetReply>(WireFormat::Json, &reply).expect("reply decodes") {
-        FleetReply::Error { message } => assert!(message.contains("κ holds"), "{message}"),
-        other => panic!("expected an Error frame, got {}", other.name()),
-    }
+    for (frame, defect) in frames {
+        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+        write_frame_bytes(&mut raw, &frame).expect("restore frame");
+        let reply = read_frame_bytes(&mut raw)
+            .expect("reply")
+            .expect("framed error comes back");
+        match codec::decode::<FleetReply>(WireFormat::Json, &reply).expect("reply decodes") {
+            FleetReply::Error { message } => assert!(message.contains(defect), "{message}"),
+            other => panic!("expected an Error frame, got {}", other.name()),
+        }
 
+        let mut client = FleetClient::connect(addr).expect("healthy connect");
+        assert_eq!(client.predict_all().expect("healthy read"), before);
+    }
     let mut client = FleetClient::connect(addr).expect("healthy connect");
-    assert_eq!(client.predict_all().expect("healthy read"), before);
     client.shutdown().expect("shutdown");
     running.join().expect("server joins");
+}
+
+/// The raw JSON `Restore` frame of `manifest`, with its first shard's
+/// `seen.item_offsets` cut to `[0]`: a CSR matrix whose item rows cannot
+/// be sliced.
+fn cut_item_offsets(manifest: &FleetManifest) -> Vec<u8> {
+    fn field<'v>(value: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
+        let serde::Value::Object(entries) = value else {
+            panic!("`{key}`'s parent is not an object")
+        };
+        &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+    let mut op = serde::Serialize::serialize(&FleetOp::Restore {
+        manifest: manifest.clone(),
+    });
+    let serde::Value::Array(shards) = field(field(field(&mut op, "Restore"), "manifest"), "shards")
+    else {
+        panic!("`shards` is not an array")
+    };
+    *field(field(&mut shards[0], "seen"), "item_offsets") =
+        serde::Value::Array(vec![serde::Value::UInt(0)]);
+    serde_json::to_string(&op)
+        .expect("frame encodes")
+        .into_bytes()
 }
 
 /// Per `ingest`: the name of the thread it ran on, and how many distinct
