@@ -1,6 +1,7 @@
 //! Bench for Fig. 7 — the scalability comparison: offline VI vs incremental
-//! SVI (serial and 4 threads) vs the baselines on the synthetic crowd, at
-//! bench scale (the full 100K–1M-answer sweep lives in `repro fig7`).
+//! SVI (1 and 4 threads, each installed around the run it times) vs the
+//! baselines on the synthetic crowd, at bench scale (the full
+//! 100K–1M-answer sweep lives in `repro fig7`).
 
 use cpa_baselines::ds::DawidSkene;
 use cpa_baselines::mv::MajorityVoting;
@@ -26,11 +27,15 @@ fn bench(c: &mut Criterion) {
             black_box(fitted.predict_all(&d.answers))
         })
     });
-    for threads in [0usize, 4] {
-        g.bench_function(if threads == 0 { "online" } else { "online-4" }, |b| {
+    for (name, threads) in [("online", 1), ("online-4", 4)] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool builds");
+        g.bench_function(name, |b| {
             b.iter(|| {
                 let mut online = OnlineCpa::new(
-                    bench_cpa_config(12).with_threads(threads),
+                    bench_cpa_config(12),
                     d.num_items(),
                     d.num_workers(),
                     d.num_labels(),
@@ -38,10 +43,12 @@ fn bench(c: &mut Criterion) {
                 );
                 let mut rng = seeded(13);
                 let stream = WorkerStream::new(d, 100, &mut rng);
-                for batch in stream.iter() {
-                    online.partial_fit(&d.answers, batch);
-                }
-                black_box(online.predict_all())
+                pool.install(|| {
+                    for batch in stream.iter() {
+                        online.partial_fit(&d.answers, batch);
+                    }
+                    black_box(online.predict_all())
+                })
             })
         });
     }

@@ -60,12 +60,14 @@ fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
 }
 
 /// One full online fit: stream every worker batch through `partial_fit`,
-/// then predict, as in the Fig. 7 online series.
+/// then predict, as in the Fig. 7 online series, with a `threads`-wide pool
+/// installed around the timed stream.
 fn fit_stream(dataset: &Dataset, threads: usize) -> f64 {
-    let cfg = CpaConfig::default()
-        .with_truncation(12, 16)
-        .with_seed(SEED)
-        .with_threads(threads);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool builds");
+    let cfg = CpaConfig::default().with_truncation(12, 16).with_seed(SEED);
     let mut online = OnlineCpa::new(
         cfg,
         dataset.num_items(),
@@ -76,10 +78,12 @@ fn fit_stream(dataset: &Dataset, threads: usize) -> f64 {
     let mut rng = seeded(SEED + 1);
     let stream = WorkerStream::new(dataset, BATCH_WORKERS, &mut rng);
     let start = Instant::now();
-    for batch in stream.iter() {
-        online.partial_fit(&dataset.answers, batch);
-    }
-    black_box(online.predict_all());
+    pool.install(|| {
+        for batch in stream.iter() {
+            online.partial_fit(&dataset.answers, batch);
+        }
+        black_box(online.predict_all());
+    });
     start.elapsed().as_secs_f64()
 }
 

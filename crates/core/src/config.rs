@@ -47,21 +47,6 @@ pub struct CpaConfig {
     /// deviation #2). Disable only for diagnostics (e.g. exact ELBO ascent
     /// tests); without it the unsupervised model cannot learn `φ`.
     pub estimate_truth: bool,
-    /// Worker threads for the parallelised engines (0 or 1 = serial). The
-    /// default reads the `CPA_TEST_THREADS` environment variable (falling
-    /// back to serial), which is how CI drives every default-configured test
-    /// through the threaded code paths. Thread count never changes results:
-    /// the parallel schedules are bit-deterministic.
-    pub threads: usize,
-}
-
-/// Default thread count: `CPA_TEST_THREADS` when set to a parseable number,
-/// serial otherwise.
-fn default_threads() -> usize {
-    std::env::var("CPA_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 impl Default for CpaConfig {
@@ -78,7 +63,6 @@ impl Default for CpaConfig {
             seed: 0,
             prediction: PredictionMode::SizeAdaptive,
             estimate_truth: true,
-            threads: default_threads(),
         }
     }
 }
@@ -136,12 +120,6 @@ impl CpaConfig {
         self.max_clusters = max_clusters;
         self
     }
-
-    /// Builder-style thread-count override.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -155,14 +133,10 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = CpaConfig::default()
-            .with_seed(9)
-            .with_truncation(5, 7)
-            .with_threads(4);
+        let c = CpaConfig::default().with_seed(9).with_truncation(5, 7);
         assert_eq!(c.seed, 9);
         assert_eq!(c.max_communities, 5);
         assert_eq!(c.max_clusters, 7);
-        assert_eq!(c.threads, 4);
         c.validate();
     }
 

@@ -55,10 +55,10 @@
 
 use crate::config::CpaConfig;
 use crate::gibbs::{fit_gibbs, GibbsSchedule};
-use crate::inference::{build_pool, run_batch_vi};
+use crate::inference::run_batch_vi;
 use crate::params::VariationalParams;
-use crate::predict;
-use crate::truth::{estimate_truth_with, KnownLabels, TruthEstimate};
+use crate::predict::Predictor;
+use crate::truth::{estimate_truth, KnownLabels, TruthEstimate};
 use cpa_data::answers::AnswerMatrix;
 use cpa_data::labels::LabelSet;
 use cpa_data::stream::{MemorySource, WorkerBatch};
@@ -70,8 +70,11 @@ use serde::{Deserialize, Serialize};
 ///
 /// History: v1 — initial format; v2 — [`EngineState::Baseline`] gained the
 /// explicit `method` tag so a retagged baseline checkpoint cannot restore as
-/// a different aggregator whose configuration happens to decode.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// a different aggregator whose configuration happens to decode; v3 — the
+/// [`CpaConfig`] inside the CPA payloads lost its `threads` field: the
+/// parallel width belongs to the caller, so a checkpoint carries no thread
+/// count and a restore sizes no pool.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A crowd-consensus inference engine: ingests worker batches, maintains (or
 /// recomputes) a posterior, predicts consensus label sets, and snapshots to a
@@ -210,7 +213,7 @@ pub enum EngineState {
     /// [`crate::OnlineCpa`]: the full variational posterior plus the batch
     /// counter the learning-rate schedule depends on.
     OnlineCpa {
-        /// Model configuration (includes the seed and thread count).
+        /// Model configuration (includes the seed).
         cfg: CpaConfig,
         /// The schedule's forgetting rate `r`.
         forgetting_rate: f64,
@@ -394,12 +397,6 @@ impl BatchCpa {
     pub fn params(&self) -> Option<&VariationalParams> {
         self.fitted.as_ref().map(|(p, _)| p)
     }
-
-    fn restore_fit(&mut self, params: VariationalParams) {
-        let pool = build_pool(self.cfg.threads);
-        let estimate = estimate_truth_with(&params, &self.seen, &self.known, pool.as_ref());
-        self.fitted = Some((params, estimate));
-    }
 }
 
 impl Engine for BatchCpa {
@@ -428,7 +425,7 @@ impl Engine for BatchCpa {
     fn predict_all(&self) -> Vec<LabelSet> {
         match &self.fitted {
             Some((params, estimate)) => {
-                predict::predict_all(&self.cfg, params, estimate, &self.seen)
+                Predictor::new(params, estimate, self.cfg.prediction).predict_all(&self.seen)
             }
             None => vec![LabelSet::empty(self.seen.num_labels()); self.seen.num_items()],
         }
@@ -484,7 +481,8 @@ impl Engine for BatchCpa {
             // The estimate is a deterministic function of the final
             // parameters and the seen answers, so recomputing it here equals
             // the estimate captured at snapshot time.
-            engine.restore_fit(params);
+            let estimate = estimate_truth(&params, &engine.seen, &engine.known);
+            engine.fitted = Some((params, estimate));
         }
         Ok(engine)
     }
@@ -552,7 +550,7 @@ impl Engine for GibbsCpa {
     fn predict_all(&self) -> Vec<LabelSet> {
         match &self.fitted {
             Some((params, estimate)) => {
-                predict::predict_all(&self.cfg, params, estimate, &self.seen)
+                Predictor::new(params, estimate, self.cfg.prediction).predict_all(&self.seen)
             }
             None => vec![LabelSet::empty(self.seen.num_labels()); self.seen.num_items()],
         }
@@ -610,8 +608,7 @@ impl Engine for GibbsCpa {
         if let Some(params) = fitted {
             check_params(&params, &engine.cfg, &engine.seen)?;
             let known = KnownLabels::none(engine.seen.num_items());
-            let pool = build_pool(engine.cfg.threads);
-            let estimate = estimate_truth_with(&params, &engine.seen, &known, pool.as_ref());
+            let estimate = estimate_truth(&params, &engine.seen, &known);
             engine.fitted = Some((params, estimate));
         }
         Ok(engine)

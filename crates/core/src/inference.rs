@@ -7,13 +7,13 @@
 //! `ζ` (Eqs. 6–7), iterated to convergence (largest parameter change below
 //! `tol`, as in §5.3).
 //!
-//! The independent per-worker and per-item local updates are parallelised
-//! over a rayon pool when `config.threads > 1`, which is the intra-iteration
-//! parallelism the paper notes below Algorithm 1.
+//! The independent per-worker and per-item local updates run in parallel at
+//! the width the caller installs, the intra-iteration parallelism the paper
+//! notes below Algorithm 1; every width gives bit-identical rows.
 
 use crate::config::CpaConfig;
 use crate::params::VariationalParams;
-use crate::truth::{estimate_truth_with, update_zeta, KnownLabels, TruthEstimate};
+use crate::truth::{estimate_truth, update_zeta, KnownLabels, TruthEstimate};
 use cpa_data::answers::AnswerMatrix;
 use cpa_math::matrix::Mat;
 use cpa_math::simplex::log_normalize;
@@ -58,10 +58,9 @@ pub fn run_batch_vi(
         "known-label vector mismatch"
     );
 
-    let pool = build_pool(cfg.threads);
     let mut delta_trace = Vec::with_capacity(cfg.max_iters);
     let mut converged = false;
-    let mut estimate = estimate_truth_with(params, answers, known, pool.as_ref());
+    let mut estimate = estimate_truth(params, answers, known);
     let mut iterations = 0;
 
     for _ in 0..cfg.max_iters {
@@ -75,22 +74,14 @@ pub fn run_batch_vi(
         let eln_phi_truth = params.expected_log_phi_truth();
 
         // --- Local updates (Eq. 2 / Eq. 3) -------------------------------
-        match &pool {
-            Some(pool) => pool.install(|| {
-                update_kappa_parallel(params, answers, &eln_psi, &eln_pi);
-                update_phi_parallel(params, answers, &eln_psi, &eln_tau, &eln_phi_truth, known);
-            }),
-            None => {
-                update_kappa_serial(params, answers, &eln_psi, &eln_pi);
-                update_phi_serial(params, answers, &eln_psi, &eln_tau, &eln_phi_truth, known);
-            }
-        }
+        update_kappa(params, answers, &eln_psi, &eln_pi);
+        update_phi(params, answers, &eln_psi, &eln_tau, &eln_phi_truth, known);
 
         // --- Global updates (Eqs. 4–7) ------------------------------------
         update_sticks(params, cfg);
         update_lambda(params, answers, cfg.gamma0);
         if cfg.estimate_truth || !known.is_empty() {
-            estimate = estimate_truth_with(params, answers, known, pool.as_ref());
+            estimate = estimate_truth(params, answers, known);
             update_zeta(params, &estimate, cfg.eta0);
         }
 
@@ -117,20 +108,6 @@ pub fn run_batch_vi(
         },
         estimate,
     )
-}
-
-/// Builds the rayon pool for `threads > 1`, `None` for serial execution.
-pub(crate) fn build_pool(threads: usize) -> Option<rayon::ThreadPool> {
-    if threads > 1 {
-        Some(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("rayon pool"),
-        )
-    } else {
-        None
-    }
 }
 
 /// The log-evidence contribution `Σ_{c∈x} E[ln ψ_tmc]` of one answer for one
@@ -202,20 +179,8 @@ fn phi_logits(
     logits
 }
 
-fn update_kappa_serial(
-    params: &mut VariationalParams,
-    answers: &AnswerMatrix,
-    eln_psi: &Mat,
-    eln_pi: &[f64],
-) {
-    for u in 0..params.num_workers {
-        let mut logits = kappa_logits(params, answers, eln_psi, eln_pi, u);
-        log_normalize(&mut logits);
-        params.kappa.row_mut(u).copy_from_slice(&logits);
-    }
-}
-
-fn update_kappa_parallel(
+/// Eq. 2 for every worker, one parallel task per worker.
+fn update_kappa(
     params: &mut VariationalParams,
     answers: &AnswerMatrix,
     eln_psi: &Mat,
@@ -234,22 +199,8 @@ fn update_kappa_parallel(
     }
 }
 
-fn update_phi_serial(
-    params: &mut VariationalParams,
-    answers: &AnswerMatrix,
-    eln_psi: &Mat,
-    eln_tau: &[f64],
-    eln_phi_truth: &Mat,
-    known: &KnownLabels,
-) {
-    for i in 0..params.num_items {
-        let mut logits = phi_logits(params, answers, eln_psi, eln_tau, eln_phi_truth, known, i);
-        log_normalize(&mut logits);
-        params.phi.row_mut(i).copy_from_slice(&logits);
-    }
-}
-
-fn update_phi_parallel(
+/// The corrected Eq. 3 for every item, one parallel task per item.
+fn update_phi(
     params: &mut VariationalParams,
     answers: &AnswerMatrix,
     eln_psi: &Mat,
@@ -333,10 +284,10 @@ mod tests {
     use cpa_math::rng::seeded;
     use cpa_math::simplex::is_probability_vector;
 
+    /// Fits the fixture with `threads` installed around the run.
     fn fit_small(threads: usize, seed: u64) -> (VariationalParams, FitReport, TruthEstimate) {
         let sim = simulate(&DatasetProfile::movie().scaled(0.06), seed);
         let cfg = CpaConfig {
-            threads,
             max_iters: 25,
             ..CpaConfig::default()
         }
@@ -351,13 +302,15 @@ mod tests {
             &mut rng,
         );
         let known = KnownLabels::none(sim.dataset.num_items());
-        let (report, est) = run_batch_vi(&cfg, &mut params, &sim.dataset.answers, &known);
+        let (report, est) = crate::at_width(threads, || {
+            run_batch_vi(&cfg, &mut params, &sim.dataset.answers, &known)
+        });
         (params, report, est)
     }
 
     #[test]
     fn vi_converges_and_rows_stay_simplex() {
-        let (params, report, _) = fit_small(0, 3);
+        let (params, report, _) = fit_small(1, 3);
         assert!(report.iterations >= 2);
         assert!(
             report.converged || report.final_delta < 0.05,
@@ -374,7 +327,7 @@ mod tests {
 
     #[test]
     fn delta_trace_trends_down() {
-        let (_, report, _) = fit_small(0, 4);
+        let (_, report, _) = fit_small(1, 4);
         let first = report.delta_trace[0];
         let last = report.final_delta;
         assert!(last < first, "no progress: {:?}", report.delta_trace);
@@ -382,13 +335,13 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let (p1, _, _) = fit_small(0, 5);
+        let (p1, _, _) = fit_small(1, 5);
         let (p4, _, _) = fit_small(4, 5);
-        // Same seed, same updates — identical up to float reduction order
-        // (per-row computations are deterministic, reductions are per-row).
-        assert!(p1.kappa.max_abs_diff(&p4.kappa) < 1e-9);
-        assert!(p1.phi.max_abs_diff(&p4.phi) < 1e-9);
-        assert!(p1.lambda.max_abs_diff(&p4.lambda) < 1e-9);
+        // Same seed, same updates: every row is computed on its own and
+        // every reduction runs in a fixed order, so the widths agree exactly.
+        assert_eq!(p1.kappa.max_abs_diff(&p4.kappa), 0.0);
+        assert_eq!(p1.phi.max_abs_diff(&p4.phi), 0.0);
+        assert_eq!(p1.lambda.max_abs_diff(&p4.lambda), 0.0);
     }
 
     #[test]

@@ -58,3 +58,14 @@ pub use config::{CpaConfig, PredictionMode};
 pub use engine::{BatchCpa, Checkpoint, CheckpointError, Engine, GibbsCpa};
 pub use model::{CpaModel, FittedCpa};
 pub use svi::OnlineCpa;
+
+#[cfg(test)]
+/// Runs `op` with a `threads`-wide pool installed around it, as a caller
+/// that pins the width does; the unit tests' width-invariance checks.
+pub(crate) fn at_width<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool builds")
+        .install(op)
+}

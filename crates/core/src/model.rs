@@ -70,7 +70,8 @@ pub struct FittedCpa {
 impl FittedCpa {
     /// Predicts the consensus label set for every item (paper §3.4).
     pub fn predict_all(&self, answers: &AnswerMatrix) -> Vec<LabelSet> {
-        predict::predict_all(&self.cfg, &self.params, &self.estimate, answers)
+        predict::Predictor::new(&self.params, &self.estimate, self.cfg.prediction)
+            .predict_all(answers)
     }
 
     /// Predicts one item's consensus label set.

@@ -9,9 +9,9 @@
 //! gradients and applies the global updates. The partition key is the worker,
 //! exactly as the paper prescribes.
 //!
-//! Parallelism is realised with a `rayon` pool whose size is
-//! `CpaConfig::threads`, so the Fig. 7 series (online / online-4 / online-16)
-//! is a single parameter away. Each worker's transient state — the flattened
+//! The MAP phase runs at the width the caller installs around the step (see
+//! `shims/README.md`), so the Fig. 7 series (online / online-4 / online-16)
+//! is one installed pool away. Each worker's transient state — the flattened
 //! per-answer score table and the κ working vector — lives in a
 //! [`WorkerScratch`] drawn from a [`ScratchPool`], so the steady-state MAP
 //! phase performs no allocation beyond its emitted messages: threads scan the
@@ -96,28 +96,21 @@ impl ScratchPool {
     }
 }
 
-/// Runs the MAP phase for a batch of workers, serially or on `pool`, with
+/// Runs the MAP phase for a batch of workers at the installed width, with
 /// per-thread scratch buffers drawn from `scratch`. Message order follows
-/// `workers` in both modes, so the downstream REDUCE is deterministic.
+/// `workers` at every width, so the downstream REDUCE is deterministic.
 pub fn map_phase(
     params: &VariationalParams,
     answers: &AnswerMatrix,
     eln_psi: &Mat,
     eln_pi: &[f64],
     workers: &[usize],
-    pool: Option<&rayon::ThreadPool>,
     scratch: &ScratchPool,
 ) -> Vec<WorkerMessage> {
-    let run = |u: usize, s: &mut WorkerScratch| map_worker(params, answers, eln_psi, eln_pi, u, s);
-    match pool {
-        Some(pool) => pool.install(|| {
-            workers
-                .par_iter()
-                .map(|&u| scratch.with(|s| run(u, s)))
-                .collect()
-        }),
-        None => scratch.with(|s| workers.iter().map(|&u| run(u, s)).collect()),
-    }
+    workers
+        .par_iter()
+        .map(|&u| scratch.with(|s| map_worker(params, answers, eln_psi, eln_pi, u, s)))
+        .collect()
 }
 
 /// The MAP computation for a single worker: Eq. 2 for `κ_u`, then the
@@ -259,28 +252,18 @@ mod tests {
         let eln_pi = params.rho.expected_log_weights();
         let workers: Vec<usize> = (0..params.num_workers).collect();
         let scratch = ScratchPool::new();
-        let serial = map_phase(
-            &params, &answers, &eln_psi, &eln_pi, &workers, None, &scratch,
-        );
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let parallel = map_phase(
-            &params,
-            &answers,
-            &eln_psi,
-            &eln_pi,
-            &workers,
-            Some(&pool),
-            &scratch,
-        );
+        let run = |threads| {
+            crate::at_width(threads, || {
+                map_phase(&params, &answers, &eln_psi, &eln_pi, &workers, &scratch)
+            })
+        };
+        let serial = run(1);
+        let parallel = run(4);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.worker, p.worker);
-            for (a, b) in s.kappa.iter().zip(&p.kappa) {
-                assert!((a - b).abs() < 1e-12);
-            }
+            assert_eq!(s.kappa, p.kappa);
+            assert_eq!(s.a_contrib, p.a_contrib);
         }
     }
 

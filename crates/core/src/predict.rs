@@ -53,7 +53,7 @@
 //! as `exp(n̂ · ln(1 − φ_tc))` with the log cached per predictor, which is
 //! exactly 1 at `φ_tc = 0` and exactly 0 at `φ_tc = 1`.
 
-use crate::config::{CpaConfig, PredictionMode};
+use crate::config::PredictionMode;
 use crate::params::VariationalParams;
 use crate::truth::TruthEstimate;
 use cpa_data::answers::AnswerMatrix;
@@ -207,8 +207,9 @@ impl<'a> Predictor<'a> {
         }
     }
 
-    /// Predicts label sets for all items (parallel over items when the
-    /// config's thread pool is installed by the caller).
+    /// Predicts label sets for all items, one parallel task per item at the
+    /// width the caller installed. Items are independent, so every width
+    /// gives the same predictions.
     pub fn predict_all(&self, answers: &AnswerMatrix) -> Vec<LabelSet> {
         (0..self.params.num_items)
             .into_par_iter()
@@ -321,24 +322,10 @@ impl<'a> Predictor<'a> {
     }
 }
 
-/// Convenience: fit-time helper returning predictions for every item given
-/// final parameters and truth estimate.
-pub fn predict_all(
-    cfg: &CpaConfig,
-    params: &VariationalParams,
-    estimate: &TruthEstimate,
-    answers: &AnswerMatrix,
-) -> Vec<LabelSet> {
-    let predictor = Predictor::new(params, estimate, cfg.prediction);
-    match crate::inference::build_pool(cfg.threads) {
-        Some(pool) => pool.install(|| predictor.predict_all(answers)),
-        None => predictor.predict_all(answers),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CpaConfig;
     use crate::inference::run_batch_vi;
     use crate::truth::KnownLabels;
     use cpa_data::profile::DatasetProfile;
@@ -569,7 +556,7 @@ mod tests {
     #[test]
     fn predictions_beat_chance_substantially() {
         let (params, est, sim, cfg) = fitted();
-        let preds = predict_all(&cfg, &params, &est, &sim.dataset.answers);
+        let preds = Predictor::new(&params, &est, cfg.prediction).predict_all(&sim.dataset.answers);
         let mut jaccard = 0.0;
         for (pred, truth) in preds.iter().zip(&sim.dataset.truth) {
             jaccard += pred.jaccard(truth);
@@ -620,8 +607,9 @@ mod tests {
     #[test]
     fn prediction_is_deterministic() {
         let (params, est, sim, cfg) = fitted();
-        let a = predict_all(&cfg, &params, &est, &sim.dataset.answers);
-        let b = predict_all(&cfg, &params, &est, &sim.dataset.answers);
+        let p = Predictor::new(&params, &est, cfg.prediction);
+        let a = p.predict_all(&sim.dataset.answers);
+        let b = p.predict_all(&sim.dataset.answers);
         assert_eq!(a, b);
     }
 }

@@ -17,14 +17,15 @@
 //! globals — the most recent parameter values summarise all data so far.
 //! It also reuses the soft-truth estimate the step computed for its ζ
 //! target: ζ is the only parameter the step changes after that point, and
-//! ζ is not an input of [`estimate_truth_with`], so the step's estimate is
-//! the current one, bit for bit.
+//! ζ is not an input of [`estimate_truth`], so the step's estimate is
+//! the current one, bit for bit. The engine owns no thread pool: every step
+//! runs at the width the caller installs around it.
 
 use crate::config::CpaConfig;
 use crate::parallel::{map_phase, ScratchPool, WorkerMessage};
 use crate::params::VariationalParams;
 use crate::predict::Predictor;
-use crate::truth::{estimate_truth_with, KnownLabels, TruthEstimate};
+use crate::truth::{estimate_truth, KnownLabels, TruthEstimate};
 use cpa_data::answers::AnswerMatrix;
 use cpa_data::labels::LabelSet;
 use cpa_data::stream::{learning_rate, WorkerBatch};
@@ -34,9 +35,8 @@ use rayon::prelude::*;
 use std::sync::OnceLock;
 
 /// Fixed width of the message chunks the REDUCE-side λ target is assembled
-/// from. The chunking does not depend on the thread count and the partials
-/// are merged in chunk order, so every pool width produces bit-identical
-/// results to the serial path.
+/// from. The chunking does not depend on the width and the partials are
+/// merged in chunk order, so every width produces bit-identical results.
 const REDUCE_CHUNK: usize = 32;
 
 /// Incremental CPA model for the online setting.
@@ -50,7 +50,6 @@ pub struct OnlineCpa {
     /// Known true labels (empty in the paper's experiments).
     known: KnownLabels,
     batch_count: usize,
-    pool: Option<rayon::ThreadPool>,
     /// Reusable per-thread MAP-phase buffers (steady state allocates none).
     scratch: ScratchPool,
     /// The soft-truth estimate of the current `(params, seen, known)`: set
@@ -78,7 +77,6 @@ impl OnlineCpa {
         );
         let mut rng = seeded(cfg.seed);
         let params = VariationalParams::init(&cfg, num_items, num_workers, num_labels, &mut rng);
-        let pool = crate::inference::build_pool(cfg.threads);
         Self {
             cfg,
             forgetting_rate,
@@ -86,7 +84,6 @@ impl OnlineCpa {
             seen: AnswerMatrix::new(num_items, num_workers, num_labels),
             known: KnownLabels::none(num_items),
             batch_count: 0,
-            pool,
             scratch: ScratchPool::new(),
             estimate: OnceLock::new(),
         }
@@ -135,7 +132,6 @@ impl OnlineCpa {
             &eln_psi,
             &eln_pi,
             &batch.workers,
-            self.pool.as_ref(),
             &self.scratch,
         );
         for msg in &messages {
@@ -150,8 +146,8 @@ impl OnlineCpa {
     }
 
     /// λ target (Eq. 9): `γ0 + scale_u Σ_{u∈Ub} Σ_i ϕ_it κ_um x_iuc`,
-    /// assembled from fixed-width message chunks computed on the pool and
-    /// merged in chunk order (bit-identical for every thread count).
+    /// assembled from fixed-width message chunks computed in parallel and
+    /// merged in chunk order (bit-identical at every width).
     fn lambda_target(&self, messages: &[WorkerMessage], scale_u: f64) -> Mat {
         let p = &self.params;
         let (tt, mm) = (p.t, p.m);
@@ -180,11 +176,12 @@ impl OnlineCpa {
             }
             acc
         };
-        let chunks: Vec<&[WorkerMessage]> = messages.chunks(REDUCE_CHUNK).collect();
-        let partials: Vec<Mat> = match &self.pool {
-            Some(pool) => pool.install(|| chunks.par_iter().map(|c| partial(c)).collect()),
-            None => chunks.iter().map(|c| partial(c)).collect(),
-        };
+        let partials: Vec<Mat> = messages
+            .chunks(REDUCE_CHUNK)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(partial)
+            .collect();
         let mut lambda_hat = Mat::filled(tt * mm, p.num_labels, self.cfg.gamma0);
         for part in &partials {
             lambda_hat.scaled_add(1.0, part, 1.0);
@@ -279,7 +276,7 @@ impl OnlineCpa {
         // ζ target (Eq. 10) from the current soft-truth estimate restricted
         // to the batch items. Every input of the estimate is final here, so
         // it is kept as the engine's current estimate.
-        let estimate = estimate_truth_with(p, &self.seen, &self.known, self.pool.as_ref());
+        let estimate = estimate_truth(p, &self.seen, &self.known);
         let mut zeta_hat = Mat::filled(tt, p.num_labels, self.cfg.eta0);
         for &i in &batch.items {
             for &(c, v) in &estimate.soft[i] {
@@ -298,11 +295,8 @@ impl OnlineCpa {
     /// Online prediction (§4.1): instantiate labels for all items from the
     /// current globals and the answers seen so far.
     pub fn predict_all(&self) -> Vec<LabelSet> {
-        let predictor = Predictor::new(&self.params, self.truth_estimate(), self.cfg.prediction);
-        match &self.pool {
-            Some(pool) => pool.install(|| predictor.predict_all(&self.seen)),
-            None => predictor.predict_all(&self.seen),
-        }
+        Predictor::new(&self.params, self.truth_estimate(), self.cfg.prediction)
+            .predict_all(&self.seen)
     }
 
     /// The soft-truth estimate under the current posterior and seen answers.
@@ -313,9 +307,8 @@ impl OnlineCpa {
     /// The retained estimate, computed here if nothing has set it since
     /// the last reset.
     fn truth_estimate(&self) -> &TruthEstimate {
-        self.estimate.get_or_init(|| {
-            estimate_truth_with(&self.params, &self.seen, &self.known, self.pool.as_ref())
-        })
+        self.estimate
+            .get_or_init(|| estimate_truth(&self.params, &self.seen, &self.known))
     }
 }
 
@@ -394,7 +387,6 @@ impl crate::engine::Engine for OnlineCpa {
                 "forgetting rate {forgetting_rate} outside (0.5, 1]"
             )));
         }
-        let pool = crate::inference::build_pool(cfg.threads);
         Ok(Self {
             cfg,
             forgetting_rate,
@@ -402,7 +394,6 @@ impl crate::engine::Engine for OnlineCpa {
             seen: checkpoint.seen,
             known,
             batch_count,
-            pool,
             scratch: ScratchPool::new(),
             estimate: OnceLock::new(),
         })
@@ -417,12 +408,11 @@ mod tests {
     use cpa_data::stream::WorkerStream;
     use cpa_math::simplex::is_probability_vector;
 
+    /// Streams the fixture through an online model with `threads` installed
+    /// around every step.
     fn run_online(threads: usize, seed: u64) -> (OnlineCpa, cpa_data::simulate::SimulatedDataset) {
         let sim = simulate(&DatasetProfile::movie().scaled(0.08), seed);
-        let cfg = CpaConfig::default()
-            .with_truncation(8, 10)
-            .with_seed(seed)
-            .with_threads(threads);
+        let cfg = CpaConfig::default().with_truncation(8, 10).with_seed(seed);
         let mut online = OnlineCpa::new(
             cfg,
             sim.dataset.num_items(),
@@ -432,15 +422,17 @@ mod tests {
         );
         let mut rng = seeded(seed + 1);
         let stream = WorkerStream::new(&sim.dataset, 10, &mut rng);
-        for batch in stream.iter() {
-            online.partial_fit(&sim.dataset.answers, batch);
-        }
+        crate::at_width(threads, || {
+            for batch in stream.iter() {
+                online.partial_fit(&sim.dataset.answers, batch);
+            }
+        });
         (online, sim)
     }
 
     #[test]
     fn online_absorbs_all_answers() {
-        let (online, sim) = run_online(0, 81);
+        let (online, sim) = run_online(1, 81);
         assert_eq!(
             online.seen_answers().num_answers(),
             sim.dataset.answers.num_answers()
@@ -450,7 +442,7 @@ mod tests {
 
     #[test]
     fn parameters_stay_valid_through_stream() {
-        let (online, _) = run_online(0, 83);
+        let (online, _) = run_online(1, 83);
         let p = online.params();
         for u in 0..p.num_workers {
             assert!(is_probability_vector(p.kappa.row(u), 1e-6));
@@ -471,7 +463,7 @@ mod tests {
 
     #[test]
     fn online_predictions_beat_chance() {
-        let (online, sim) = run_online(0, 85);
+        let (online, sim) = run_online(1, 85);
         let preds = online.predict_all();
         let mut j = 0.0;
         for (p, t) in preds.iter().zip(&sim.dataset.truth) {
@@ -484,7 +476,7 @@ mod tests {
     #[test]
     fn online_close_to_offline_quality() {
         // Paper Table 5: online accuracy is a few points below offline.
-        let (online, sim) = run_online(0, 87);
+        let (online, sim) = run_online(1, 87);
         let online_preds = online.predict_all();
         let model =
             crate::model::CpaModel::new(CpaConfig::default().with_truncation(8, 10).with_seed(87));
@@ -506,12 +498,12 @@ mod tests {
 
     #[test]
     fn parallel_stream_matches_serial() {
-        let (a, _) = run_online(0, 89);
+        let (a, _) = run_online(1, 89);
         let (b, _) = run_online(4, 89);
         // Per-worker messages are deterministic; the reduction is ordered by
-        // message vector, which map_phase preserves.
-        assert!(a.params().kappa.max_abs_diff(&b.params().kappa) < 1e-9);
-        assert!(a.params().lambda.max_abs_diff(&b.params().lambda) < 1e-9);
+        // message vector, which map_phase preserves at every width.
+        assert_eq!(a.params().kappa.max_abs_diff(&b.params().kappa), 0.0);
+        assert_eq!(a.params().lambda.max_abs_diff(&b.params().lambda), 0.0);
     }
 
     #[test]
@@ -569,8 +561,9 @@ mod tests {
     /// estimate and predictor over `params()` and `seen_answers()`.
     fn assert_estimate_is_current(online: &OnlineCpa, when: &str) {
         use crate::engine::Engine;
-        let fresh =
-            estimate_truth_with(online.params(), online.seen_answers(), &online.known, None);
+        let fresh = crate::at_width(1, || {
+            estimate_truth(online.params(), online.seen_answers(), &online.known)
+        });
         assert_eq!(
             estimate_bits(&Engine::estimate(online)),
             estimate_bits(&fresh),
@@ -589,17 +582,14 @@ mod tests {
         use crate::engine::Engine;
         let sim = simulate(&DatasetProfile::movie().scaled(0.05), 95);
         let d = &sim.dataset;
-        for threads in [0, 3] {
-            let cfg = CpaConfig::default()
-                .with_truncation(6, 8)
-                .with_seed(95)
-                .with_threads(threads);
+        for threads in [1, 3] {
+            let cfg = CpaConfig::default().with_truncation(6, 8).with_seed(95);
             let mut online =
                 OnlineCpa::new(cfg, d.num_items(), d.num_workers(), d.num_labels(), 0.875);
             assert_estimate_is_current(&online, "before any batch");
             let stream = WorkerStream::new(d, 20, &mut seeded(96));
             for (b, batch) in stream.iter().enumerate() {
-                online.partial_fit(&d.answers, batch);
+                crate::at_width(threads, || online.partial_fit(&d.answers, batch));
                 assert_estimate_is_current(&online, &format!("after batch {b}, {threads} threads"));
             }
             let known = (0..5).map(|i| (i, d.truth[i].clone()));

@@ -143,29 +143,24 @@ pub fn community_reliability(params: &VariationalParams) -> Vec<f64> {
 const AGREEMENT_ROUNDS: usize = 2;
 
 /// Fixed chunk width for the parallel per-item / per-worker passes. The
-/// chunking is independent of the thread count, and every chunk's outputs are
-/// written to disjoint output positions, so serial and parallel runs of any
-/// width produce bit-identical results.
+/// chunking is independent of the width, and every chunk's outputs are
+/// written to disjoint output positions, so runs of any width produce
+/// bit-identical results.
 const CHUNK: usize = 128;
 
-/// Runs `f` over `0..n` in fixed [`CHUNK`]-wide ranges — on `pool` when one
-/// is given, serially otherwise — and concatenates the per-chunk outputs in
-/// range order. `f` must return one output per index of its range.
-fn chunked_map<R, F>(pool: Option<&rayon::ThreadPool>, n: usize, f: F) -> Vec<R>
+/// Runs `f` over `0..n` in fixed [`CHUNK`]-wide ranges at the installed
+/// width and concatenates the per-chunk outputs in range order. `f` must
+/// return one output per index of its range.
+fn chunked_map<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> Vec<R> + Sync,
 {
-    match pool {
-        Some(pool) if n > CHUNK => {
-            let ranges: Vec<Range<usize>> = (0..n.div_ceil(CHUNK))
-                .map(|k| k * CHUNK..((k + 1) * CHUNK).min(n))
-                .collect();
-            let parts: Vec<Vec<R>> = pool.install(|| ranges.into_par_iter().map(&f).collect());
-            parts.into_iter().flatten().collect()
-        }
-        _ => f(0..n),
-    }
+    let ranges: Vec<Range<usize>> = (0..n.div_ceil(CHUNK))
+        .map(|k| k * CHUNK..((k + 1) * CHUNK).min(n))
+        .collect();
+    let parts: Vec<Vec<R>> = ranges.into_par_iter().map(&f).collect();
+    parts.into_iter().flatten().collect()
 }
 
 /// Produces the soft truth estimate given the current variational posterior.
@@ -177,23 +172,12 @@ where
 ///   (requirement R2 — answers are partially sound/complete, so validity is
 ///   assessed per label via a soft Jaccard overlap), sharpened quadratically
 ///   and refined over a bounded number of rounds.
+///
+/// The passes run at the width the caller installed (`chunked_map`).
 pub fn estimate_truth(
     params: &VariationalParams,
     answers: &AnswerMatrix,
     known: &KnownLabels,
-) -> TruthEstimate {
-    estimate_truth_with(params, answers, known, None)
-}
-
-/// [`estimate_truth`] with the per-item and per-worker passes fanned out over
-/// `pool` (serial when `None`). The parallel schedule is chunked with
-/// thread-count-independent boundaries, so results are bit-identical to the
-/// serial path.
-pub fn estimate_truth_with(
-    params: &VariationalParams,
-    answers: &AnswerMatrix,
-    known: &KnownLabels,
-    pool: Option<&rayon::ThreadPool>,
 ) -> TruthEstimate {
     let rel = community_reliability(params);
     let max_rel = rel.iter().copied().fold(0.0, f64::max);
@@ -208,7 +192,7 @@ pub fn estimate_truth_with(
     // community's score — exactly the sparse-data robustness the paper
     // attributes to community modelling (R1).
     const SHRINKAGE: f64 = 12.0;
-    let indiv = per_worker_informativeness(params, answers, pool);
+    let indiv = per_worker_informativeness(params, answers);
     let community_weight: Vec<f64> = (0..params.num_workers)
         .map(|u| {
             let kappa = params.kappa.row(u);
@@ -222,14 +206,14 @@ pub fn estimate_truth_with(
     let mut soft: Vec<Vec<(usize, f64)>> = Vec::new();
     let mut expected_size: Vec<f64> = Vec::new();
     for round in 0..=AGREEMENT_ROUNDS {
-        (soft, expected_size) = weighted_votes(params, answers, known, &worker_weight, pool);
+        (soft, expected_size) = weighted_votes(params, answers, known, &worker_weight);
         if round == AGREEMENT_ROUNDS {
             break;
         }
         // Label-level agreement of each worker with the current consensus;
         // each worker's new weight depends only on the frozen `soft` and
         // `community_weight`, so the workers fan out independently.
-        worker_weight = chunked_map(pool, params.num_workers, |range| {
+        worker_weight = chunked_map(params.num_workers, |range| {
             range
                 .map(|u| {
                     let wa = answers.worker_answers(u);
@@ -262,15 +246,11 @@ pub fn estimate_truth_with(
 /// applied to the worker's *own* empirical answer distribution across item
 /// clusters (additively smoothed by one pseudo-answer spread over the labels
 /// to temper small-sample inflation).
-fn per_worker_informativeness(
-    params: &VariationalParams,
-    answers: &AnswerMatrix,
-    pool: Option<&rayon::ThreadPool>,
-) -> Vec<f64> {
+fn per_worker_informativeness(params: &VariationalParams, answers: &AnswerMatrix) -> Vec<f64> {
     let tt = params.t;
     let c = params.num_labels;
     let smooth = 1.0 / c as f64;
-    chunked_map(pool, params.num_workers, |range| {
+    chunked_map(params.num_workers, |range| {
         // One counts buffer per chunk: zeroed between workers, allocated once.
         let mut out = Vec::with_capacity(range.len());
         let mut counts = vec![0.0f64; tt * c];
@@ -389,9 +369,8 @@ fn weighted_votes(
     answers: &AnswerMatrix,
     known: &KnownLabels,
     worker_weight: &[f64],
-    pool: Option<&rayon::ThreadPool>,
 ) -> (Vec<Vec<(usize, f64)>>, Vec<f64>) {
-    let per_item = chunked_map(pool, params.num_items, |range| {
+    let per_item = chunked_map(params.num_items, |range| {
         range
             .map(|i| {
                 if let Some(truth) = known.get(i) {
@@ -593,7 +572,7 @@ mod tests {
             row[0] = 0.0;
             cpa_math::simplex::normalize_in_place(row);
         }
-        let got = per_worker_informativeness(&params, &answers, None);
+        let got = per_worker_informativeness(&params, &answers);
         for (u, x) in got.iter().enumerate() {
             assert_eq!(
                 x.to_bits(),

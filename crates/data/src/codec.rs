@@ -35,16 +35,23 @@
 //! | `0x07` | array        | varint count + encoded elements |
 //! | `0x08` | object       | varint count + per entry: key token + value |
 //! | `0x09` | packed uints | width byte (1/2/4/8) + varint count + `count × width` LE slab |
-//! | `0x0a` | packed floats| varint count + `count × 8` `f64` LE slab |
+//! | `0x0a` | packed floats| varint count + bitmap of `⌈count / 8⌉` bytes + one entry per float |
 //!
 //! Two compressions carry the format:
 //!
 //! - **Packed slabs.** A homogeneous array of unsigned integers (CSR
 //!   offsets, label-set blocks, worker lists) is stored as one raw slab at
 //!   the smallest width that fits its maximum, and an array of floats
-//!   (variational parameter rows) as a raw `f64` slab — exact bits, no
-//!   decimal round-trip. Both decode back to the plain `Value::Array` they
-//!   came from, so packing is invisible above the codec.
+//!   (variational parameter rows) as a float slab — exact bits, no
+//!   decimal round-trip. Bit `k % 8` of bitmap byte `k / 8` is set exactly
+//!   when entry `k` is `n as f64`, bit for bit, for an integer
+//!   `0 ≤ n < 2^53`; that entry is the varint `n` (one byte for a
+//!   Dirichlet parameter at its prior `1.0`), and every other entry (−0.0,
+//!   NaN payloads, ±∞, negatives, fractions) keeps its 8 little-endian
+//!   bytes. A varint entry of `2^53` or more, or a bitmap bit past the last
+//!   entry, is malformed, so every slab has one encoding. Both slab kinds
+//!   decode back to the plain `Value::Array` they came from, so packing is
+//!   invisible above the codec.
 //! - **Key interning.** Object keys repeat endlessly in CSR entry lists
 //!   (`num_labels`, `blocks`, ...). A key token of `0` introduces a new
 //!   key (varint length + bytes) and appends it to a document-wide table;
@@ -115,6 +122,10 @@ const TAG_ARRAY: u8 = 0x07;
 const TAG_OBJECT: u8 = 0x08;
 const TAG_PACKED_UINT: u8 = 0x09;
 const TAG_PACKED_FLOAT: u8 = 0x0a;
+
+/// Integral float-slab entries are stored as varints below this bound;
+/// every integer below it is exactly representable as an `f64`.
+const FLOAT_VARINT_LIMIT: u64 = 1 << 53;
 
 // ---- encoding --------------------------------------------------------------
 
@@ -227,11 +238,21 @@ impl Encoder {
             if items.iter().all(|v| matches!(v, Value::Float(_))) {
                 self.out.push(TAG_PACKED_FLOAT);
                 push_varint(&mut self.out, items.len() as u64);
-                for item in items {
+                let bitmap = self.out.len();
+                self.out.resize(bitmap + items.len().div_ceil(8), 0);
+                for (k, item) in items.iter().enumerate() {
                     let Value::Float(f) = item else {
                         unreachable!()
                     };
-                    self.out.extend_from_slice(&f.to_le_bytes());
+                    // The cast saturates (NaN → 0); the bit comparison
+                    // rejects every value it changed, −0.0 included.
+                    let n = *f as u64;
+                    if n < FLOAT_VARINT_LIMIT && (n as f64).to_bits() == f.to_bits() {
+                        self.out[bitmap + k / 8] |= 1 << (k % 8);
+                        push_varint(&mut self.out, n);
+                    } else {
+                        self.out.extend_from_slice(&f.to_le_bytes());
+                    }
                 }
                 return;
             }
@@ -323,8 +344,10 @@ enum Slab {
     Tagged,
     /// Raw little-endian uints of this many bytes each.
     Uint(usize),
-    /// Raw little-endian `f64` bits.
-    Float,
+    /// `count` float entries: varints where the bitmap at document offset
+    /// `bitmap` has the entry's bit set, raw little-endian `f64` bits
+    /// elsewhere.
+    Float { bitmap: usize, count: usize },
 }
 
 impl<'de> Reader<'de> {
@@ -429,7 +452,7 @@ impl<'de> Reader<'de> {
     fn mismatch(&self, expected: &str) -> CodecError {
         let found = match self.slab() {
             Slab::Uint(_) => Value::UInt(0),
-            Slab::Float => Value::Float(0.0),
+            Slab::Float { .. } => Value::Float(0.0),
             Slab::Tagged => match self.tag() {
                 Ok(TAG_NULL) => Value::Null,
                 Ok(TAG_FALSE | TAG_TRUE) => Value::Bool(false),
@@ -476,14 +499,29 @@ impl<'de> Reader<'de> {
 
     #[inline]
     fn read_scalar(&mut self, expected: &str) -> Result<Value, CodecError> {
-        match self.slab() {
-            Slab::Uint(width) => {
-                let mut le = [0u8; 8];
-                le[..width].copy_from_slice(self.take(width, "packed uint slab")?);
-                return Ok(Value::UInt(u64::from_le_bytes(le)));
+        if let Some(&Open { remaining, slab }) = self.open.last() {
+            match slab {
+                Slab::Uint(width) => {
+                    let mut le = [0u8; 8];
+                    le[..width].copy_from_slice(self.take(width, "packed uint slab")?);
+                    return Ok(Value::UInt(u64::from_le_bytes(le)));
+                }
+                Slab::Float { bitmap, count } => {
+                    // `next_entry` already counted this entry off.
+                    let k = count - remaining - 1;
+                    if self.bytes[bitmap + k / 8] & (1 << (k % 8)) == 0 {
+                        return Ok(Value::Float(self.f64_bits("packed float slab")?));
+                    }
+                    let n = self.take_varint("packed float varint")?;
+                    if n >= FLOAT_VARINT_LIMIT {
+                        return Err(CodecError::Malformed(format!(
+                            "packed float varint {n} is not below 2^53"
+                        )));
+                    }
+                    return Ok(Value::Float(n as f64));
+                }
+                Slab::Tagged => {}
             }
-            Slab::Float => return Ok(Value::Float(self.f64_bits("packed float slab")?)),
-            Slab::Tagged => {}
         }
         let tag = self.tag()?;
         if !matches!(
@@ -534,21 +572,35 @@ impl<'de> Reader<'de> {
             }
             tag @ (TAG_PACKED_UINT | TAG_PACKED_FLOAT) => {
                 self.pos += 1;
-                let (width, slab, context) = if tag == TAG_PACKED_UINT {
+                let width = if tag == TAG_PACKED_UINT {
                     let width = self.take(1, "packed width")?[0];
                     if !matches!(width, 1 | 2 | 4 | 8) {
                         return Err(CodecError::Malformed(format!(
                             "packed uint width {width} (expected 1, 2, 4, or 8)"
                         )));
                     }
-                    let width = usize::from(width);
-                    (width, Slab::Uint(width), "packed uint slab")
+                    usize::from(width)
                 } else {
-                    (8, Slab::Float, "packed float slab")
+                    8
                 };
                 let count = self.take_len("packed count")?;
-                let need = count
+                let (slab, varints, context) = if tag == TAG_PACKED_UINT {
+                    (Slab::Uint(width), 0, "packed uint slab")
+                } else {
+                    let bitmap = self.pos;
+                    let bits = self.take(count.div_ceil(8), "packed float bitmap")?;
+                    if count % 8 != 0 && bits[bits.len() - 1] >> (count % 8) != 0 {
+                        return Err(CodecError::Malformed(
+                            "packed float bitmap marks entries past the slab".into(),
+                        ));
+                    }
+                    let varints = bits.iter().map(|b| b.count_ones() as usize).sum();
+                    (Slab::Float { bitmap, count }, varints, "packed float slab")
+                };
+                // A varint entry costs at least one byte.
+                let need = (count - varints)
                     .checked_mul(width)
+                    .and_then(|raw| raw.checked_add(varints))
                     .ok_or_else(|| CodecError::Malformed("packed slab overflows".into()))?;
                 if need > self.remaining() {
                     return Err(CodecError::Truncated {
@@ -826,11 +878,89 @@ mod tests {
 
     #[test]
     fn float_arrays_pack_as_f64_slabs() {
+        // i / 7 is integral for the 10 multiples of 7 below 64 (0 to 9,
+        // one varint byte each); the other 54 entries keep 8 bytes.
         let values: Vec<Value> = (0..64).map(|i| Value::Float(i as f64 / 7.0)).collect();
         let bytes = value_to_bytes(&Value::Array(values.clone()));
         assert_eq!(bytes[0], TAG_PACKED_FLOAT);
-        assert_eq!(bytes.len(), 2 + 64 * 8);
+        assert_eq!(bytes.len(), 2 + 8 + 54 * 8 + 10);
         roundtrip(Value::Array(values));
+    }
+
+    /// Decodes `floats` back through both a typed and a `Value` target
+    /// and compares every entry bit for bit (NaN ≠ NaN under `==`).
+    fn assert_floats_roundtrip_bitwise(floats: &[f64]) {
+        let bits = |fs: &[f64]| fs.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let bytes = to_bytes(floats);
+        let typed: Vec<f64> = from_bytes(&bytes).unwrap();
+        assert_eq!(bits(&typed), bits(floats));
+        let Value::Array(items) = from_bytes::<Value>(&bytes).unwrap() else {
+            panic!("array expected");
+        };
+        let from_value: Vec<f64> = items
+            .iter()
+            .map(|v| match v {
+                Value::Float(f) => *f,
+                other => panic!("float expected, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(bits(&from_value), bits(floats));
+    }
+
+    #[test]
+    fn float_slabs_roundtrip_every_bit_pattern() {
+        let limit = FLOAT_VARINT_LIMIT as f64;
+        let floats = [
+            1.0,
+            0.0,
+            -0.0,
+            f64::from_bits(0x7ff8_0000_0000_1234), // NaN with a payload
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1), // smallest subnormal
+            limit - 1.0,
+            limit,
+            0.1,
+            -3.0,
+        ];
+        assert_floats_roundtrip_bitwise(&floats);
+        let bytes = to_bytes(&floats[..]);
+        // Entries 0, 1 and 7 (1.0, 0.0, 2^53 − 1) are varints; nothing else.
+        assert_eq!(&bytes[2..4], &[0b1000_0011, 0]);
+    }
+
+    #[test]
+    fn integral_floats_cost_one_varint_each() {
+        let ones = value_to_bytes(&Value::Array(vec![Value::Float(1.0); 100]));
+        // Tag + count + 13-byte bitmap + one byte per entry.
+        assert!(ones.len() <= 1 + 1 + 13 + 100, "{} bytes", ones.len());
+        roundtrip(Value::Array(vec![Value::Float(1.0); 100]));
+        // A slab with no integral entry grows by its bitmap only.
+        let fractions: Vec<Value> = (0..64)
+            .map(|i| Value::Float((i as f64 + 0.5) / 7.0))
+            .collect();
+        let bytes = value_to_bytes(&Value::Array(fractions.clone()));
+        assert_eq!(bytes.len(), 2 + 8 + 64 * 8);
+        roundtrip(Value::Array(fractions));
+    }
+
+    #[test]
+    fn float_slabs_have_one_encoding() {
+        // A varint entry of 2^53 decodes to an f64 that is stored raw.
+        let mut bytes = vec![TAG_PACKED_FLOAT, 1, 0b1];
+        push_varint(&mut bytes, FLOAT_VARINT_LIMIT);
+        let err = from_bytes::<Value>(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Malformed(msg) if msg.contains("2^53")),
+            "{err}"
+        );
+        // A bitmap bit past the last entry.
+        let bytes = [TAG_PACKED_FLOAT, 1, 0b11, 5];
+        let err = from_bytes::<Value>(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Malformed(msg) if msg.contains("past the slab")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -882,6 +1012,24 @@ mod tests {
         push_varint(&mut bytes, u64::from(u32::MAX));
         let err = from_bytes::<Value>(&bytes).unwrap_err();
         assert!(matches!(err, CodecError::Truncated { .. }), "{err}");
+        // A float slab whose bitmap is cut short, and one whose bitmap
+        // promises more entries than the bytes behind it carry (two raw
+        // entries need 16 bytes; 9 remain).
+        let mut bytes = vec![TAG_PACKED_FLOAT];
+        push_varint(&mut bytes, u64::from(u32::MAX));
+        let err = from_bytes::<Value>(&bytes).unwrap_err();
+        assert!(
+            matches!(err, CodecError::Truncated { context, .. } if context == "packed float bitmap"),
+            "{err}"
+        );
+        let mut bytes = vec![TAG_PACKED_FLOAT, 2, 0];
+        bytes.extend_from_slice(&[0; 9]);
+        let err = from_bytes::<Value>(&bytes).unwrap_err();
+        assert!(
+            matches!(err, CodecError::Truncated { context, expected: 16, got: 9 }
+                if context == "packed float slab"),
+            "{err}"
+        );
         // An object claiming entries its bytes cannot carry.
         let mut bytes = vec![TAG_OBJECT];
         push_varint(&mut bytes, 1000);

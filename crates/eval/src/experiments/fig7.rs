@@ -1,7 +1,8 @@
 //! Fig. 7 — runtime of inference and prediction mechanisms on the
 //! large-scale synthetic crowd (§5.1 "Large-Scale Simulation"): offline VI,
 //! incremental SVI (1, 4 and 16 threads) and the baselines, as the number of
-//! answers grows.
+//! answers grows. Each online run installs a pool of its thread count around
+//! the stream it times; the engine itself owns no pool.
 
 use crate::report::Report;
 use crate::runner::{cpa_config, EvalConfig};
@@ -49,9 +50,15 @@ fn time<F: FnOnce() -> R, R>(f: F) -> (f64, R) {
     (t.elapsed().as_secs_f64(), r)
 }
 
+/// Times the online stream and the final prediction with a `threads`-wide
+/// pool installed around them.
 fn time_online(dataset: &Dataset, seed: u64, threads: usize) -> f64 {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool builds");
     let mut online = OnlineCpa::new(
-        cpa_config(seed).with_threads(threads),
+        cpa_config(seed),
         dataset.num_items(),
         dataset.num_workers(),
         dataset.num_labels(),
@@ -62,10 +69,12 @@ fn time_online(dataset: &Dataset, seed: u64, threads: usize) -> f64 {
     // the worker-side equivalent of Algorithm 2's input.
     let stream = WorkerStream::new(dataset, 100, &mut rng);
     let (t, _) = time(|| {
-        for batch in stream.iter() {
-            online.partial_fit(&dataset.answers, batch);
-        }
-        online.predict_all()
+        pool.install(|| {
+            for batch in stream.iter() {
+                online.partial_fit(&dataset.answers, batch);
+            }
+            online.predict_all()
+        })
     });
     t
 }
@@ -97,7 +106,7 @@ pub fn run(cfg: &EvalConfig) -> Report {
             let fitted = model.fit(&d.answers);
             fitted.predict_all(&d.answers)
         });
-        let t_on = time_online(d, seed, 0);
+        let t_on = time_online(d, seed, 1);
         let t_on4 = time_online(d, seed, 4);
         let t_on16 = time_online(d, seed, 16);
         let (t_mv, _) = time(|| MajorityVoting::new().aggregate(&d.answers));

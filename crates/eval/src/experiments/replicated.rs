@@ -146,11 +146,7 @@ fn run_replicated(cfg: &EvalConfig, method: Method, threads: usize) -> Replicate
 /// replication correctness bug, not a measurement.
 pub fn run(cfg: &EvalConfig) -> Report {
     let methods = cfg.methods_or(&DEFAULT_METHODS);
-    let threads = if cfg.threads == 0 {
-        cfg.shards.max(1)
-    } else {
-        cfg.threads
-    };
+    let threads = cfg.fleet_threads();
 
     let mut r = Report::new(
         "replicated",

@@ -306,11 +306,7 @@ pub fn run(cfg: &EvalConfig) -> Report {
     let profile = DatasetProfile::movie().scaled(cfg.scale);
     let dataset = simulate(&profile, cfg.seed).dataset;
     let answers = dataset.answers.num_answers();
-    let threads = if cfg.threads == 0 {
-        cfg.shards.max(1)
-    } else {
-        cfg.threads
-    };
+    let threads = cfg.fleet_threads();
 
     let mut r = Report::new(
         "served",

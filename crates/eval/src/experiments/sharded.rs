@@ -127,11 +127,7 @@ pub fn run(cfg: &EvalConfig) -> Report {
     let methods = cfg.methods_or(&DEFAULT_METHODS);
     let profile = DatasetProfile::movie().scaled(cfg.scale);
     let dataset = simulate(&profile, cfg.seed).dataset;
-    let threads = if cfg.threads == 0 {
-        cfg.shards.max(1)
-    } else {
-        cfg.threads
-    };
+    let threads = cfg.fleet_threads();
 
     let mut r = Report::new(
         "sharded",

@@ -44,8 +44,8 @@ pub struct EvalConfig {
     pub seed: u64,
     /// Output directory for JSON reports.
     pub out_dir: std::path::PathBuf,
-    /// Thread count handed to CPA's parallel engines where the experiment
-    /// calls for it.
+    /// Pool width of the fleets the serving experiments build (`sharded`,
+    /// `served`, `replicated`); see [`EvalConfig::fleet_threads`].
     pub threads: usize,
     /// Method roster override (`repro --methods mv,cpa-svi`). `None` leaves
     /// each experiment its own default roster.
@@ -70,6 +70,16 @@ impl Default for EvalConfig {
 }
 
 impl EvalConfig {
+    /// The pool width of the experiment fleets: `threads`, or one thread
+    /// per shard when it is 0.
+    pub fn fleet_threads(&self) -> usize {
+        if self.threads == 0 {
+            self.shards.max(1)
+        } else {
+            self.threads
+        }
+    }
+
     /// The methods to run: the user's `--methods` override if given, the
     /// experiment's `default` roster otherwise.
     pub fn methods_or(&self, default: &[Method]) -> Vec<Method> {

@@ -3,9 +3,15 @@
 //!
 //! A [`Fleet`] owns `K` [`cpa_core::engine::Engine`]s, one per shard of the
 //! item space (see [`crate::router::ShardRouter`]). Every arrival batch is
-//! shard-split and handed to the shards **on the workspace thread pool**
-//! (the PR 2 `rayon` shim), one task per shard; results are merged back in
-//! shard order, so any pool width is bit-identical to the serial path.
+//! shard-split and handed to the shards **on the fleet's thread pool**, one
+//! task per shard; results are merged back in shard order, so any pool
+//! width is bit-identical to the serial path.
+//!
+//! Engines own no pool: the fleet installs its `threads`-wide pool around
+//! every shard fan-out (ingest, refit, slab fill). By the rayon shim's
+//! width rule (`shims/README.md`), a fan-out over several shards runs each
+//! shard's kernels at width 1, and one over a single shard (a write that
+//! dirties one shard, one cold slab) runs them at the pool's full width.
 //!
 //! # Split read/write paths
 //!
@@ -94,8 +100,9 @@ pub struct Fleet {
     /// fleet's router and item count), shared (`Arc`) with every published
     /// read view.
     index: Arc<ShardIndex>,
-    threads: usize,
-    pool: Option<rayon::ThreadPool>,
+    /// Installed around every shard fan-out; its width is the fleet's
+    /// `threads`.
+    pool: rayon::ThreadPool,
     engines: Vec<DynEngine>,
     num_workers: usize,
     num_labels: usize,
@@ -120,7 +127,7 @@ impl std::fmt::Debug for Fleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fleet")
             .field("num_shards", &self.num_shards())
-            .field("threads", &self.threads)
+            .field("threads", &self.pool.current_num_threads())
             .field(
                 "engines",
                 &self.engines.iter().map(|e| e.name()).collect::<Vec<_>>(),
@@ -135,25 +142,32 @@ impl std::fmt::Debug for Fleet {
     }
 }
 
-/// Runs one closure per shard payload, on the pool when one is installed.
-/// Output order always follows input (shard) order, which is what makes the
-/// fleet bit-deterministic in the thread count.
+/// Runs one closure per shard payload with `pool` installed. Output order
+/// always follows input (shard) order, which is what makes the fleet
+/// bit-deterministic in the thread count.
 fn per_shard<T: Send, R: Send>(
-    pool: Option<&rayon::ThreadPool>,
+    pool: &rayon::ThreadPool,
     items: Vec<T>,
     f: impl Fn(T) -> R + Sync + Send,
 ) -> Vec<R> {
-    match pool {
-        Some(pool) => pool.install(|| items.into_par_iter().map(f).collect()),
-        None => items.into_iter().map(f).collect(),
-    }
+    pool.install(|| items.into_par_iter().map(f).collect())
+}
+
+/// The fleet's pool: `threads` wide, at least 1 (0 means serial, as it
+/// always has for a fleet).
+fn fleet_pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads.max(1))
+        .build()
+        .expect("thread pool builds")
 }
 
 impl Fleet {
     /// Builds a fleet of `num_shards` engines over a global
     /// `num_items × num_workers × num_labels` population, constructing each
     /// shard's engine with `factory` (called with the shard index). Shard
-    /// work fans out over `threads` OS threads (0 or 1 = serial).
+    /// work fans out over a pool of `threads` OS threads (0 or 1 = serial),
+    /// installed around every shard fan-out (see the module docs).
     ///
     /// Every engine must be built at the *global* population shape — item
     /// and worker indices are never remapped.
@@ -187,8 +201,7 @@ impl Fleet {
         Self {
             views: ViewHandle::new(0, index.clone()),
             index,
-            threads,
-            pool: build_pool(threads),
+            pool: fleet_pool(threads),
             engines,
             num_workers,
             num_labels,
@@ -290,7 +303,7 @@ impl Fleet {
             },
             FleetOp::Refit => {
                 let engines = std::mem::take(&mut self.engines);
-                self.engines = per_shard(self.pool.as_ref(), engines, |mut engine| {
+                self.engines = per_shard(&self.pool, engines, |mut engine| {
                     engine.refit();
                     engine
                 });
@@ -323,7 +336,8 @@ impl Fleet {
                 manifest: self.snapshot(),
             },
             FleetOp::Restore { manifest } => match self.restore_hook {
-                Some(hook) => match Fleet::restore(manifest, self.threads, hook) {
+                Some(hook) => match Fleet::restore(manifest, self.pool.current_num_threads(), hook)
+                {
                     Ok(mut restored) => {
                         // Keep existing reader handles live across the
                         // restore: re-attach this fleet's handle and reset
@@ -490,14 +504,10 @@ impl Fleet {
             };
             work.push((s, engine, view.build(), shard_batch));
         }
-        let done = per_shard(
-            self.pool.as_ref(),
-            work,
-            |(s, mut engine, view, shard_batch)| {
-                engine.ingest(&view, &shard_batch);
-                (s, engine)
-            },
-        );
+        let done = per_shard(&self.pool, work, |(s, mut engine, view, shard_batch)| {
+            engine.ingest(&view, &shard_batch);
+            (s, engine)
+        });
         for (s, engine) in done {
             parked[s] = Some(engine);
         }
@@ -639,7 +649,7 @@ impl Fleet {
         if missing.is_empty() {
             return Ok(view);
         }
-        let pool = self.pool.as_ref();
+        let pool = &self.pool;
         match kind {
             ReadKind::Predictions => {
                 for (s, slab) in per_shard(pool, missing, |(s, e)| (s, e.predict_all())) {
@@ -948,8 +958,7 @@ impl Fleet {
         Ok(Self {
             views: ViewHandle::new(manifest.epoch, index.clone()),
             index,
-            threads,
-            pool: build_pool(threads),
+            pool: fleet_pool(threads),
             engines,
             num_workers: manifest.num_workers,
             num_labels: manifest.num_labels,
@@ -958,19 +967,6 @@ impl Fleet {
             restore_hook: Some(restore),
             epoch: manifest.epoch,
         })
-    }
-}
-
-fn build_pool(threads: usize) -> Option<rayon::ThreadPool> {
-    if threads > 1 {
-        Some(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool builds"),
-        )
-    } else {
-        None
     }
 }
 

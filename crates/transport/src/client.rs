@@ -450,7 +450,9 @@ impl FleetClient {
     /// # Errors
     /// [`TransportError::Rejected`] when `from_epoch` is behind the
     /// server's head but the server is not recording ops (it cannot replay
-    /// the gap), or any transport failure.
+    /// the gap), when it is ahead of the head, or when it is not 0 after
+    /// the server accepted a `Restore` (which restarts the epochs); or any
+    /// transport failure.
     pub fn subscribe(mut self, from_epoch: u64) -> Result<OpSubscription, TransportError> {
         match self.call(&FleetOp::SubscribeOps { from_epoch })? {
             FleetReply::Subscribed { epoch } => Ok(OpSubscription {

@@ -51,9 +51,13 @@ use std::sync::atomic::AtomicBool;
 pub const WIRE_MAGIC: [u8; 4] = *b"CPAW";
 
 /// Current binary wire version. The server accepts exactly this version
-/// and refuses anything newer (the client then falls back to JSON), so a
-/// future v2 client degrades gracefully against a v1 server.
-pub const WIRE_VERSION: u32 = 1;
+/// and refuses any other (the client then falls back to JSON), so a client
+/// of another version degrades gracefully to JSON.
+///
+/// History: v1 — the first binary codec; v2 — packed float slabs carry a
+/// bitmap of integral entries, stored as varints (`cpa_data::codec`).
+/// Nothing on disk is binary, so nothing migrates.
+pub const WIRE_VERSION: u32 = 2;
 
 /// Environment variable read by [`WireFormat::from_env`] (and therefore by
 /// `FleetClient::connect`): `binary` selects the binary codec, anything

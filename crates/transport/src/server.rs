@@ -21,9 +21,9 @@
 //!   connection are handled strictly in order, so replies stream back
 //!   **per-connection FIFO**.
 //!
-//! No role thread has a data-parallel pool installed, so engine work on the
-//! driver fans out exactly as wide as the fleet's own `threads` setting
-//! (serial for `threads: 1`).
+//! Engine work runs only on the driver, inside the pool the fleet installs
+//! around every shard fan-out, so it is exactly as wide as the fleet's own
+//! `threads` setting (serial for `threads: 1`).
 //!
 //! # Read path
 //!
@@ -57,7 +57,11 @@
 //! behind the head requires [`ServerConfig::record_ops`]; without it the
 //! subscription is refused with a framed error, as is a `from_epoch` ahead
 //! of the head), then pushes every subsequently accepted mutation as an
-//! epoch-tagged `OpApplied` frame —
+//! epoch-tagged `OpApplied` frame. A `Restore` restarts the epochs at its
+//! manifest's, so once one was accepted an epoch no longer names one
+//! state: the driver then serves only `from_epoch: 0`, which ships the
+//! whole recorded log, and refuses any other resume point by naming the
+//! restore —
 //! enqueued the moment `apply` publishes the mutation's view, and *before*
 //! the mutator's own ack, so an acked epoch is always already on the wire
 //! to every subscriber. On server wind-down the driver drops every
@@ -245,6 +249,8 @@ struct ReadSub {
 /// always already enqueued to every subscriber of either kind.
 struct Broadcast {
     record: bool,
+    /// Whether a `Restore` has been accepted (see `subscribe_ops`).
+    restored: bool,
     /// Live op subscriptions: each the retained answer channel of a
     /// `SubscribeOps` connection. A dead subscriber is dropped on its
     /// first failed send.
@@ -261,6 +267,7 @@ impl Broadcast {
     fn new(record: bool) -> Self {
         Self {
             record,
+            restored: false,
             op_subs: Vec::new(),
             read_subs: Vec::new(),
             log: Vec::new(),
@@ -268,13 +275,17 @@ impl Broadcast {
     }
 
     /// Registers a `SubscribeOps` connection: ack with the head epoch,
-    /// replay the recorded backlog past `from_epoch`, then go live. A
-    /// `from_epoch` ahead of the head, or behind it without recording, is
-    /// refused with a framed error naming both epochs.
+    /// replay the recorded backlog past `from_epoch` (all of it from 0),
+    /// then go live. A `from_epoch` ahead of the head, or behind it
+    /// without recording, is refused with a framed error naming both
+    /// epochs. A `Restore` restarts the epochs at its manifest's, so once
+    /// one was accepted only a recorded `from_epoch: 0` is one lineage.
     fn subscribe_ops(&mut self, head: u64, from_epoch: u64, answer_tx: Sender<Answer>) {
-        let refusal = if from_epoch > head {
+        let refusal = if self.restored && from_epoch != 0 {
+            Some("a Restore restarted the epochs, so only epoch 0 names one lineage")
+        } else if from_epoch > head {
             Some("it is ahead of the server")
-        } else if from_epoch < head && !self.record {
+        } else if (from_epoch < head || self.restored) && !self.record {
             Some("server is not recording ops")
         } else {
             None
@@ -286,7 +297,12 @@ impl Broadcast {
             ))));
             return;
         }
-        let backlog = self.log.iter().filter(|(epoch, _)| *epoch > from_epoch);
+        // From epoch 0 the whole log ships: a restored epoch-0 manifest is
+        // tagged 0 and must not be filtered out.
+        let backlog = self
+            .log
+            .iter()
+            .filter(|(epoch, _)| from_epoch == 0 || *epoch > from_epoch);
         let delivered = std::iter::once(FleetReply::Subscribed { epoch: head })
             .chain(backlog.map(|(epoch, past)| FleetReply::OpApplied {
                 epoch: *epoch,
@@ -502,6 +518,7 @@ fn run_driver(
                     // every subscription — op stream or read delta —
                     // already has the frame enqueued.
                     broadcast.mutation_applied(&fleet, kept);
+                    broadcast.restored |= matches!(reply, FleetReply::Restored { .. });
                 }
                 let _ = answer_tx.send(Answer::Reply(reply));
                 if stop {

@@ -6,15 +6,13 @@
 //! sequential equivalent would — just faster on multi-core hardware. No
 //! `unsafe` anywhere (see `#![deny(unsafe_code)]`).
 //!
-//! Deviations from the real crate, by design of this workspace (see
-//! `shims/README.md`):
+//! The width of a call follows two rules (see `shims/README.md`): outside
+//! any [`ThreadPool::install`] it is `RAYON_NUM_THREADS` (1 unless that is
+//! a positive integer); a call that fans out runs each item at width 1 on
+//! every thread, while one that does not passes its width on.
 //!
-//! - outside [`ThreadPool::install`] the shim runs **sequentially** (real
-//!   rayon would use its implicit global pool). This workspace routes all
-//!   parallelism through explicit `ThreadPool`s sized by `CpaConfig::threads`,
-//!   so "no pool installed" deliberately means "serial".
-//! - the combinator surface is exactly what the workspace uses: `map`,
-//!   `collect`, `sum`, `for_each`.
+//! The combinator surface is exactly what the workspace uses: `map`,
+//! `collect`, `sum`, `for_each`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -22,7 +20,7 @@
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// Re-exports that `use rayon::prelude::*` is expected to bring in scope.
@@ -31,27 +29,60 @@ pub mod prelude {
 }
 
 thread_local! {
-    /// Thread count installed by the innermost [`ThreadPool::install`] on
-    /// this thread; 1 (serial) when no pool is installed.
-    static INSTALLED_THREADS: Cell<usize> = const { Cell::new(1) };
+    /// Width installed on this thread by the innermost [`ThreadPool::install`]
+    /// or fanned-out parallel call; 0 when neither is active.
+    static INSTALLED_THREADS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The width outside any `install`: `value` when it parses as a positive
+/// integer, 1 otherwise (unset, empty, `0` or not a number).
+fn parse_width(value: Option<&str>) -> usize {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(1)
+}
+
+/// The implicit width, read from `RAYON_NUM_THREADS` once per process.
+fn implicit_threads() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| parse_width(std::env::var("RAYON_NUM_THREADS").ok().as_deref()))
 }
 
 /// Number of worker threads the current scope should use.
 fn current_threads() -> usize {
-    INSTALLED_THREADS.with(|c| c.get()).max(1)
+    match INSTALLED_THREADS.with(Cell::get) {
+        0 => implicit_threads(),
+        n => n,
+    }
+}
+
+/// Runs `op` with `width` installed on this thread, restoring the previous
+/// width afterwards, also when `op` unwinds.
+fn with_width<R>(width: usize, op: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            INSTALLED_THREADS.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(INSTALLED_THREADS.with(|c| c.replace(width)));
+    op()
 }
 
 /// How many chunks each worker thread gets on average; >1 so that uneven
 /// per-item costs are load-balanced through the shared atomic index.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Applies `f` to every item of `items`, in parallel over the currently
-/// installed thread count, returning outputs in input order.
+/// Applies `f` to every item of `items`, in parallel over the current
+/// width, returning outputs in input order.
 ///
 /// Items are split into fixed chunks up front; worker threads (scoped, so
 /// borrowed state needs no `'static`) claim chunks via an atomic counter,
 /// compute into per-chunk result slots, and the caller thread participates
-/// too. A panic inside `f` propagates when the scope joins.
+/// too. When the call fans out, every item runs at width 1; when it does
+/// not, the items run inline at the caller's width. A panic inside `f`
+/// propagates when the scope joins.
 fn parallel_map_vec<T, R, F>(items: Vec<T>, f: &F) -> Vec<R>
 where
     T: Send,
@@ -94,10 +125,10 @@ where
     let spawned = threads.min(inputs.len()).saturating_sub(1);
     thread::scope(|s| {
         for _ in 0..spawned {
-            s.spawn(work);
+            s.spawn(|| with_width(1, work));
         }
         // The calling thread drains chunks alongside the spawned workers.
-        work();
+        with_width(1, work);
     });
 
     outputs
@@ -258,24 +289,13 @@ impl ThreadPool {
     /// parallel iterators inside `op` use `num_threads` workers. Unlike real
     /// rayon, `op` itself runs on the calling thread (and that thread
     /// participates in the chunk work), which is observationally equivalent
-    /// for this workspace.
+    /// for this workspace. The previous width is restored afterwards, also
+    /// when `op` panics.
     pub fn install<OP, R>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R,
     {
-        INSTALLED_THREADS.with(|c| {
-            let prev = c.replace(self.num_threads);
-            // Restore on unwind as well, so a panicking op does not leave an
-            // inflated thread count installed on this thread.
-            struct Restore<'a>(&'a Cell<usize>, usize);
-            impl Drop for Restore<'_> {
-                fn drop(&mut self) {
-                    self.0.set(self.1);
-                }
-            }
-            let _restore = Restore(c, prev);
-            op()
-        })
+        with_width(self.num_threads, op)
     }
 
     /// The configured thread count.
@@ -384,12 +404,16 @@ mod tests {
     }
 
     #[test]
-    fn no_install_means_serial() {
+    fn no_install_means_the_implicit_width() {
+        assert_eq!(super::current_threads(), super::implicit_threads());
+        // An installed width of 1 is serial whatever the environment says.
         let before = std::thread::current().id();
-        let ids: Vec<_> = (0..64)
-            .into_par_iter()
-            .map(|_| std::thread::current().id())
-            .collect();
+        let ids: Vec<_> = pool(1).install(|| {
+            (0..64)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect()
+        });
         assert!(ids.iter().all(|&id| id == before));
     }
 
@@ -403,7 +427,60 @@ mod tests {
             });
             assert_eq!(super::current_threads(), 2);
         });
-        assert_eq!(super::current_threads(), 1);
+        assert_eq!(super::current_threads(), super::implicit_threads());
+    }
+
+    #[test]
+    fn fanned_out_items_run_at_width_one() {
+        let pool = pool(4);
+        for n in [2, 3, 64] {
+            let widths: Vec<usize> = pool.install(|| {
+                (0..n)
+                    .into_par_iter()
+                    .map(|_| super::current_threads())
+                    .collect()
+            });
+            assert_eq!(widths, vec![1; n], "{n} items");
+        }
+        // The caller's width is back once the call returns.
+        pool.install(|| {
+            let _: Vec<usize> = (0..8).into_par_iter().collect();
+            assert_eq!(super::current_threads(), 4);
+        });
+    }
+
+    #[test]
+    fn a_single_item_call_passes_its_width_on() {
+        let widths: Vec<usize> = pool(4).install(|| {
+            vec![()]
+                .into_par_iter()
+                .map(|_| super::current_threads())
+                .collect()
+        });
+        assert_eq!(widths, vec![4]);
+    }
+
+    #[test]
+    fn a_panicking_item_restores_the_callers_width() {
+        pool(4).install(|| {
+            // Every item panics, so the calling thread's own chunk does too.
+            let result = std::panic::catch_unwind(|| {
+                (0..16usize)
+                    .into_par_iter()
+                    .map(|_| -> usize { panic!("boom") })
+                    .collect::<Vec<usize>>()
+            });
+            assert!(result.is_err());
+            assert_eq!(super::current_threads(), 4);
+        });
+    }
+
+    #[test]
+    fn the_width_variable_parses_to_a_positive_width() {
+        for unusable in [None, Some(""), Some("0"), Some("x")] {
+            assert_eq!(super::parse_width(unusable), 1, "{unusable:?}");
+        }
+        assert_eq!(super::parse_width(Some("3")), 3);
     }
 
     #[test]
@@ -434,7 +511,8 @@ mod tests {
         });
         assert!(result.is_err());
         // The installed thread count must have been restored despite the
-        // panic, so subsequent code on this thread is serial again.
-        assert_eq!(super::current_threads(), 1);
+        // panic, so subsequent code on this thread runs at the implicit
+        // width again.
+        assert_eq!(super::current_threads(), super::implicit_threads());
     }
 }

@@ -4,8 +4,8 @@
 //! Contract 1 (resume): pausing any engine mid-stream — snapshot → JSON →
 //! restore — and continuing must be **bit-identical** to never pausing, at
 //! every thread count. Exercised for the online engine (whose learning-rate
-//! schedule makes this the hardest case) at 1 and 4 threads, plus the
-//! `CPA_TEST_THREADS` CI matrix value.
+//! schedule makes this the hardest case) with 1- and 4-wide pools installed
+//! around the run, plus the `RAYON_NUM_THREADS` CI matrix value.
 //!
 //! Contract 2 (golden): every method's `predict_all()` through the `Engine`
 //! trait must match its pre-refactor direct API output on the paper's
@@ -44,11 +44,11 @@ fn param_bits(params: &cpa::core::params::VariationalParams) -> Vec<u64> {
         .collect()
 }
 
-/// Thread counts to pin: 1 and 4 (the satellite's requirement), plus the CI
-/// matrix value when it differs.
+/// Thread counts to pin: 1 and 4, plus the CI matrix value when it
+/// differs.
 fn thread_counts() -> Vec<usize> {
     let mut counts = vec![1usize, 4];
-    if let Some(n) = std::env::var("CPA_TEST_THREADS")
+    if let Some(n) = std::env::var("RAYON_NUM_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0 && !counts.contains(&n))
@@ -71,7 +71,11 @@ fn online_resume_is_bit_identical_to_uninterrupted_fit() {
     let pause_at = batches.len() / 2;
 
     for threads in thread_counts() {
-        let cfg = cpa_config(2203).with_threads(threads);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool builds");
+        let cfg = cpa_config(2203);
         let fresh = || {
             OnlineCpa::new(
                 cfg.clone(),
@@ -84,23 +88,29 @@ fn online_resume_is_bit_identical_to_uninterrupted_fit() {
 
         // Uninterrupted run.
         let mut uninterrupted = fresh();
-        for batch in &batches {
-            uninterrupted.partial_fit(&d.answers, batch);
-        }
+        pool.install(|| {
+            for batch in &batches {
+                uninterrupted.partial_fit(&d.answers, batch);
+            }
+        });
 
         // Paused run: half the stream, snapshot → JSON → restore, continue.
         let mut paused = fresh();
-        for batch in &batches[..pause_at] {
-            paused.partial_fit(&d.answers, batch);
-        }
+        pool.install(|| {
+            for batch in &batches[..pause_at] {
+                paused.partial_fit(&d.answers, batch);
+            }
+        });
         let json = paused.snapshot().to_json();
         drop(paused);
         let mut resumed = OnlineCpa::restore(Checkpoint::from_json(&json).unwrap())
             .expect("restore mid-stream checkpoint");
         assert_eq!(resumed.batches_seen(), pause_at);
-        for batch in &batches[pause_at..] {
-            resumed.partial_fit(&d.answers, batch);
-        }
+        pool.install(|| {
+            for batch in &batches[pause_at..] {
+                resumed.partial_fit(&d.answers, batch);
+            }
+        });
 
         assert_eq!(
             param_bits(uninterrupted.params()),

@@ -29,7 +29,9 @@ use cpa::data::stream::{MemorySource, WorkerBatch, WorkerStream};
 use cpa::eval::runner::{engine_for, restore_engine, Method};
 use cpa::math::rng::seeded;
 use cpa::serve::{ops_to_jsonl, Fleet, FleetManifest, FleetOp, FleetReply};
-use cpa::transport::{FleetClient, FleetServer, ServerConfig, WireFormat, MAX_FRAME_BYTES};
+use cpa::transport::{
+    FleetClient, FleetServer, ServerConfig, WireFormat, MAX_FRAME_BYTES, WIRE_VERSION,
+};
 use std::io::{Read, Write};
 
 const SEED: u64 = 6106;
@@ -253,12 +255,15 @@ fn the_frame_cap_is_enforced_identically_under_both_codecs() {
     {
         let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
         let mut preamble = Vec::from(*b"CPAW");
-        preamble.extend(1u32.to_be_bytes());
+        preamble.extend(WIRE_VERSION.to_be_bytes());
         raw.write_all(&preamble).expect("handshake preamble");
         let mut ack = [0u8; 8];
         raw.read_exact(&mut ack).expect("handshake ack");
         assert_eq!(&ack[..4], b"CPAW");
-        assert_eq!(u32::from_be_bytes([ack[4], ack[5], ack[6], ack[7]]), 1);
+        assert_eq!(
+            u32::from_be_bytes([ack[4], ack[5], ack[6], ack[7]]),
+            WIRE_VERSION
+        );
         raw.write_all(&oversized).expect("oversized prefix");
         assert_eq!(raw.read(&mut [0u8; 1]).expect("dropped"), 0);
     }

@@ -5,7 +5,9 @@
 //! changes the floating-point result*: work is split at thread-count-
 //! independent boundaries and merged in a fixed order. This test locks that
 //! contract at the full-pipeline level — an entire `OnlineCpa` stream fit
-//! must be **bit-identical** (not merely close) at 1, 2, and 8 threads.
+//! must be **bit-identical** (not merely close) with 1-, 2- and 8-wide pools
+//! installed around it, and at the implicit width outside any pool
+//! (`RAYON_NUM_THREADS`, which the CI matrix sets).
 
 use cpa::core::truth::KnownLabels;
 use cpa::core::{CpaConfig, OnlineCpa};
@@ -17,12 +19,9 @@ use cpa::math::rng::seeded;
 
 /// Runs a full online fit and fingerprints every learned parameter matrix
 /// (exact bits) together with the final predictions.
-fn fit_fingerprint(threads: usize) -> (Vec<u64>, Vec<LabelSet>) {
+fn fit_fingerprint() -> (Vec<u64>, Vec<LabelSet>) {
     let sim = simulate(&DatasetProfile::movie().scaled(0.08), 1797);
-    let cfg = CpaConfig::default()
-        .with_truncation(8, 10)
-        .with_seed(1797)
-        .with_threads(threads);
+    let cfg = CpaConfig::default().with_truncation(8, 10).with_seed(1797);
     let mut online = OnlineCpa::new(
         cfg,
         sim.dataset.num_items(),
@@ -53,26 +52,29 @@ fn fit_fingerprint(threads: usize) -> (Vec<u64>, Vec<LabelSet>) {
     (bits, online.predict_all())
 }
 
+/// [`fit_fingerprint`] with a `threads`-wide pool installed around it.
+fn fit_fingerprint_at(threads: usize) -> (Vec<u64>, Vec<LabelSet>) {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool builds")
+        .install(fit_fingerprint)
+}
+
 #[test]
 fn online_fit_is_bit_identical_across_thread_counts() {
-    let (baseline_bits, baseline_preds) = fit_fingerprint(1);
+    let (baseline_bits, baseline_preds) = fit_fingerprint_at(1);
     assert!(!baseline_bits.is_empty());
 
-    let mut thread_counts = vec![2usize, 8];
-    // The CI matrix leg exports CPA_TEST_THREADS; fold it in so the exact
-    // configuration exercised there is also pinned to the serial baseline.
-    if let Some(n) = std::env::var("CPA_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 1)
-    {
-        if !thread_counts.contains(&n) {
-            thread_counts.push(n);
-        }
-    }
-
-    for threads in thread_counts {
-        let (bits, preds) = fit_fingerprint(threads);
+    // Outside any pool the fit runs at the implicit width: the
+    // RAYON_NUM_THREADS value a CI matrix leg exports, 1 when unset.
+    let implicit = std::env::var("RAYON_NUM_THREADS").unwrap_or_default();
+    let runs = [
+        (format!("{implicit:?} (implicit)"), fit_fingerprint()),
+        ("2".to_string(), fit_fingerprint_at(2)),
+        ("8".to_string(), fit_fingerprint_at(8)),
+    ];
+    for (threads, (bits, preds)) in runs {
         assert_eq!(
             bits, baseline_bits,
             "parameters diverged from the serial fit at {threads} threads"

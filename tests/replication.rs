@@ -12,7 +12,10 @@
 //!
 //! Contract 3 (resume): subscribing from an arbitrary `from_epoch` replays
 //! exactly the recorded backlog past that epoch; resume from behind the
-//! head without op recording is refused with a readable error.
+//! head without op recording is refused with a readable error. Once the
+//! leader accepted a `Restore`, which restarts the epochs, only a
+//! subscription from epoch 0 is served: it ships the whole recorded log,
+//! and any other resume point is refused by naming the restore.
 //!
 //! Contract 4 (the two serve-path bugfixes ride along): `Fleet::replay`
 //! stops at a mid-log `Shutdown`; and a client with socket deadlines
@@ -22,7 +25,7 @@ use cpa::data::codec;
 use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::simulate;
 use cpa::data::stream::{WorkerBatch, WorkerStream};
-use cpa::eval::runner::Method;
+use cpa::eval::runner::{restore_engine, Method};
 use cpa::math::rng::seeded;
 use cpa::serve::{Fleet, FleetOp, Follower, ShippedOp};
 use cpa::transport::{
@@ -289,6 +292,118 @@ fn a_subscription_from_ahead_of_the_head_is_refused() {
 
     writer.shutdown().expect("shutdown");
     running.join().expect("server joins");
+}
+
+/// A recording leader with a restore hook, driven by one writer through
+/// `A, snapshot, B, restore(snapshot), X, Y` — the snapshot taken at
+/// `snapshot_at` (0: before A). A, B, X and Y are arrival batches 0–3.
+/// Returns the server's address, its thread and the writer.
+fn restored_leader(
+    d: &cpa::data::dataset::Dataset,
+    batches: &[WorkerBatch],
+    snapshot_at: usize,
+) -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<cpa::transport::ServeOutcome>,
+    FleetClient,
+) {
+    let (addr, running) = spawn_server(
+        fleet_for(d, 2).with_restore_hook(restore_engine),
+        ServerConfig {
+            record_ops: true,
+            ..ServerConfig::default()
+        },
+    );
+    let mut writer = FleetClient::connect(addr).expect("writer connects");
+    let ingest = |writer: &mut FleetClient, k: usize| {
+        writer
+            .apply_op(&FleetOp::ingest_from(&d.answers, &batches[k]))
+            .expect("mutation accepted");
+    };
+    let mut manifest = None;
+    for k in 0..2 {
+        if k == snapshot_at {
+            manifest = Some(writer.snapshot().expect("snapshot"));
+        }
+        ingest(&mut writer, k);
+    }
+    let manifest = manifest.expect("snapshot taken");
+    let restored = manifest.epoch;
+    assert_eq!(writer.restore_tagged(manifest).expect("restore"), restored);
+    for k in 2..4 {
+        ingest(&mut writer, k);
+    }
+    (addr, running, writer)
+}
+
+#[test]
+fn a_resume_across_a_restore_is_refused_by_naming_it() {
+    let (d, batches) = fixture();
+    // A (1), snapshot M at 1, B (2), restore M (1), X (2), Y (3).
+    let (addr, running, mut writer) = restored_leader(&d, &batches, 1);
+
+    // A follower holding A and B at epoch 2 must not be shipped Y alone:
+    // the leader's epoch 2 is A + X, not A + B.
+    let err = FleetClient::connect(addr)
+        .expect("subscriber connects")
+        .subscribe(2)
+        .expect_err("a resume across a restore must be refused");
+    assert!(
+        matches!(&err, TransportError::Rejected(m) if m.contains("Restore") && m.contains("epoch 0")),
+        "refusal names the restore: {err}"
+    );
+    // From epoch 0 the whole log is served.
+    let subscription = FleetClient::connect(addr)
+        .expect("subscriber connects")
+        .subscribe(0)
+        .expect("a subscription from epoch 0 is granted");
+    assert_eq!(subscription.head(), 3);
+
+    writer.shutdown().expect("shutdown");
+    running.join().expect("server joins");
+}
+
+#[test]
+fn a_follower_from_epoch_zero_replays_a_restore_of_an_epoch_zero_manifest() {
+    let (d, batches) = fixture();
+    // Snapshot M at 0, A (1), B (2), restore M (0), X (1), Y (2).
+    let (addr, running, mut writer) = restored_leader(&d, &batches, 0);
+
+    let mut subscription = FleetClient::connect(addr)
+        .expect("subscriber connects")
+        .subscribe(0)
+        .expect("a subscription from epoch 0 is granted");
+    // Every recorded frame is queued at subscribe time; the shutdown then
+    // ends the stream after them.
+    writer.shutdown().expect("shutdown");
+    let mut follower = Follower::new(fleet_for(&d, 2).with_restore_hook(restore_engine));
+    let mut shipped = Vec::new();
+    while let Some((epoch, op)) = subscription.next_frame().expect("shipped frame") {
+        shipped.push((epoch, op.name()));
+        follower
+            .apply_shipped(ShippedOp::tagged(epoch, op))
+            .expect("the whole log applies in order");
+    }
+    assert_eq!(
+        shipped,
+        [
+            (1, "Ingest"),
+            (2, "Ingest"),
+            (0, "Restore"),
+            (1, "Ingest"),
+            (2, "Ingest")
+        ],
+        "the restore tagged 0 ships with the rest of the log"
+    );
+
+    let leader = running.join().expect("server joins").fleet;
+    let promoted = follower.promote();
+    assert_eq!(promoted.predict_all(), leader.predict_all());
+    assert_eq!(
+        promoted.snapshot().to_json(),
+        leader.snapshot().to_json(),
+        "the follower ends on the leader's manifest"
+    );
 }
 
 #[test]

@@ -14,9 +14,11 @@
 //! bit-identical to never pausing.
 //!
 //! Both are exercised for K ∈ {1, 2, 4} at 1 and 4 fleet threads plus the
-//! `CPA_TEST_THREADS` CI matrix value, with the incremental CPA-SVI engine
-//! (whose learning-rate schedule makes it the hardest case). K=1 is
-//! additionally pinned to the completely unsharded engine run.
+//! `RAYON_NUM_THREADS` CI matrix value, with the incremental CPA-SVI engine
+//! (whose learning-rate schedule makes it the hardest case). The fleet
+//! installs its own pool of that width around every shard fan-out, and the
+//! standalone reference runs with a pool of the same width installed. K=1
+//! is additionally pinned to the completely unsharded engine run.
 
 use cpa::core::engine::drive;
 use cpa::data::profile::DatasetProfile;
@@ -31,7 +33,7 @@ const SEED: u64 = 5417;
 /// Thread counts to pin: 1 and 4, plus the CI matrix value when it differs.
 fn thread_counts() -> Vec<usize> {
     let mut counts = vec![1usize, 4];
-    if let Some(n) = std::env::var("CPA_TEST_THREADS")
+    if let Some(n) = std::env::var("RAYON_NUM_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0 && !counts.contains(&n))
@@ -63,6 +65,10 @@ fn fleet_for(d: &cpa::data::dataset::Dataset, shards: usize, threads: usize) -> 
 fn merged_predictions_equal_standalone_shard_engines() {
     let (d, batches) = fixture();
     for threads in thread_counts() {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool builds");
         for k in [1usize, 2, 4] {
             let mut fleet = fleet_for(&d, k, threads);
             fleet.drive(&mut MemorySource::new(&d.answers, batches.clone()));
@@ -82,11 +88,13 @@ fn merged_predictions_equal_standalone_shard_engines() {
                     .map(|b| b.shard_split(&d.answers, k)[s].clone())
                     .filter(|split| !split.items.is_empty())
                     .collect();
-                drive(
-                    engine.as_mut(),
-                    &mut MemorySource::new(universe, shard_batches),
-                );
-                let standalone = engine.predict_all();
+                let standalone = pool.install(|| {
+                    drive(
+                        engine.as_mut(),
+                        &mut MemorySource::new(universe, shard_batches),
+                    );
+                    engine.predict_all()
+                });
                 for i in 0..d.num_items() {
                     if router.route(i) == s {
                         assert_eq!(
@@ -101,13 +109,15 @@ fn merged_predictions_equal_standalone_shard_engines() {
             // K=1 is exactly the unsharded engine.
             if k == 1 {
                 let mut engine = engine_for(Method::CpaSvi, &d, SEED);
-                drive(
-                    engine.as_mut(),
-                    &mut MemorySource::new(&d.answers, batches.clone()),
-                );
+                let unsharded = pool.install(|| {
+                    drive(
+                        engine.as_mut(),
+                        &mut MemorySource::new(&d.answers, batches.clone()),
+                    );
+                    engine.predict_all()
+                });
                 assert_eq!(
-                    merged,
-                    engine.predict_all(),
+                    merged, unsharded,
                     "K=1 fleet diverged from the unsharded engine at {threads} thread(s)"
                 );
             }
