@@ -137,7 +137,7 @@ impl<A: Aggregator + serde::Serialize + serde::Deserialize> Engine for BaselineE
             seen: self.seen.clone(),
             state: EngineState::Baseline {
                 method: self.aggregator.name().to_string(),
-                config: self.aggregator.serialize(),
+                config: serde::to_value(&self.aggregator),
                 fitted: self.predictions.is_some(),
             },
         }
@@ -211,8 +211,8 @@ pub(crate) mod engine_testutil {
         assert_eq!(Engine::name(&restored), Engine::name(&engine));
         // The configuration itself must survive, not just the predictions.
         assert_eq!(
-            restored.aggregator().serialize(),
-            engine.aggregator().serialize()
+            serde::to_value(restored.aggregator()),
+            serde::to_value(engine.aggregator())
         );
         assert_eq!(Engine::predict_all(&restored), direct);
         assert_eq!(

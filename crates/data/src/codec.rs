@@ -1,16 +1,17 @@
 //! The std-only **binary codec** over the serde shim's self-describing
-//! [`serde::Value`] model — the compact counterpart of `serde_json`.
+//! data model — the compact counterpart of `serde_json`.
 //!
 //! Anything the workspace can serialize as JSON it can serialize through
-//! this module instead. *Encoding* flows through the same [`Value`] tree
-//! as `serde_json` ([`to_bytes`] renders the type, [`value_to_bytes`]
-//! writes the tree), so `from_bytes::<Value>(&value_to_bytes(&v)) == v`
-//! holds for every tree `serde_json` can produce. *Decoding* builds no
-//! tree: [`from_bytes`] is a pull-based [`serde::Deserializer`] that hands
-//! the target type each scalar, string, array element and object key
-//! straight from the bytes — packed slabs element by element, strings and
-//! interned keys borrowed — with the same semantics as decoding the JSON
-//! text, so a type decoded from either encoding is the same value.
+//! this module instead, and neither direction builds a [`Value`] tree.
+//! *Encoding* is a push-based [`serde::Serializer`] ([`Writer`], behind
+//! [`to_bytes`]): the type hands it each scalar, string, key and container
+//! header in turn, and slices of unsigned integers or floats as one slab
+//! call each. *Decoding* is a pull-based [`serde::Deserializer`]
+//! ([`from_bytes`]) that hands the target type each scalar, string, array
+//! element and object key straight from the bytes — packed slabs element by
+//! element, strings and interned keys borrowed — with the same semantics as
+//! decoding the JSON text, so a type decoded from either encoding is the
+//! same value.
 //!
 //! The binary layout exists for the wire (`cpa-transport` frames, including
 //! the manifests `Snapshot`/`Restore` carry), where JSON's decimal numbers
@@ -39,25 +40,28 @@
 //!
 //! Two compressions carry the format:
 //!
-//! - **Packed slabs.** A homogeneous array of unsigned integers (CSR
-//!   offsets, label-set blocks, worker lists) is stored as one raw slab at
-//!   the smallest width that fits its maximum, and an array of floats
+//! - **Packed slabs.** A slice of unsigned integers (CSR offsets,
+//!   label-set blocks, worker lists) is stored as one raw slab at the
+//!   smallest width that fits its maximum, and a slice of `f64`
 //!   (variational parameter rows) as a float slab — exact bits, no
-//!   decimal round-trip. Bit `k % 8` of bitmap byte `k / 8` is set exactly
+//!   decimal round-trip. An empty slice is a plain empty array. Other
+//!   sequences (tuples, `Value` arrays) are plain arrays. Bit `k % 8` of bitmap byte `k / 8` is set exactly
 //!   when entry `k` is `n as f64`, bit for bit, for an integer
 //!   `0 ≤ n < 2^53`; that entry is the varint `n` (one byte for a
 //!   Dirichlet parameter at its prior `1.0`), and every other entry (−0.0,
 //!   NaN payloads, ±∞, negatives, fractions) keeps its 8 little-endian
 //!   bytes. A varint entry of `2^53` or more, or a bitmap bit past the last
 //!   entry, is malformed, so every slab has one encoding. Both slab kinds
-//!   decode back to the plain `Value::Array` they came from, so packing is
-//!   invisible above the codec.
+//!   decode as plain arrays of numbers, so packing is invisible above the
+//!   codec.
 //! - **Key interning.** Object keys repeat endlessly in CSR entry lists
 //!   (`num_labels`, `blocks`, ...). A key token of `0` introduces a new
 //!   key (varint length + bytes) and appends it to a document-wide table;
-//!   a token `n > 0` references table entry `n − 1`. Encoder and decoder
-//!   walk the tree in the same order, so the tables agree by
-//!   construction.
+//!   a token `n > 0` references table entry `n − 1`. Writer and reader
+//!   meet the keys in the same order, so the tables agree by
+//!   construction — except after a spliced value ([`Writer`]), whose
+//!   introductions only the reader sees; from there the writer spells out
+//!   every key it has not interned yet.
 //!
 //! Decoding is hardened the same way the transport frames are: every
 //! declared length is checked against the bytes actually remaining
@@ -66,7 +70,7 @@
 //! document can overflow the decoding thread's stack), and trailing bytes
 //! after the root value are rejected.
 
-use serde::{Deserialize, Deserializer, Kind, Serialize, Str, Value};
+use serde::{Deserialize, Deserializer, Kind, Serialize, Serializer, Str, Value};
 use std::collections::HashMap;
 
 /// Why a binary payload could not be decoded.
@@ -131,17 +135,9 @@ const FLOAT_VARINT_LIMIT: u64 = 1 << 53;
 
 /// Serializes any shim-serializable type to the binary encoding.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    value_to_bytes(&value.serialize())
-}
-
-/// Encodes one [`Value`] tree.
-pub fn value_to_bytes(value: &Value) -> Vec<u8> {
-    let mut enc = Encoder {
-        out: Vec::new(),
-        keys: HashMap::new(),
-    };
-    enc.encode(value);
-    enc.out
+    let mut out = Vec::new();
+    value.serialize(&mut Writer::new(&mut out));
+    out
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -164,126 +160,118 @@ fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
-struct Encoder {
-    out: Vec<u8>,
+/// The binary [`Serializer`]: appends one document to a byte buffer.
+///
+/// [`Serializer::splice`] copies a standalone encode of a value (one whose
+/// keys are all introductions, as an encode that repeats no key is) into
+/// the document. The decoder appends the copy's keys to its key table at
+/// positions this writer never learns, so from then on a key this writer
+/// has not interned yet is written in full each time.
+pub struct Writer<'a> {
+    out: &'a mut Vec<u8>,
     /// Interned object keys → table index, in first-seen order.
     keys: HashMap<String, u64>,
+    /// A spliced value has extended the decoder's key table.
+    spliced: bool,
 }
 
-impl Encoder {
-    fn encode(&mut self, value: &Value) {
-        match value {
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Writer {
+            out,
+            keys: HashMap::new(),
+            spliced: false,
+        }
+    }
+
+    fn tagged(&mut self, tag: u8, v: u64) {
+        self.out.push(tag);
+        push_varint(self.out, v);
+    }
+}
+
+impl Serializer for Writer<'_> {
+    fn scalar(&mut self, v: Value) {
+        match v {
             Value::Null => self.out.push(TAG_NULL),
-            Value::Bool(false) => self.out.push(TAG_FALSE),
-            Value::Bool(true) => self.out.push(TAG_TRUE),
-            Value::Int(i) => {
-                self.out.push(TAG_INT);
-                push_varint(&mut self.out, zigzag(*i));
-            }
-            Value::UInt(u) => {
-                self.out.push(TAG_UINT);
-                push_varint(&mut self.out, *u);
-            }
+            Value::Bool(b) => self.out.push(if b { TAG_TRUE } else { TAG_FALSE }),
+            Value::Int(i) => self.tagged(TAG_INT, zigzag(i)),
+            Value::UInt(u) => self.tagged(TAG_UINT, u),
             Value::Float(f) => {
                 self.out.push(TAG_FLOAT);
                 self.out.extend_from_slice(&f.to_le_bytes());
             }
-            Value::Str(s) => {
-                self.out.push(TAG_STR);
-                push_varint(&mut self.out, s.len() as u64);
-                self.out.extend_from_slice(s.as_bytes());
-            }
-            Value::Array(items) => self.encode_array(items),
-            Value::Object(entries) => {
-                self.out.push(TAG_OBJECT);
-                push_varint(&mut self.out, entries.len() as u64);
-                for (key, v) in entries {
-                    self.encode_key(key);
-                    self.encode(v);
-                }
+            other => other.serialize(self),
+        }
+    }
+
+    fn str(&mut self, v: &str) {
+        self.tagged(TAG_STR, v.len() as u64);
+        self.out.extend_from_slice(v.as_bytes());
+    }
+
+    fn seq(&mut self, len: usize) {
+        self.tagged(TAG_ARRAY, len as u64);
+    }
+
+    fn map(&mut self, len: usize) {
+        self.tagged(TAG_OBJECT, len as u64);
+    }
+
+    fn key(&mut self, key: &str) {
+        if let Some(&index) = self.keys.get(key) {
+            return push_varint(self.out, index + 1);
+        }
+        if !self.spliced {
+            self.keys.insert(key.to_owned(), self.keys.len() as u64);
+        }
+        self.tagged(0, key.len() as u64);
+        self.out.extend_from_slice(key.as_bytes());
+    }
+
+    fn end(&mut self) {}
+
+    fn u64s(&mut self, items: impl ExactSizeIterator<Item = u64> + Clone) {
+        let Some(max) = items.clone().max() else {
+            return self.seq(0);
+        };
+        let width = match max {
+            0..=0xff => 1,
+            0x100..=0xffff => 2,
+            0x1_0000..=0xffff_ffff => 4,
+            _ => 8,
+        };
+        self.out.extend_from_slice(&[TAG_PACKED_UINT, width as u8]);
+        push_varint(self.out, items.len() as u64);
+        for u in items {
+            self.out.extend_from_slice(&u.to_le_bytes()[..width]);
+        }
+    }
+
+    fn f64s(&mut self, items: &[f64]) {
+        if items.is_empty() {
+            return self.seq(0);
+        }
+        self.tagged(TAG_PACKED_FLOAT, items.len() as u64);
+        let bitmap = self.out.len();
+        self.out.resize(bitmap + items.len().div_ceil(8), 0);
+        for (k, &f) in items.iter().enumerate() {
+            // The cast saturates (NaN → 0); the bit comparison rejects
+            // every value it changed, −0.0 included.
+            let n = f as u64;
+            if n < FLOAT_VARINT_LIMIT && (n as f64).to_bits() == f.to_bits() {
+                self.out[bitmap + k / 8] |= 1 << (k % 8);
+                push_varint(self.out, n);
+            } else {
+                self.out.extend_from_slice(&f.to_le_bytes());
             }
         }
     }
 
-    /// Key token: `0` introduces (and interns) a new key, `n > 0`
-    /// references table entry `n − 1`.
-    fn encode_key(&mut self, key: &str) {
-        match self.keys.get(key) {
-            Some(&index) => push_varint(&mut self.out, index + 1),
-            None => {
-                let index = self.keys.len() as u64;
-                self.keys.insert(key.to_string(), index);
-                self.out.push(0);
-                push_varint(&mut self.out, key.len() as u64);
-                self.out.extend_from_slice(key.as_bytes());
-            }
-        }
-    }
-
-    /// Encodes an array, packing homogeneous numeric runs into raw slabs.
-    fn encode_array(&mut self, items: &[Value]) {
-        if !items.is_empty() {
-            if let Some(max) = uniform_uint_max(items) {
-                let width = uint_width(max);
-                self.out.push(TAG_PACKED_UINT);
-                self.out.push(width);
-                push_varint(&mut self.out, items.len() as u64);
-                for item in items {
-                    let Value::UInt(u) = item else { unreachable!() };
-                    self.out
-                        .extend_from_slice(&u.to_le_bytes()[..width as usize]);
-                }
-                return;
-            }
-            if items.iter().all(|v| matches!(v, Value::Float(_))) {
-                self.out.push(TAG_PACKED_FLOAT);
-                push_varint(&mut self.out, items.len() as u64);
-                let bitmap = self.out.len();
-                self.out.resize(bitmap + items.len().div_ceil(8), 0);
-                for (k, item) in items.iter().enumerate() {
-                    let Value::Float(f) = item else {
-                        unreachable!()
-                    };
-                    // The cast saturates (NaN → 0); the bit comparison
-                    // rejects every value it changed, −0.0 included.
-                    let n = *f as u64;
-                    if n < FLOAT_VARINT_LIMIT && (n as f64).to_bits() == f.to_bits() {
-                        self.out[bitmap + k / 8] |= 1 << (k % 8);
-                        push_varint(&mut self.out, n);
-                    } else {
-                        self.out.extend_from_slice(&f.to_le_bytes());
-                    }
-                }
-                return;
-            }
-        }
-        self.out.push(TAG_ARRAY);
-        push_varint(&mut self.out, items.len() as u64);
-        for item in items {
-            self.encode(item);
-        }
-    }
-}
-
-/// `Some(max)` when every element is a `Value::UInt`.
-fn uniform_uint_max(items: &[Value]) -> Option<u64> {
-    let mut max = 0u64;
-    for item in items {
-        match item {
-            Value::UInt(u) => max = max.max(*u),
-            _ => return None,
-        }
-    }
-    Some(max)
-}
-
-/// Smallest of {1, 2, 4, 8} bytes that holds `max`.
-fn uint_width(max: u64) -> u8 {
-    match max {
-        0..=0xff => 1,
-        0x100..=0xffff => 2,
-        0x1_0000..=0xffff_ffff => 4,
-        _ => 8,
+    fn splice(&mut self, encoded: &[u8]) {
+        self.out.extend_from_slice(encoded);
+        self.spliced = true;
     }
 }
 
@@ -716,64 +704,12 @@ impl<'de> Deserializer<'de> for Reader<'de> {
     }
 }
 
-// ---- raw assembly ----------------------------------------------------------
-
-/// Low-level emitters for assembling a binary document by **splicing
-/// pre-encoded fragments** instead of building a [`Value`] tree — the
-/// transport read path uses these to concatenate per-item reply rows that
-/// were encoded once and cached.
-///
-/// Every key emitted here uses the **introducer** token form (never a
-/// table reference), and spliced fragments must themselves be standalone
-/// encodes (their keys are introducers too). That makes concatenation
-/// valid: the decoder's key-intern table tolerates duplicate
-/// introductions, so an assembled document decodes to exactly the value
-/// the equivalent [`value_to_bytes`] tree would — it just spends a few
-/// more bytes on repeated keys than a whole-tree encode would.
-pub mod raw {
-    use super::{push_varint, Value, TAG_ARRAY, TAG_OBJECT, TAG_UINT};
-
-    /// Emits an object header for `count` key/value pairs. The caller must
-    /// follow with exactly `count` [`push_key`] + value pairs.
-    pub fn push_object(out: &mut Vec<u8>, count: usize) {
-        out.push(TAG_OBJECT);
-        push_varint(out, count as u64);
-    }
-
-    /// Emits an object key in introducer form.
-    pub fn push_key(out: &mut Vec<u8>, key: &str) {
-        out.push(0);
-        push_varint(out, key.len() as u64);
-        out.extend_from_slice(key.as_bytes());
-    }
-
-    /// Emits an array header for `count` elements. The caller must follow
-    /// with exactly `count` encoded values. Never packs — use
-    /// [`push_value`] with a [`Value::Array`] for slab packing.
-    pub fn push_array(out: &mut Vec<u8>, count: usize) {
-        out.push(TAG_ARRAY);
-        push_varint(out, count as u64);
-    }
-
-    /// Emits one unsigned scalar.
-    pub fn push_uint(out: &mut Vec<u8>, v: u64) {
-        out.push(TAG_UINT);
-        push_varint(out, v);
-    }
-
-    /// Emits one [`Value`] tree as a standalone fragment (fresh key table,
-    /// all keys in introducer form) — safe to splice.
-    pub fn push_value(out: &mut Vec<u8>, value: &Value) {
-        out.extend_from_slice(&super::value_to_bytes(value));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip(value: Value) {
-        let bytes = value_to_bytes(&value);
+        let bytes = to_bytes(&value);
         assert_eq!(from_bytes::<Value>(&bytes).unwrap(), value, "{bytes:?}");
     }
 
@@ -800,24 +736,21 @@ mod tests {
     #[test]
     fn varints_stay_small_for_small_scalars() {
         // Tag + 1 varint byte for anything under 128.
-        assert_eq!(value_to_bytes(&Value::UInt(127)).len(), 2);
-        assert_eq!(value_to_bytes(&Value::Int(-63)).len(), 2);
-        assert_eq!(value_to_bytes(&Value::UInt(u64::MAX)).len(), 11);
+        assert_eq!(to_bytes(&127u64).len(), 2);
+        assert_eq!(to_bytes(&-63i64).len(), 2);
+        assert_eq!(to_bytes(&u64::MAX).len(), 11);
     }
 
     #[test]
     fn non_finite_floats_keep_their_bits() {
         // JSON degrades non-finite floats to null; the binary codec is
         // exact.
-        let bytes = value_to_bytes(&Value::Float(f64::NEG_INFINITY));
+        let bytes = to_bytes(&f64::NEG_INFINITY);
         assert_eq!(
             from_bytes::<Value>(&bytes).unwrap(),
             Value::Float(f64::NEG_INFINITY)
         );
-        let bytes = value_to_bytes(&Value::Array(vec![
-            Value::Float(f64::NAN),
-            Value::Float(2.0),
-        ]));
+        let bytes = to_bytes(&[f64::NAN, 2.0][..]);
         let Value::Array(items) = from_bytes::<Value>(&bytes).unwrap() else {
             panic!("array expected");
         };
@@ -851,7 +784,7 @@ mod tests {
             ])
         };
         let many = Value::Array((0..100).map(entry).collect());
-        let bytes = value_to_bytes(&many);
+        let bytes = to_bytes(&many);
         // Keys are spelled out once; every later entry pays ~1 byte per key.
         let key_bytes = "num_labelsblocks".len();
         assert!(
@@ -864,27 +797,29 @@ mod tests {
 
     #[test]
     fn uint_arrays_pack_at_minimal_width() {
-        let small = value_to_bytes(&Value::Array(vec![Value::UInt(9); 100]));
+        let small = to_bytes(&vec![9u64; 100]);
         // 1 tag + 1 width + 1 varint count + 100 × 1 byte.
         assert_eq!(small.len(), 103);
         assert_eq!(small[0], TAG_PACKED_UINT);
         assert_eq!(small[1], 1);
-        let wide = value_to_bytes(&Value::Array(vec![Value::UInt(1 << 40); 100]));
+        let wide = to_bytes(&vec![1u64 << 40; 100]);
         assert_eq!(wide.len(), 3 + 800);
-        roundtrip(Value::Array(
-            (0..1000u64).map(|u| Value::UInt(u * 77)).collect(),
-        ));
+        let values: Vec<u64> = (0..1000).map(|u| u * 77).collect();
+        let bytes = to_bytes(&values);
+        assert_eq!(from_bytes::<Vec<u64>>(&bytes).unwrap(), values);
+        let tree = Value::Array(values.into_iter().map(Value::UInt).collect());
+        assert_eq!(from_bytes::<Value>(&bytes).unwrap(), tree);
     }
 
     #[test]
     fn float_arrays_pack_as_f64_slabs() {
         // i / 7 is integral for the 10 multiples of 7 below 64 (0 to 9,
         // one varint byte each); the other 54 entries keep 8 bytes.
-        let values: Vec<Value> = (0..64).map(|i| Value::Float(i as f64 / 7.0)).collect();
-        let bytes = value_to_bytes(&Value::Array(values.clone()));
+        let values: Vec<f64> = (0..64).map(|i| i as f64 / 7.0).collect();
+        let bytes = to_bytes(&values);
         assert_eq!(bytes[0], TAG_PACKED_FLOAT);
         assert_eq!(bytes.len(), 2 + 8 + 54 * 8 + 10);
-        roundtrip(Value::Array(values));
+        assert_floats_roundtrip_bitwise(&values);
     }
 
     /// Decodes `floats` back through both a typed and a `Value` target
@@ -931,17 +866,15 @@ mod tests {
 
     #[test]
     fn integral_floats_cost_one_varint_each() {
-        let ones = value_to_bytes(&Value::Array(vec![Value::Float(1.0); 100]));
+        let ones = to_bytes(&vec![1.0f64; 100]);
         // Tag + count + 13-byte bitmap + one byte per entry.
         assert!(ones.len() <= 1 + 1 + 13 + 100, "{} bytes", ones.len());
-        roundtrip(Value::Array(vec![Value::Float(1.0); 100]));
+        assert_floats_roundtrip_bitwise(&[1.0; 100]);
         // A slab with no integral entry grows by its bitmap only.
-        let fractions: Vec<Value> = (0..64)
-            .map(|i| Value::Float((i as f64 + 0.5) / 7.0))
-            .collect();
-        let bytes = value_to_bytes(&Value::Array(fractions.clone()));
+        let fractions: Vec<f64> = (0..64).map(|i| (i as f64 + 0.5) / 7.0).collect();
+        let bytes = to_bytes(&fractions);
         assert_eq!(bytes.len(), 2 + 8 + 64 * 8);
-        roundtrip(Value::Array(fractions));
+        assert_floats_roundtrip_bitwise(&fractions);
     }
 
     #[test]
@@ -982,7 +915,7 @@ mod tests {
 
     #[test]
     fn truncations_name_what_was_cut() {
-        let bytes = value_to_bytes(&Value::Str("hello".into()));
+        let bytes = to_bytes(&"hello".to_string());
         let err = from_bytes::<Value>(&bytes[..bytes.len() - 2]).unwrap_err();
         assert!(
             matches!(err, CodecError::Truncated { context, expected: 5, got: 3 }
@@ -1071,7 +1004,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = value_to_bytes(&Value::Null);
+        let mut bytes = to_bytes(&Value::Null);
         bytes.push(0);
         let err = from_bytes::<Value>(&bytes).unwrap_err();
         assert!(
@@ -1083,10 +1016,11 @@ mod tests {
     /// `depth` nested one-element arrays around a `0`.
     fn nested(depth: usize) -> Vec<u8> {
         let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
         for _ in 0..depth {
-            raw::push_array(&mut out, 1);
+            w.seq(1);
         }
-        raw::push_uint(&mut out, 0);
+        w.scalar(Value::UInt(0));
         out
     }
 
@@ -1103,9 +1037,10 @@ mod tests {
         #[derive(Debug, serde::Deserialize)]
         struct Unit;
         let mut doc = Vec::new();
-        raw::push_object(&mut doc, 1);
-        raw::push_key(&mut doc, "skipped");
-        doc.extend_from_slice(&nested(100_000));
+        let mut w = Writer::new(&mut doc);
+        w.map(1);
+        w.key("skipped");
+        w.splice(&nested(100_000));
         let err = from_bytes::<Unit>(&doc).unwrap_err();
         assert!(too_deep(&err), "{err}");
     }
@@ -1138,37 +1073,43 @@ mod tests {
     }
 
     #[test]
-    fn raw_assembled_documents_decode_like_tree_encodes() {
-        // Two standalone-encoded "rows" sharing a key: each introduces the
-        // key itself, so splicing them under one array is still decodable.
+    fn a_key_first_seen_after_a_spliced_row_is_written_in_full() {
+        // Rows are standalone encodes, as the transport's row caches hold.
         let row = |n: u64| Value::Object(vec![("n".into(), Value::UInt(n))]);
-        let fragments: Vec<Vec<u8>> = (0..2).map(|n| value_to_bytes(&row(n))).collect();
-
-        let mut out = Vec::new();
-        raw::push_object(&mut out, 2);
-        raw::push_key(&mut out, "rows");
-        raw::push_array(&mut out, 2);
-        for fragment in &fragments {
-            out.extend_from_slice(fragment);
+        let rows: Vec<Vec<u8>> = (0..2).map(|n| to_bytes(&row(n))).collect();
+        let mut doc = Vec::new();
+        let mut w = Writer::new(&mut doc);
+        w.map(3);
+        w.key("rows");
+        w.seq(2);
+        for row in &rows {
+            w.splice(row);
         }
-        raw::push_key(&mut out, "epoch");
-        raw::push_uint(&mut out, 9);
-
-        let expected = Value::Object(vec![
+        w.end();
+        // `epoch` and `tail` are first seen after the rows, `epoch` twice;
+        // `rows` was interned before them.
+        w.key("epoch");
+        w.scalar(Value::UInt(9));
+        w.key("tail");
+        w.map(2);
+        w.key("epoch");
+        w.scalar(Value::UInt(10));
+        w.key("rows");
+        w.seq(0);
+        w.end();
+        w.end();
+        w.end();
+        let owned = Value::Object(vec![
             ("rows".into(), Value::Array(vec![row(0), row(1)])),
             ("epoch".into(), Value::UInt(9)),
+            (
+                "tail".into(),
+                Value::Object(vec![
+                    ("epoch".into(), Value::UInt(10)),
+                    ("rows".into(), Value::Array(vec![])),
+                ]),
+            ),
         ]);
-        assert_eq!(from_bytes::<Value>(&out).unwrap(), expected);
-
-        // push_value emits standalone fragments: keys re-introduced, so a
-        // spliced value after other objects still decodes in place.
-        let mut doc = Vec::new();
-        raw::push_object(&mut doc, 2);
-        raw::push_key(&mut doc, "a");
-        raw::push_value(&mut doc, &row(5));
-        raw::push_key(&mut doc, "b");
-        raw::push_value(&mut doc, &row(6));
-        let expected = Value::Object(vec![("a".into(), row(5)), ("b".into(), row(6))]);
-        assert_eq!(from_bytes::<Value>(&doc).unwrap(), expected);
+        assert_eq!(from_bytes::<Value>(&doc).unwrap(), owned);
     }
 }

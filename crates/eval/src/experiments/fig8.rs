@@ -20,41 +20,45 @@ pub fn run(cfg: &EvalConfig) -> Report {
         ],
     );
     for profile in DatasetProfile::all_five() {
-        let scaled = profile.clone().scaled(cfg.scale);
-        let sim = simulate(&scaled, cfg.seed);
-        let d = &sim.dataset;
-        let full = evaluate(&run_method(Method::Cpa, d, cfg.seed), &d.truth);
-
-        let noz = if d.num_workers() <= ABLATION_SIZE_LIMIT {
-            let fitted = fit_ablated(&cpa_config(cfg.seed), &d.answers, Ablation::NoZ);
-            Some(evaluate(&fitted.predict_all(&d.answers), &d.truth))
-        } else {
-            None
-        };
-        // No L additionally scales λ with I·M·C — cap the *work*, not just I.
-        let nol_cost = d.num_items() * 15 * d.num_labels();
-        let nol = if d.num_items() <= ABLATION_SIZE_LIMIT && nol_cost <= 40_000_000 {
-            let fitted = fit_ablated(&cpa_config(cfg.seed), &d.answers, Ablation::NoL);
-            Some(evaluate(&fitted.predict_all(&d.answers), &d.truth))
-        } else {
-            None
-        };
-        let cell = |m: Option<crate::metrics::PrMetrics>,
-                    f: fn(crate::metrics::PrMetrics) -> f64| {
-            m.map(|x| f3(f(x))).unwrap_or_else(|| "—".to_string())
-        };
-        r.push_row(vec![
-            profile.name.clone(),
-            f3(full.precision),
-            cell(noz, |m| m.precision),
-            cell(nol, |m| m.precision),
-            f3(full.recall),
-            cell(noz, |m| m.recall),
-            cell(nol, |m| m.recall),
-        ]);
+        r.push_row(row(&profile, cfg));
     }
     r.note("paper: CPA highest on both metrics; No Z loses precision (faulty workers undetected pooled), No L loses recall (no co-occurrence sharing); No L intractable beyond movie-scale label spaces");
     r
+}
+
+/// One dataset's row of [`run`]'s table.
+fn row(profile: &DatasetProfile, cfg: &EvalConfig) -> Vec<String> {
+    let scaled = profile.clone().scaled(cfg.scale);
+    let sim = simulate(&scaled, cfg.seed);
+    let d = &sim.dataset;
+    let full = evaluate(&run_method(Method::Cpa, d, cfg.seed), &d.truth);
+
+    let noz = if d.num_workers() <= ABLATION_SIZE_LIMIT {
+        let fitted = fit_ablated(&cpa_config(cfg.seed), &d.answers, Ablation::NoZ);
+        Some(evaluate(&fitted.predict_all(&d.answers), &d.truth))
+    } else {
+        None
+    };
+    // No L additionally scales λ with I·M·C — cap the *work*, not just I.
+    let nol_cost = d.num_items() * 15 * d.num_labels();
+    let nol = if d.num_items() <= ABLATION_SIZE_LIMIT && nol_cost <= 40_000_000 {
+        let fitted = fit_ablated(&cpa_config(cfg.seed), &d.answers, Ablation::NoL);
+        Some(evaluate(&fitted.predict_all(&d.answers), &d.truth))
+    } else {
+        None
+    };
+    let cell = |m: Option<crate::metrics::PrMetrics>, f: fn(crate::metrics::PrMetrics) -> f64| {
+        m.map(|x| f3(f(x))).unwrap_or_else(|| "—".to_string())
+    };
+    vec![
+        profile.name.clone(),
+        f3(full.precision),
+        cell(noz, |m| m.precision),
+        cell(nol, |m| m.precision),
+        f3(full.recall),
+        cell(noz, |m| m.recall),
+        cell(nol, |m| m.recall),
+    ]
 }
 
 #[cfg(test)]
@@ -68,14 +72,31 @@ mod tests {
             reps: 1,
             ..EvalConfig::default()
         };
-        let r = run(&cfg);
-        let movie = r.rows.iter().find(|row| row[0] == "movie").unwrap();
+        let movie = row(&DatasetProfile::movie(), &cfg);
+        assert_eq!(movie[0], "movie");
         let p_cpa: f64 = movie[1].parse().unwrap();
         let r_cpa: f64 = movie[4].parse().unwrap();
         // Both ablations must be present for movie (small enough).
         let p_noz: f64 = movie[2].parse().unwrap();
         let r_nol: f64 = movie[6].parse().unwrap();
-        assert!(p_cpa >= p_noz - 0.1, "{}", r.render());
-        assert!(r_cpa >= r_nol - 0.1, "{}", r.render());
+        assert!(p_cpa >= p_noz - 0.1, "{movie:?}");
+        assert!(r_cpa >= r_nol - 0.1, "{movie:?}");
+    }
+
+    #[test]
+    fn the_table_has_a_row_per_dataset() {
+        let cfg = EvalConfig {
+            scale: 0.02,
+            reps: 1,
+            ..EvalConfig::default()
+        };
+        let r = run(&cfg);
+        let names: Vec<&str> = r.rows.iter().map(|row| row[0].as_str()).collect();
+        let want: Vec<String> = DatasetProfile::all_five()
+            .into_iter()
+            .map(|p| p.name)
+            .collect();
+        assert_eq!(names, want, "{}", r.render());
+        assert!(r.rows.iter().all(|row| row.len() == 7), "{}", r.render());
     }
 }

@@ -7,12 +7,12 @@
 //! `cpa_data::codec` document: the same value, varint-packed with
 //! interned keys, no JSON string in the middle.
 //!
-//! Encoding renders the op or reply into the serde shim's `Value` tree and
-//! writes that; [`decode`] builds no tree under either codec — the target
-//! type pulls its fields straight from the JSON text or the binary bytes.
-//! Both readers cap nesting at `serde::MAX_DEPTH` (128) levels, so a
-//! hostile frame costs its sender a framed `Error`, never the server's
-//! stack.
+//! Neither direction builds a value tree under either codec: [`encode`] and
+//! [`splice_reply`] push the op or reply into the codec's one writer (a
+//! `serde::Serializer`), and [`decode`] has the target type pull its fields
+//! straight from the JSON text or the binary bytes. Both readers cap
+//! nesting at `serde::MAX_DEPTH` (128) levels, so a hostile frame costs its
+//! sender a framed `Error`, never the server's stack.
 //!
 //! # Negotiation
 //!
@@ -43,6 +43,7 @@
 use crate::error::TransportError;
 use crate::frame;
 use cpa_serve::ReadKind;
+use serde::{Serialize, Serializer};
 use std::io::{Read, Write};
 use std::sync::atomic::AtomicBool;
 
@@ -94,21 +95,18 @@ pub fn wire_slot(format: WireFormat) -> usize {
     }
 }
 
-/// Encodes one op or reply under `format`.
-///
-/// # Errors
-/// [`TransportError::Malformed`] if the value cannot be serialized (JSON
-/// only; the binary codec is total over serializable values).
+/// Encodes one op or reply under `format`. Never fails: both codecs are
+/// total over serializable values.
 pub fn encode<T: serde::Serialize + ?Sized>(
     format: WireFormat,
     value: &T,
 ) -> Result<Vec<u8>, TransportError> {
+    let mut out = Vec::new();
     match format {
-        WireFormat::Json => serde_json::to_string(value)
-            .map(String::into_bytes)
-            .map_err(|e| TransportError::Malformed(format!("encoding op as JSON: {e}"))),
-        WireFormat::Binary => Ok(cpa_data::codec::to_bytes(value)),
+        WireFormat::Json => value.serialize(&mut serde_json::Writer::new(&mut out)),
+        WireFormat::Binary => value.serialize(&mut cpa_data::codec::Writer::new(&mut out)),
     }
+    Ok(out)
 }
 
 /// Decodes one op or reply under `format`.
@@ -162,12 +160,10 @@ pub enum Envelope<'a> {
 /// (a `LabelSet` for [`ReadKind::Predictions`], an `ItemEstimate` for
 /// [`ReadKind::Estimate`]) per row, in reply order, under `format`.
 ///
-/// The body decodes to exactly the owned `FleetReply`: under JSON it is
-/// byte-identical to [`encode`]-ing that reply (the shim emits compact
-/// JSON in field declaration order, which this mirrors); under the binary
-/// codec it spends a few extra bytes re-introducing interned keys
-/// (spliced fragments are standalone — see `cpa_data::codec::raw`) but
-/// decodes to the identical value.
+/// The envelope goes through [`encode`]'s writer and each row is copied in
+/// verbatim ([`serde::Serializer::splice`]), so the body decodes to exactly
+/// the owned `FleetReply`: under JSON it is byte-identical to [`encode`]-ing
+/// that reply; under the binary codec each row re-introduces its keys.
 ///
 /// # Panics
 /// Panics on [`Envelope::Full`] with [`ReadKind::Estimate`].
@@ -179,86 +175,65 @@ pub fn splice_reply<'r>(
     rows: impl ExactSizeIterator<Item = &'r [u8]>,
     epoch: u64,
 ) {
-    use ReadKind::{Estimate, Predictions};
-    let (variant, items, dirty_shards) = match (envelope, kind) {
-        (Envelope::Full, Predictions) => ("Predictions", None, None),
-        (Envelope::Full, Estimate) => panic!("a full Estimate reply is not spliced from rows"),
-        (Envelope::Ranged(items), Predictions) => ("PredictedItems", Some(items), None),
-        (Envelope::Ranged(items), Estimate) => ("EstimatedItems", Some(items), None),
-        (
-            Envelope::Delta {
-                items,
-                dirty_shards,
-            },
-            Predictions,
-        ) => ("PredictedDelta", Some(items), Some(dirty_shards)),
-        (
-            Envelope::Delta {
-                items,
-                dirty_shards,
-            },
-            Estimate,
-        ) => ("EstimatedDelta", Some(items), Some(dirty_shards)),
-    };
-    let rows_field = match kind {
-        Predictions => "predictions",
-        Estimate => "rows",
-    };
     out.clear();
     match format {
         WireFormat::Json => {
-            // Writing into a `Vec` cannot fail.
-            let list = |out: &mut Vec<u8>, key: &str, values: &[usize]| {
-                let _ = write!(out, "\"{key}\":[");
-                for (k, value) in values.iter().enumerate() {
-                    let _ = write!(out, "{}{value}", if k > 0 { "," } else { "" });
-                }
-                out.push(b']');
-            };
-            let _ = write!(out, "{{\"{variant}\":{{");
-            if let Some(items) = items {
-                list(out, "items", items);
-                out.push(b',');
-            }
-            let _ = write!(out, "\"{rows_field}\":[");
-            for (k, row) in rows.enumerate() {
-                if k > 0 {
-                    out.push(b',');
-                }
-                out.extend_from_slice(row);
-            }
-            out.push(b']');
-            if let Some(dirty_shards) = dirty_shards {
-                out.push(b',');
-                list(out, "dirty_shards", dirty_shards);
-            }
-            let _ = write!(out, ",\"epoch\":{epoch}}}}}");
+            let writer = &mut serde_json::Writer::new(out);
+            write_envelope(writer, kind, envelope, rows, epoch);
         }
         WireFormat::Binary => {
-            use cpa_data::codec::raw;
-            let list = |out: &mut Vec<u8>, key: &str, values: &[usize]| {
-                raw::push_key(out, key);
-                raw::push_value(out, &serde::Serialize::serialize(&values.to_vec()));
-            };
-            let fields = 2 + usize::from(items.is_some()) + usize::from(dirty_shards.is_some());
-            raw::push_object(out, 1);
-            raw::push_key(out, variant);
-            raw::push_object(out, fields);
-            if let Some(items) = items {
-                list(out, "items", items);
-            }
-            raw::push_key(out, rows_field);
-            raw::push_array(out, rows.len());
-            for row in rows {
-                out.extend_from_slice(row);
-            }
-            if let Some(dirty_shards) = dirty_shards {
-                list(out, "dirty_shards", dirty_shards);
-            }
-            raw::push_key(out, "epoch");
-            raw::push_uint(out, epoch);
+            let writer = &mut cpa_data::codec::Writer::new(out);
+            write_envelope(writer, kind, envelope, rows, epoch);
         }
     }
+}
+
+/// Writes the reply [`splice_reply`] describes into `s`, field by field in
+/// the `FleetReply` variant's declaration order.
+fn write_envelope<'r, S: Serializer>(
+    s: &mut S,
+    kind: ReadKind,
+    envelope: Envelope<'_>,
+    rows: impl ExactSizeIterator<Item = &'r [u8]>,
+    epoch: u64,
+) {
+    let predictions = kind == ReadKind::Predictions;
+    let (variant, items, dirty_shards) = match envelope {
+        Envelope::Full if predictions => ("Predictions", None, None),
+        Envelope::Full => panic!("a full Estimate reply is not spliced from rows"),
+        Envelope::Ranged(items) if predictions => ("PredictedItems", Some(items), None),
+        Envelope::Ranged(items) => ("EstimatedItems", Some(items), None),
+        Envelope::Delta {
+            items,
+            dirty_shards,
+        } if predictions => ("PredictedDelta", Some(items), Some(dirty_shards)),
+        Envelope::Delta {
+            items,
+            dirty_shards,
+        } => ("EstimatedDelta", Some(items), Some(dirty_shards)),
+    };
+    let rows_field = if predictions { "predictions" } else { "rows" };
+    s.map(1);
+    s.key(variant);
+    s.map(2 + usize::from(items.is_some()) + usize::from(dirty_shards.is_some()));
+    if let Some(items) = items {
+        s.key("items");
+        items.serialize(s);
+    }
+    s.key(rows_field);
+    s.seq(rows.len());
+    for row in rows {
+        s.splice(row);
+    }
+    s.end();
+    if let Some(dirty_shards) = dirty_shards {
+        s.key("dirty_shards");
+        dirty_shards.serialize(s);
+    }
+    s.key("epoch");
+    s.scalar(serde::Value::UInt(epoch));
+    s.end();
+    s.end();
 }
 
 /// Client side of the handshake: sends the preamble requesting

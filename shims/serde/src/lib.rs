@@ -1,21 +1,21 @@
-//! Offline stand-in for `serde`: [`Serialize`] renders a type into the
-//! self-describing [`Value`] model, and [`Deserialize`] rebuilds a type by
-//! **pulling** from a [`Deserializer`] — a reader that hands out the next
-//! scalar, string, array element or object key straight from its source,
-//! so decoding never builds a [`Value`] tree unless [`Value`] is the
-//! target. The companion `serde_json` shim renders [`Value`] as JSON text
-//! and reads JSON text as a [`Deserializer`]; [`from_value`] reads a
-//! [`Value`] the same way. See `shims/README.md`.
+//! Offline stand-in for `serde`: [`Serialize`] writes a type by **pushing**
+//! into a [`Serializer`] — one call per scalar, string, key and container
+//! header — and [`Deserialize`] rebuilds a type by **pulling** from a
+//! [`Deserializer`], a reader that hands out the next scalar, string, array
+//! element or object key straight from its source. Neither direction builds
+//! a [`Value`] tree unless a [`Value`] is asked for: [`to_value`] writes
+//! one and [`from_value`] reads one. The companion `serde_json` shim writes
+//! and reads JSON text the same way. See `shims/README.md`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Self-describing data model every serializable type renders into.
+/// Self-describing data model: the tree [`to_value`] builds and
+/// [`from_value`] reads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -73,39 +73,34 @@ impl Value {
         }
     }
 
-    /// Numeric view as `u64` (exact; rejects negatives and fractions).
+    /// Numeric view as `u64` (exact; rejects negatives, fractions and
+    /// floats from 2^64 up).
     #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Value::UInt(u) => Some(u),
             Value::Int(i) if i >= 0 => Some(i as u64),
-            Value::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, so the bound is strict.
+            Value::Float(f) if f >= 0.0 && f.fract() == 0.0 && f < u64::MAX as f64 => {
                 Some(f as u64)
             }
             _ => None,
         }
     }
 
-    /// Numeric view as `i64` (exact; rejects out-of-range and fractions).
+    /// Numeric view as `i64` (exact; rejects fractions and anything
+    /// outside `[-2^63, 2^63)`).
     #[inline]
     pub fn as_i64(&self) -> Option<i64> {
         match *self {
             Value::Int(i) => Some(i),
             Value::UInt(u) if u <= i64::MAX as u64 => Some(u as i64),
+            // `i64::MAX as f64` rounds up to 2^63, so the range is half-open.
             Value::Float(f)
-                if f.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(&f) =>
+                if f.fract() == 0.0 && (i64::MIN as f64..i64::MAX as f64).contains(&f) =>
             {
                 Some(f as i64)
             }
-            _ => None,
-        }
-    }
-
-    /// Boolean view.
-    #[inline]
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Value::Bool(b) => Some(b),
             _ => None,
         }
     }
@@ -166,10 +161,60 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types renderable into the [`Value`] model.
+/// Types that write themselves into a [`Serializer`].
 pub trait Serialize {
-    /// Converts `self` to a [`Value`].
-    fn serialize(&self) -> Value;
+    /// Writes `self` as the next value of `s`.
+    fn serialize<S: Serializer>(&self, s: &mut S);
+
+    /// Writes `items` as one sequence. Unsigned integers and `f64` hand it to
+    /// one slab call ([`Serializer::u64s`], [`Serializer::f64s`]), as
+    /// `std::hash::Hash::hash_slice` lets a type hash a slice at once.
+    fn serialize_slice<S: Serializer>(items: &[Self], s: &mut S)
+    where
+        Self: Sized,
+    {
+        s.seq(items.len());
+        items.iter().for_each(|item| item.serialize(s));
+        s.end();
+    }
+}
+
+/// A writer of one self-describing document, pushed front to back: the
+/// counterpart of [`Deserializer`]. A sequence or map opens with its length,
+/// takes exactly that many values (each map value right after its key), and
+/// closes with [`Serializer::end`].
+pub trait Serializer {
+    /// Writes a null, bool or number given as a scalar [`Value`] (any other
+    /// [`Value`] is written as its [`Serialize`] impl writes it).
+    fn scalar(&mut self, v: Value);
+    /// Writes a string.
+    fn str(&mut self, v: &str);
+    /// Opens a sequence of `len` values.
+    fn seq(&mut self, len: usize);
+    /// Opens a map of `len` entries.
+    fn map(&mut self, len: usize);
+    /// Writes the open map's next key; its value follows.
+    fn key(&mut self, key: &str);
+    /// Closes the innermost open sequence or map.
+    fn end(&mut self);
+
+    /// Writes a sequence of unsigned integers (a slab).
+    fn u64s(&mut self, items: impl ExactSizeIterator<Item = u64> + Clone) {
+        self.seq(items.len());
+        items.for_each(|u| self.scalar(Value::UInt(u)));
+        self.end();
+    }
+
+    /// Writes a sequence of floats (a slab).
+    fn f64s(&mut self, items: &[f64]) {
+        self.seq(items.len());
+        items.iter().for_each(|&f| self.scalar(Value::Float(f)));
+        self.end();
+    }
+
+    /// Copies one value already encoded in this writer's format, verbatim,
+    /// as the next value ([`to_value`]'s tree has no format and panics).
+    fn splice(&mut self, encoded: &[u8]);
 }
 
 /// Types that rebuild themselves by pulling from a [`Deserializer`].
@@ -283,6 +328,55 @@ pub trait Deserializer<'de> {
             }
         }
         Ok(())
+    }
+}
+
+/// Writes `value` into a [`Value`] tree — the one place encoding still
+/// builds a tree.
+pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
+    let mut tree = TreeWriter(vec![(String::new(), Value::Null)]);
+    value.serialize(&mut tree);
+    tree.0.pop().expect("the root holder stays").1
+}
+
+/// [`Serializer`] building a [`Value`] tree: each open array or object with
+/// its pending key, innermost last, above a holder for the root value.
+struct TreeWriter(Vec<(String, Value)>);
+
+impl Serializer for TreeWriter {
+    fn scalar(&mut self, v: Value) {
+        match self.0.last_mut().expect("the root holder stays") {
+            (_, Value::Array(items)) => items.push(v),
+            (key, Value::Object(entries)) => entries.push((std::mem::take(key), v)),
+            (_, root) => *root = v,
+        }
+    }
+
+    fn str(&mut self, v: &str) {
+        self.scalar(Value::Str(v.to_owned()));
+    }
+
+    fn seq(&mut self, len: usize) {
+        self.0
+            .push((String::new(), Value::Array(Vec::with_capacity(len))));
+    }
+
+    fn map(&mut self, len: usize) {
+        self.0
+            .push((String::new(), Value::Object(Vec::with_capacity(len))));
+    }
+
+    fn key(&mut self, key: &str) {
+        self.0.last_mut().expect("the root holder stays").0 = key.to_owned();
+    }
+
+    fn end(&mut self) {
+        let (_, done) = self.0.pop().expect("`end` closes an open sequence or map");
+        self.scalar(done);
+    }
+
+    fn splice(&mut self, _: &[u8]) {
+        panic!("a Value tree has no encoding to splice bytes into");
     }
 }
 
@@ -487,11 +581,23 @@ pub mod __private {
 
 // ---- primitive impls -------------------------------------------------------
 
-// Identity: a `Value` embeds in any serialized structure as itself (the shim
+// A `Value` embeds in any serialized structure as itself (the shim
 // counterpart of real serde_json's `impl Serialize for Value`).
 impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        match self {
+            Value::Str(v) => s.str(v),
+            Value::Array(items) => items.serialize(s),
+            Value::Object(entries) => {
+                s.map(entries.len());
+                for (key, value) in entries {
+                    s.key(key);
+                    value.serialize(s);
+                }
+                s.end();
+            }
+            scalar => s.scalar(scalar.clone()),
+        }
     }
 }
 
@@ -514,34 +620,43 @@ impl Deserialize for Value {
     }
 }
 
-/// Reads a scalar and views it through `view`, naming `expected` on a
-/// mismatch.
+/// Reads a scalar through a numeric view, naming `expected` on a mismatch;
+/// a positive whole number the view rejects is too large for it.
 fn scalar_as<'de, D: Deserializer<'de>, T>(
     d: &mut D,
     expected: &str,
     view: fn(&Value) -> Option<T>,
 ) -> Result<T, Error> {
     let scalar = d.scalar(expected)?;
-    view(&scalar).ok_or_else(|| Error::mismatch(expected, &scalar))
+    view(&scalar).ok_or_else(|| match scalar.as_f64() {
+        Some(f) if f > 0.0 && f.fract() == 0.0 => Error::custom("integer out of range"),
+        _ => Error::mismatch(expected, &scalar),
+    })
 }
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.scalar(Value::Bool(*self));
     }
 }
 
 impl Deserialize for bool {
     fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error> {
-        scalar_as(d, "bool", Value::as_bool)
+        match d.scalar("bool")? {
+            Value::Bool(b) => Ok(b),
+            other => Err(Error::mismatch("bool", &other)),
+        }
     }
 }
 
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::UInt(*self as u64)
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.scalar(Value::UInt(*self as u64));
+            }
+            fn serialize_slice<S: Serializer>(items: &[Self], s: &mut S) {
+                s.u64s(items.iter().map(|&u| u as u64));
             }
         }
         impl Deserialize for $t {
@@ -558,8 +673,8 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::Int(*self as i64)
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.scalar(Value::Int(*self as i64));
             }
         }
         impl Deserialize for $t {
@@ -574,8 +689,12 @@ macro_rules! impl_signed {
 impl_signed!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::Float(*self)
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.scalar(Value::Float(*self));
+    }
+
+    fn serialize_slice<S: Serializer>(items: &[Self], s: &mut S) {
+        s.f64s(items);
     }
 }
 
@@ -585,21 +704,9 @@ impl Deserialize for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::Float(*self as f64)
-    }
-}
-
-impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.str(self);
     }
 }
 
@@ -609,25 +716,13 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-}
-
 // ---- containers ------------------------------------------------------------
 
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
         match self {
-            Some(v) => v.serialize(),
-            None => Value::Null,
+            Some(v) => v.serialize(s),
+            None => s.scalar(Value::Null),
         }
     }
 }
@@ -643,8 +738,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        T::serialize_slice(self, s);
     }
 }
 
@@ -663,46 +758,8 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for HashSet<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn serialize(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.serialize()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn serialize(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.serialize()))
-                .collect(),
-        )
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        T::serialize_slice(self, s);
     }
 }
 
@@ -715,13 +772,14 @@ fn tuple_len(expected: usize, found: usize) -> Error {
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+) with $len:expr;)*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize(&self) -> Value {
-                Value::Array(vec![$(self.$idx.serialize()),+])
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.seq($len);
+                $(self.$idx.serialize(s);)+
+                s.end();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            // `R`, not `D`: `D` names the fourth element type.
-            fn deserialize<'de, R: Deserializer<'de>>(d: &mut R) -> Result<Self, Error> {
+            fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, Error> {
                 d.seq("array")?;
                 let tuple = ($({
                     if !d.next_element()? {
@@ -744,8 +802,6 @@ macro_rules! impl_tuple {
 }
 
 impl_tuple! {
-    (A: 0) with 1;
     (A: 0, B: 1) with 2;
     (A: 0, B: 1, C: 2) with 3;
-    (A: 0, B: 1, C: 2, D: 3) with 4;
 }

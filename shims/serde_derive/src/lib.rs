@@ -12,56 +12,31 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derives `serde::Serialize` (shim): renders the item into `serde::Value`.
+/// Derives `serde::Serialize` (shim): one `serde::Serializer` call per
+/// field key and value, inside the item's map.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
+    let name = &item.name;
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let pushes: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "entries.push(({f:?}.to_string(), \
-                         ::serde::Serialize::serialize(&self.{f})));"
-                    )
-                })
-                .collect();
-            format!(
-                "let mut entries: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                 ::std::vec::Vec::new(); {pushes} ::serde::Value::Object(entries)"
-            )
-        }
-        Shape::Unit => "::serde::Value::Object(::std::vec::Vec::new())".to_string(),
+        Shape::NamedStruct(fields) => write_fields(fields, "&self."),
         Shape::Enum(variants) => {
-            let name = &item.name;
             let arms: String = variants
                 .iter()
                 .map(|v| match &v.fields {
                     None => format!(
-                        "{name}::{v} => ::serde::Value::Str({v:?}.to_string()),",
+                        "{name}::{v} => ::serde::Serializer::str(__s, {v:?}),",
                         v = v.name
                     ),
-                    Some(fields) => {
-                        let binds = fields.join(", ");
-                        let pushes: String = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "inner.push(({f:?}.to_string(), \
-                                     ::serde::Serialize::serialize({f})));"
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{name}::{v} {{ {binds} }} => {{ \
-                             let mut inner: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                             ::std::vec::Vec::new(); {pushes} \
-                             ::serde::Value::Object(vec![({v:?}.to_string(), \
-                             ::serde::Value::Object(inner))]) }}",
-                            v = v.name
-                        )
-                    }
+                    Some(fields) => format!(
+                        "{name}::{v} {{ {binds} }} => {{ \
+                         ::serde::Serializer::map(__s, 1); \
+                         ::serde::Serializer::key(__s, {v:?}); \
+                         {body} ::serde::Serializer::end(__s); }}",
+                        v = v.name,
+                        binds = fields.join(", "),
+                        body = write_fields(fields, ""),
+                    ),
                 })
                 .collect();
             format!("match self {{ {arms} }}")
@@ -69,11 +44,28 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     };
     format!(
         "impl ::serde::Serialize for {name} {{ \
-         fn serialize(&self) -> ::serde::Value {{ {body} }} }}",
-        name = item.name
+         fn serialize<__S: ::serde::Serializer>(&self, __s: &mut __S) {{ {body} }} }}"
     )
     .parse()
     .expect("serde_derive: generated Serialize impl must parse")
+}
+
+/// Writes `fields` as a map: each key, then the value at `{path}{field}`
+/// (`&self.` for a struct, nothing for a variant's bound fields).
+fn write_fields(fields: &[String], path: &str) -> String {
+    let entries: String = fields
+        .iter()
+        .map(|f| {
+            format!(
+                "::serde::Serializer::key(__s, {f:?}); \
+                 ::serde::Serialize::serialize({path}{f}, __s);"
+            )
+        })
+        .collect();
+    format!(
+        "::serde::Serializer::map(__s, {}); {entries} ::serde::Serializer::end(__s);",
+        fields.len()
+    )
 }
 
 /// Derives `serde::Deserialize` (shim): pulls the item from a
@@ -85,7 +77,6 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let name = &item.name;
     let body = match &item.shape {
         Shape::NamedStruct(fields) => read_fields(name, fields, None),
-        Shape::Unit => read_fields(name, &[], None),
         Shape::Enum(variants) => {
             let expected = format!("enum {name}");
             let names = |unit: bool| -> String {
@@ -182,10 +173,9 @@ struct Item {
 }
 
 enum Shape {
-    /// `struct Name { a: T, b: U }` — field names in declaration order.
+    /// `struct Name { a: T, b: U }` — field names in declaration order (none
+    /// for `struct Name;`).
     NamedStruct(Vec<String>),
-    /// `struct Name;`
-    Unit,
     /// `enum Name { ... }`
     Enum(Vec<Variant>),
 }
@@ -219,7 +209,7 @@ fn parse_item(input: TokenStream) -> Item {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 Shape::NamedStruct(parse_named_fields(g.stream()))
             }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::Unit,
+            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::NamedStruct(Vec::new()),
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 panic!("serde_derive shim: tuple struct `{name}` is not supported")
             }

@@ -1,29 +1,35 @@
-//! Offline stand-in for `serde_json`: renders the serde shim's
-//! [`serde::Value`] model to JSON text, and reads JSON text (RFC 8259) as a
-//! pull-based [`serde::Deserializer`], so [`from_str`] decodes straight from
-//! the text without building a tree. Integers round-trip exactly (`u64`/`i64`
-//! are never routed through `f64`); non-finite floats serialize as `null` and
+//! Offline stand-in for `serde_json`: writes JSON text as a
+//! [`serde::Serializer`] ([`Writer`]) and reads JSON text (RFC 8259) as a
+//! pull-based [`serde::Deserializer`], so neither [`to_string`] nor
+//! [`from_str`] builds a tree. Integers round-trip exactly (`u64`/`i64` are
+//! never routed through `f64`); non-finite floats serialize as `null` and
 //! parse back as NaN. See `shims/README.md`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-use serde::{Deserialize, Deserializer, Kind, Serialize, Str, Value, MAX_DEPTH};
+use serde::{Deserialize, Deserializer, Kind, Serialize, Serializer, Str, Value, MAX_DEPTH};
+use std::io::Write as _;
 
 pub use serde::Error;
 
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize(), None, 0);
-    Ok(out)
+    text(value, None)
 }
 
 /// Serializes `value` as two-space-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize(), Some(2), 0);
-    Ok(out)
+    text(value, Some(2))
+}
+
+fn text<T: Serialize + ?Sized>(value: &T, indent: Option<usize>) -> Result<String, Error> {
+    let mut out = Vec::new();
+    value.serialize(&mut Writer {
+        indent,
+        ..Writer::new(&mut out)
+    });
+    Ok(String::from_utf8(out).expect("the writer emits UTF-8"))
 }
 
 /// Decodes JSON text into any shim-deserializable type, reading straight
@@ -47,83 +53,119 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 
 // ---- writer ----------------------------------------------------------------
 
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{:?}` is Rust's shortest round-trip float formatting.
-                out.push_str(&format!("{f:?}"));
-            } else {
-                out.push_str("null");
+/// The JSON [`Serializer`]: appends one document's compact text to a buffer.
+pub struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+    /// Spaces per nesting level, when pretty-printing.
+    indent: Option<usize>,
+    /// The closing bracket of each open array or object, innermost last.
+    open: Vec<u8>,
+}
+
+impl<'a> Writer<'a> {
+    /// A compact writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Writer {
+            out,
+            indent: None,
+            open: Vec::new(),
+        }
+    }
+
+    /// Starts a value: an array element is an entry, a map value is not.
+    fn value(&mut self) {
+        if self.open.last() == Some(&b']') {
+            self.entry();
+        }
+    }
+
+    /// Separates and indents the next entry of the innermost container (a
+    /// container whose opening bracket was the last byte has none yet).
+    fn entry(&mut self) {
+        if !matches!(self.out.last(), Some(b'[' | b'{')) {
+            self.out.push(b',');
+        }
+        self.newline(self.open.len());
+    }
+
+    fn newline(&mut self, depth: usize) {
+        if let Some(width) = self.indent {
+            self.out.push(b'\n');
+            self.out.resize(self.out.len() + width * depth, b' ');
+        }
+    }
+
+    fn string(&mut self, s: &str) {
+        self.out.push(b'"');
+        for &b in s.as_bytes() {
+            match b {
+                b'"' => self.out.extend_from_slice(b"\\\""),
+                b'\\' => self.out.extend_from_slice(b"\\\\"),
+                b'\n' => self.out.extend_from_slice(b"\\n"),
+                b'\r' => self.out.extend_from_slice(b"\\r"),
+                b'\t' => self.out.extend_from_slice(b"\\t"),
+                ..=0x1f => write!(self.out, "\\u{b:04x}").expect("a `Vec` write cannot fail"),
+                _ => self.out.push(b),
             }
         }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => write_seq(out, items.len(), indent, depth, '[', ']', |out, i, d| {
-            write_value(out, &items[i], indent, d);
-        }),
-        Value::Object(entries) => {
-            write_seq(out, entries.len(), indent, depth, '{', '}', |out, i, d| {
-                let (k, v) = &entries[i];
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, v, indent, d);
-            })
-        }
+        self.out.push(b'"');
     }
 }
 
-fn write_seq(
-    out: &mut String,
-    len: usize,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    mut write_item: impl FnMut(&mut String, usize, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+impl Serializer for Writer<'_> {
+    fn scalar(&mut self, v: Value) {
+        if let Value::Str(_) | Value::Array(_) | Value::Object(_) = v {
+            return v.serialize(self);
         }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
+        self.value();
+        match v {
+            Value::Bool(b) => write!(self.out, "{b}"),
+            Value::Int(i) => write!(self.out, "{i}"),
+            Value::UInt(u) => write!(self.out, "{u}"),
+            // `{:?}` is Rust's shortest round-trip float formatting.
+            Value::Float(f) if f.is_finite() => write!(self.out, "{f:?}"),
+            _ => write!(self.out, "null"),
         }
-        write_item(out, i, depth + 1);
+        .expect("a `Vec` write cannot fail");
     }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
-    }
-    out.push(close);
-}
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    fn str(&mut self, v: &str) {
+        self.value();
+        self.string(v);
     }
-    out.push('"');
+
+    fn seq(&mut self, _: usize) {
+        self.value();
+        self.out.push(b'[');
+        self.open.push(b']');
+    }
+
+    fn map(&mut self, _: usize) {
+        self.value();
+        self.out.push(b'{');
+        self.open.push(b'}');
+    }
+
+    fn key(&mut self, key: &str) {
+        self.entry();
+        self.string(key);
+        let colon: &[u8] = if self.indent.is_some() { b": " } else { b":" };
+        self.out.extend_from_slice(colon);
+    }
+
+    fn end(&mut self) {
+        let close = self.open.pop().expect("`end` closes an open container");
+        if !matches!(self.out.last(), Some(b'[' | b'{')) {
+            self.newline(self.open.len());
+        }
+        self.out.push(close);
+    }
+
+    #[inline]
+    fn splice(&mut self, encoded: &[u8]) {
+        self.value();
+        self.out.extend_from_slice(encoded);
+    }
 }
 
 // ---- reader ----------------------------------------------------------------

@@ -9,7 +9,8 @@
 //!
 //! Contract 2 (semantics): the decoders keep the `Value` model's rules —
 //! unknown keys skipped, the first of duplicate keys kept, missing fields
-//! named, the numeric coercions of `Value::as_u64`/`as_f64`, externally
+//! named, the numeric coercions of `Value::as_u64`/`as_i64`/`as_f64`
+//! (a whole float beyond an integer's range is out of range), externally
 //! tagged enums of exactly one entry, trailing bytes rejected — under
 //! every source alike.
 //!
@@ -56,7 +57,7 @@ fn depth(value: &Value) -> usize {
 fn roundtrip<T: Serialize + Deserialize>(what: &str, value: &T) -> usize {
     let json = serde_json::to_string(value).unwrap();
     let binary = codec::to_bytes(value);
-    let tree = value.serialize();
+    let tree = serde::to_value(value);
     let typed: [(&str, Result<T, String>); 3] = [
         (
             "JSON",
@@ -256,7 +257,7 @@ fn decode_all<T: Deserialize>(doc: &Value) -> [(&'static str, Result<T, String>)
         ),
         (
             "binary",
-            codec::from_bytes(&codec::value_to_bytes(doc)).map_err(|e| e.to_string()),
+            codec::from_bytes(&codec::to_bytes(doc)).map_err(|e| e.to_string()),
         ),
         ("Value", serde::from_value(doc).map_err(|e| e.to_string())),
     ]
@@ -346,6 +347,20 @@ fn decode_semantics_match_the_value_model_under_every_source() {
     for (source, got) in decode_all::<Probe>(&with(Value::UInt(4), Value::Null)) {
         assert!(got.unwrap().weight.is_nan(), "{source}: null is NaN");
     }
+    // A whole float reads as an integer below 2^64 (2^63 signed) and is
+    // out of range from there, as is a `UInt` above `i64::MAX` read signed.
+    let (two_63, two_64) = (2f64.powi(63), 2f64.powi(64));
+    expect_ok(&Value::Float(two_64 - 2048.0), &(u64::MAX - 2047));
+    expect_err::<u64>(&Value::Float(two_64), "integer out of range");
+    expect_ok(&Value::Float(-two_63), &i64::MIN);
+    expect_err::<i64>(&Value::Float(two_63), "integer out of range");
+    expect_err::<i64>(&Value::UInt(1 << 63), "integer out of range");
+    for err in [
+        serde_json::from_str::<u64>("18446744073709551616").unwrap_err(),
+        serde_json::from_str::<i64>("9223372036854775808.0").unwrap_err(),
+    ] {
+        assert!(err.to_string().contains("integer out of range"), "{err}");
+    }
 
     // Enums are externally tagged, one entry exactly.
     expect_ok(&s("Dot"), &Shape::Dot);
@@ -372,7 +387,7 @@ fn decode_semantics_match_the_value_model_under_every_source() {
     let err = serde_json::from_str::<Shape>(&format!("{json} x")).unwrap_err();
     assert!(err.to_string().contains("trailing"), "{err}");
     assert!(serde_json::from_str::<Shape>(&format!("{json} \n")).is_ok());
-    let mut binary = codec::value_to_bytes(&line);
+    let mut binary = codec::to_bytes(&line);
     binary.push(0);
     let err = codec::from_bytes::<Shape>(&binary).unwrap_err();
     assert!(err.to_string().contains("trailing"), "{err}");

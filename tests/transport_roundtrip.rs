@@ -380,9 +380,10 @@ fn truncated_and_garbage_frames_do_not_kill_the_server() {
 /// client is served normally.
 #[test]
 fn deeply_nested_frames_get_a_framed_error_and_the_server_keeps_serving() {
-    use cpa::data::codec::raw;
+    use cpa::data::codec::Writer;
     use cpa::transport::codec::{self, WireFormat};
     use cpa::transport::frame::{read_frame_bytes, write_frame_bytes};
+    use serde::Serializer;
     const DEPTH: usize = 10_000;
 
     let (d, batches) = fixture();
@@ -392,16 +393,18 @@ fn deeply_nested_frames_get_a_framed_error_and_the_server_keeps_serving() {
     let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
 
     let mut nested = Vec::new();
+    let mut w = Writer::new(&mut nested);
     for _ in 0..DEPTH {
-        raw::push_array(&mut nested, 1);
+        w.seq(1);
     }
-    raw::push_uint(&mut nested, 0);
+    w.scalar(serde::Value::UInt(0));
     let mut in_field = Vec::new();
-    raw::push_object(&mut in_field, 1);
-    raw::push_key(&mut in_field, "Ingest");
-    raw::push_object(&mut in_field, 1);
-    raw::push_key(&mut in_field, "junk");
-    in_field.extend_from_slice(&nested);
+    let mut w = Writer::new(&mut in_field);
+    w.map(1);
+    w.key("Ingest");
+    w.map(1);
+    w.key("junk");
+    w.splice(&nested);
     let cases = [
         (
             WireFormat::Json,
@@ -658,7 +661,7 @@ fn cut_item_offsets(manifest: &FleetManifest) -> Vec<u8> {
         };
         &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
     }
-    let mut op = serde::Serialize::serialize(&FleetOp::Restore {
+    let mut op = serde::to_value(&FleetOp::Restore {
         manifest: manifest.clone(),
     });
     let serde::Value::Array(shards) = field(field(field(&mut op, "Restore"), "manifest"), "shards")
