@@ -48,7 +48,8 @@
 //! writer's acked head at each apply), and the wire economics:
 //! `bytes_per_epoch` (mean pushed frame payload) vs `full_read_bytes`
 //! (what a full-universe poll refetch ships per epoch under the same
-//! codec). Both byte columns are 0 on the non-push legs.
+//! codec). Both byte columns are 0 on the non-push legs. Every client of
+//! the read-mostly, follower and push legs speaks JSON.
 //!
 //! Knobs: `CPA_BENCH_SCALE` (default 0.1), `CPA_BENCH_SAMPLES`,
 //! `CPA_BENCH_THREADS` (fleet pool cap, default 4), `CPA_BENCH_READS`
@@ -190,17 +191,19 @@ fn read_mostly_run(
     // Preload half the arrival stream and refit so readers see a fitted
     // model; the tail is the writer's share during the timed window.
     let half = ops.len() / 2;
-    let mut writer = FleetClient::connect(addr).expect("writer connects");
+    let mut writer = FleetClient::connect_with(addr, WireFormat::Json).expect("writer connects");
     let ingest = |writer: &mut FleetClient, op: &cpa_serve::FleetOp| {
         let cpa_serve::FleetOp::Ingest { workers, answers } = op.clone() else {
             unreachable!("arrival_ops produces only ingest ops");
         };
-        writer.ingest(workers, answers).expect("arrival ingest");
+        writer
+            .ingest_tagged(workers, answers)
+            .expect("arrival ingest");
     };
     for op in &ops[..half] {
         ingest(&mut writer, op);
     }
-    writer.refit_all().expect("preload refit");
+    writer.refit_tagged().expect("preload refit");
 
     let reads = readers * reads_per_reader;
     // ~5% writes in the op mix, bounded by the unplayed tail (≥ 1 so the
@@ -213,7 +216,8 @@ fn read_mostly_run(
     let handles: Vec<_> = (0..readers)
         .map(|r| {
             std::thread::spawn(move || {
-                let mut client = FleetClient::connect(addr).expect("reader connects");
+                let mut client =
+                    FleetClient::connect_with(addr, WireFormat::Json).expect("reader connects");
                 let mut rtt = 0.0;
                 let mut last = 0u64;
                 for n in 0..reads_per_reader {
@@ -330,15 +334,15 @@ fn follower_run(
 
     // Subscribe from genesis before the first write, then pump every
     // shipped op into the follower server, sampling the lag per frame.
-    let mut subscription = FleetClient::connect(leader_addr)
+    let mut subscription = FleetClient::connect_with(leader_addr, WireFormat::Json)
         .expect("subscriber connects")
         .subscribe(0)
         .expect("subscription acked");
     let pump = {
         let (acked, applied) = (Arc::clone(&acked), Arc::clone(&applied));
         std::thread::spawn(move || {
-            let mut to_follower =
-                FleetClient::connect(follower_addr).expect("pump connects to follower");
+            let mut to_follower = FleetClient::connect_with(follower_addr, WireFormat::Json)
+                .expect("pump connects to follower");
             let mut lags = Vec::new();
             while let Some((epoch, op)) = subscription.next_frame().expect("shipped frame") {
                 let reply = to_follower
@@ -363,7 +367,8 @@ fn follower_run(
     // for the follower to reach the preload epoch so readers measure a
     // caught-up replica, not a cold one.
     let half = ops.len() / 2;
-    let mut writer = FleetClient::connect(leader_addr).expect("writer connects");
+    let mut writer =
+        FleetClient::connect_with(leader_addr, WireFormat::Json).expect("writer connects");
     let ingest = |writer: &mut FleetClient, op: &cpa_serve::FleetOp| -> u64 {
         let cpa_serve::FleetOp::Ingest { workers, answers } = op.clone() else {
             unreachable!("arrival_ops produces only ingest ops");
@@ -390,7 +395,8 @@ fn follower_run(
     let handles: Vec<_> = (0..readers)
         .map(|_| {
             std::thread::spawn(move || {
-                let mut client = FleetClient::connect(follower_addr).expect("reader connects");
+                let mut client = FleetClient::connect_with(follower_addr, WireFormat::Json)
+                    .expect("reader connects");
                 let mut rtt = 0.0;
                 let mut last = 0u64;
                 for _ in 0..reads_per_reader {
@@ -480,14 +486,16 @@ fn push_run(
     // Preload half the arrival stream and refit so subscribers bootstrap
     // from a fitted model; the tail is the writer's push fodder.
     let half = ops.len() / 2;
-    let mut writer = FleetClient::connect(addr).expect("writer connects");
+    let mut writer = FleetClient::connect_with(addr, WireFormat::Json).expect("writer connects");
     for op in &ops[..half] {
         let cpa_serve::FleetOp::Ingest { workers, answers } = op.clone() else {
             unreachable!("arrival_ops produces only ingest ops");
         };
-        writer.ingest(workers, answers).expect("preload ingest");
+        writer
+            .ingest_tagged(workers, answers)
+            .expect("preload ingest");
     }
-    writer.refit_all().expect("preload refit");
+    writer.refit_tagged().expect("preload refit");
 
     // Narrow each tail op to its first answer's shard — the
     // delta-minimality shape: every timed-window write dirties exactly one
@@ -519,7 +527,7 @@ fn push_run(
         .map(|_| {
             let (head, gate) = (Arc::clone(&head), Arc::clone(&gate));
             std::thread::spawn(move || {
-                let mut sub = FleetClient::connect(addr)
+                let mut sub = FleetClient::connect_with(addr, WireFormat::Json)
                     .expect("subscriber connects")
                     .subscribe_reads(cpa_serve::ReadKind::Predictions, None)
                     .expect("subscription acked");

@@ -33,10 +33,11 @@
 //! bit-identically. Each client picks its wire codec: the server grants the
 //! binary handshake to clients that request it and speaks JSON to everyone
 //! else.
-//! `--subscribe-reads` attaches a demo `SubscribeReads` client that holds a
-//! delta-maintained prediction cache and logs every pushed frame (epoch,
-//! rows, dirty shards, bytes) to stderr until the server winds down; it
-//! occupies one subscription slot for the server's lifetime.
+//! `--subscribe-reads` attaches a demo `SubscribeReads` client (JSON
+//! frames) that holds a delta-maintained prediction cache and logs every
+//! pushed frame (epoch, rows, dirty shards, bytes) to stderr until the
+//! server winds down; it occupies one subscription slot for the server's
+//! lifetime.
 //! ```
 
 use cpa_eval::experiments;
@@ -247,8 +248,9 @@ fn serve_main(args: Vec<String>) {
     // subscription slots for the server's lifetime.
     let demo_sub = subscribe_reads.then(|| {
         std::thread::spawn(move || {
-            let sub = cpa_transport::FleetClient::connect(bound)
-                .and_then(|c| c.subscribe_reads(cpa_serve::ReadKind::Predictions, None));
+            let sub =
+                cpa_transport::FleetClient::connect_with(bound, cpa_transport::WireFormat::Json)
+                    .and_then(|c| c.subscribe_reads(cpa_serve::ReadKind::Predictions, None));
             let mut sub = match sub {
                 Ok(sub) => sub,
                 Err(e) => return eprintln!("# subscriber: refused ({e})"),

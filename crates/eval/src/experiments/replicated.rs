@@ -78,7 +78,7 @@ fn run_replicated(cfg: &EvalConfig, method: Method, threads: usize) -> Replicate
     let acked = Arc::new(AtomicU64::new(0));
 
     let follower_fleet = fleet_for(method, &dataset, cfg.shards, threads, cfg.seed);
-    let subscription = FleetClient::connect_with(addr, WireFormat::from_env())
+    let subscription = FleetClient::connect_with(addr, WireFormat::Json)
         .expect("subscriber connects")
         .subscribe(0)
         .expect("subscription acked");
@@ -113,8 +113,7 @@ fn run_replicated(cfg: &EvalConfig, method: Method, threads: usize) -> Replicate
         })
     };
 
-    let mut writer =
-        FleetClient::connect_with(addr, WireFormat::from_env()).expect("writer connects");
+    let mut writer = FleetClient::connect_with(addr, WireFormat::Json).expect("writer connects");
     for op in ops {
         let reply = writer.apply_op(&op).expect("mutation accepted");
         acked.store(
@@ -222,6 +221,7 @@ pub fn run(cfg: &EvalConfig) -> Report {
          frame the follower applies (epochs, not time; 0 = the follower was at head)",
     );
     r.note("failover_ms = stream close → follower promoted with its manifest materialized");
+    r.note("wire codec = JSON for the op subscription and the writer");
     r
 }
 

@@ -122,14 +122,9 @@ pub fn run_in_process(mut fleet: Fleet, ops: Vec<FleetOp>) -> ServedRun {
 }
 
 /// Drives the same op stream through a loopback TCP server (bound on an
-/// ephemeral port, shut down before returning), under the wire codec named
-/// by `CPA_WIRE_FORMAT` (JSON when unset).
-pub fn run_loopback(fleet: Fleet, ops: Vec<FleetOp>) -> ServedRun {
-    run_loopback_with(fleet, ops, WireFormat::from_env())
-}
-
-/// [`run_loopback`] pinned to a specific wire codec — the JSON-vs-binary
-/// comparison surface of the transport bench.
+/// ephemeral port, shut down before returning), with the client speaking
+/// `format` — the JSON-vs-binary comparison surface of the transport
+/// bench.
 pub fn run_loopback_with(fleet: Fleet, ops: Vec<FleetOp>, format: WireFormat) -> ServedRun {
     let server =
         FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("loopback bind succeeds");
@@ -152,12 +147,12 @@ pub fn run_loopback_with(fleet: Fleet, ops: Vec<FleetOp>, format: WireFormat) ->
         };
         let t = std::time::Instant::now();
         client
-            .ingest(workers, answers)
+            .ingest_tagged(workers, answers)
             .expect("arrival batches satisfy the arrival contract");
         rtt_total += t.elapsed().as_secs_f64();
         ingests += 1;
     }
-    client.refit_all().expect("refit round trip");
+    client.refit_tagged().expect("refit round trip");
     let (predictions, final_epoch) = client.predict_tagged().expect("predict round trip");
     let total_secs = start.elapsed().as_secs_f64();
 
@@ -335,16 +330,17 @@ pub fn run(cfg: &EvalConfig) -> Report {
             fleet_for(method, &dataset, cfg.shards, threads, cfg.seed),
             ops.clone(),
         );
-        let served = run_loopback(
+        let served = run_loopback_with(
             fleet_for(method, &dataset, cfg.shards, threads, cfg.seed),
             ops.clone(),
+            WireFormat::Json,
         );
         // The push path on the same op stream: a delta-maintained cache
         // asserted byte-equal to a poll refetch at every acked epoch.
         let push = run_push_loopback(
             fleet_for(method, &dataset, cfg.shards, threads, cfg.seed),
             ops,
-            WireFormat::from_env(),
+            WireFormat::Json,
         );
         assert_eq!(
             push.final_epoch,
@@ -393,6 +389,7 @@ pub fn run(cfg: &EvalConfig) -> Report {
          bit-identical to the in-process fleet on the same op stream",
     );
     r.note("one Ingest op per arrival batch, then Refit + Predict, over framed loopback TCP");
+    r.note("wire codec = JSON for every loopback client (the poll run and the push run)");
     r.note(
         "epoch = the tag on the final Predict reply (accepted mutations: N ingests + 1 refit); \
          asserted equal across transports",

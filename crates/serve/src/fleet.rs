@@ -61,7 +61,7 @@
 //! cost of cross-shard pooling (measured by the `sharded` experiment in
 //! `cpa-eval`).
 
-use crate::protocol::{subscribed_items, FleetOp, FleetReply, ItemEstimate};
+use crate::protocol::{FleetOp, FleetReply, ItemEstimate};
 use crate::router::{ShardIndex, ShardRouter};
 use crate::view::{ReadKind, ReadView, ViewHandle};
 use cpa_core::engine::{Checkpoint, CheckpointError, DynEngine, RestoreFn};
@@ -272,16 +272,10 @@ impl Fleet {
     ///   manifest;
     /// - `Restore` replaces the whole fleet from a manifest through the
     ///   installed restore hook (rejected if none is installed);
-    /// - `SubscribeOps` is a read that acks the current epoch
-    ///   ([`FleetReply::Subscribed`]); the mutation-stream push it requests
-    ///   is an interpreter concern (the `cpa-transport` server retains the
-    ///   subscription and ships [`FleetReply::OpApplied`] frames), not a
-    ///   fleet mutation;
-    /// - `SubscribeReads` is a read that returns the bootstrap snapshot —
-    ///   a [`FleetReply::PredictedDelta`] / [`FleetReply::EstimatedDelta`]
-    ///   carrying every subscribed item's row at the current epoch; the
-    ///   per-mutation delta push it requests is likewise an interpreter
-    ///   concern;
+    /// - `SubscribeOps` / `SubscribeReads` are refused with an `Error`: a
+    ///   subscription is a stream of frames after the reply, so only a
+    ///   transport that keeps the connection open can serve one (the
+    ///   `cpa-transport` server answers both before they reach `apply`);
     /// - `Shutdown` is acknowledged and leaves the fleet untouched — it is
     ///   a signal to whatever is consuming the op stream.
     ///
@@ -354,8 +348,10 @@ impl Fleet {
                 },
                 None => FleetReply::err("no restore hook installed (see Fleet::with_restore_hook)"),
             },
-            FleetOp::SubscribeOps { .. } => FleetReply::Subscribed { epoch: self.epoch },
-            FleetOp::SubscribeReads { kind, items } => self.read_bootstrap(kind, items),
+            FleetOp::SubscribeOps { .. } | FleetOp::SubscribeReads { .. } => FleetReply::err(
+                "a subscription needs a transport that keeps the connection open \
+                 (serve the fleet with cpa-transport)",
+            ),
             FleetOp::Shutdown => FleetReply::ShuttingDown,
         }
     }
@@ -765,42 +761,6 @@ impl Fleet {
             })
             .collect();
         Ok((rows, view.epoch()))
-    }
-
-    /// The `SubscribeReads` arm of [`Fleet::apply`]: normalize the item set
-    /// ([`subscribed_items`]) and build the bootstrap snapshot — every
-    /// subscribed item's row at the current epoch, with every covering
-    /// shard listed dirty. The per-mutation push stream that follows is an
-    /// interpreter concern.
-    fn read_bootstrap(&self, kind: ReadKind, items: Option<Vec<usize>>) -> FleetReply {
-        let items = subscribed_items(items, self.index.num_items());
-        let covering = |items: &[usize]| {
-            let mut shards: Vec<usize> = items.iter().map(|&i| self.index.shard_of(i)).collect();
-            shards.sort_unstable();
-            shards.dedup();
-            shards
-        };
-        let reply = match kind {
-            ReadKind::Predictions => {
-                self.gather_predictions(Some(&items))
-                    .map(|(predictions, epoch)| FleetReply::PredictedDelta {
-                        dirty_shards: covering(&items),
-                        items,
-                        predictions,
-                        epoch,
-                    })
-            }
-            ReadKind::Estimate => {
-                self.gather_estimates(&items)
-                    .map(|(rows, epoch)| FleetReply::EstimatedDelta {
-                        dirty_shards: covering(&items),
-                        items,
-                        rows,
-                        epoch,
-                    })
-            }
-        };
-        reply.unwrap_or_else(FleetReply::err)
     }
 
     /// Merged soft-truth estimate in global item order, gathered from the

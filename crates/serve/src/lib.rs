@@ -97,7 +97,7 @@ pub use protocol::{
 pub use push::{AppliedDelta, PushError, ReadCache};
 pub use replica::{Follower, ReplicaError, ShippedOp};
 pub use router::{ShardIndex, ShardRouter};
-pub use view::{ReadKind, ReadView, ViewHandle, WIRE_SLOTS};
+pub use view::{EncodedRows, ReadKind, ReadView, ViewHandle, WIRE_SLOTS};
 
 #[cfg(test)]
 mod tests {
@@ -228,6 +228,40 @@ mod tests {
         .unwrap();
         assert_eq!(restored.epoch(), epoch);
         assert_eq!(restored.view_handle().current().epoch(), epoch);
+    }
+
+    #[test]
+    fn subscriptions_are_refused_in_process() {
+        let sim = simulate(&DatasetProfile::movie().scaled(0.04), 43);
+        let d = &sim.dataset;
+        let (i, u, c) = (d.num_items(), d.num_workers(), d.num_labels());
+        let mut rng = seeded(44);
+        let batches = WorkerStream::new(d, 5, &mut rng).into_batches();
+        let mut fleet = batch_fleet(2, 1, i, u, c);
+        fleet.drive(&mut MemorySource::new(&d.answers, batches));
+        fleet.predict_all();
+        let (epoch, view) = (fleet.epoch(), fleet.view_handle().current());
+
+        for op in [
+            FleetOp::SubscribeOps { from_epoch: 0 },
+            FleetOp::SubscribeReads {
+                kind: ReadKind::Predictions,
+                items: None,
+            },
+        ] {
+            let name = op.name();
+            match fleet.apply(op) {
+                FleetReply::Error { message } => {
+                    assert!(message.contains("keeps the connection open"), "{message}")
+                }
+                other => panic!("{name}: expected an Error, got {}", other.name()),
+            }
+            assert_eq!(fleet.epoch(), epoch, "{name}");
+            assert!(
+                Arc::ptr_eq(&fleet.view_handle().current(), &view),
+                "{name} published a view"
+            );
+        }
     }
 
     #[test]

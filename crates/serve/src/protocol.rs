@@ -92,9 +92,9 @@ pub enum FleetOp {
     /// than `from_epoch` as a [`FleetReply::OpApplied`] frame — first the
     /// recorded backlog (when op recording is on), then each new mutation
     /// the moment its view is published. This is the op-shipping channel a
-    /// replication [`crate::replica::Follower`] tails; against a bare
-    /// in-process fleet ([`crate::Fleet::apply`]) it is a read that just
-    /// acks the current epoch.
+    /// replication [`crate::replica::Follower`] tails. Only a transport
+    /// that keeps the connection open serves it: a bare in-process fleet
+    /// ([`crate::Fleet::apply`]) refuses it with an `Error`.
     SubscribeOps {
         /// Resume point: only mutations with epoch > `from_epoch` are
         /// pushed (0 subscribes from the beginning of the lineage).
@@ -107,8 +107,9 @@ pub enum FleetOp {
     /// the subscription) pushes one delta frame per accepted mutation,
     /// carrying rows for **only the dirty shards'** subscribed items. A
     /// delta whose mutation dirtied no subscribed shard still arrives (with
-    /// zero rows) so the subscriber's epoch tracks the head. Against a bare
-    /// in-process fleet, this is a read that returns the bootstrap.
+    /// zero rows) so the subscriber's epoch tracks the head. A bare
+    /// in-process fleet refuses it with an `Error`, as it does
+    /// [`FleetOp::SubscribeOps`].
     SubscribeReads {
         /// Which read to subscribe to: consensus predictions or soft-truth
         /// estimate rows.

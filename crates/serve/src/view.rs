@@ -89,15 +89,40 @@ impl ReadKind {
     }
 }
 
+/// One shard's pre-encoded reply rows under one wire slot: each owned
+/// item's standalone encode, back to back in one buffer in
+/// [`ShardIndex::items_of`] order, with the offset where each row ends.
+#[derive(Debug, Default)]
+pub struct EncodedRows {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl EncodedRows {
+    /// Appends one row: `encode` writes it to the end of the buffer.
+    pub fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        encode(&mut self.bytes);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// The bytes of row `pos` (the shard's `pos`-th owned item).
+    ///
+    /// # Panics
+    /// Panics if `pos` is not a pushed row.
+    pub fn row(&self, pos: usize) -> &[u8] {
+        let start = pos.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.bytes[start..self.ends[pos]]
+    }
+}
+
 /// One shard's lazily-filled cells: its raw `predict_all` / `estimate`
 /// slabs (global population shape — unowned rows are junk and never read)
-/// and the per-item pre-encoded reply rows per [`ReadKind`] × wire slot,
-/// in the shard's owned-item order ([`ShardIndex::items_of`]).
+/// and its [`EncodedRows`] per [`ReadKind`] × wire slot.
 #[derive(Debug, Default)]
 struct ShardCells {
     predictions: OnceLock<Arc<Vec<LabelSet>>>,
     estimate: OnceLock<Arc<TruthEstimate>>,
-    rows: [OnceLock<Arc<Vec<Vec<u8>>>>; 2 * WIRE_SLOTS],
+    rows: [OnceLock<Arc<EncodedRows>>; 2 * WIRE_SLOTS],
 }
 
 impl ShardCells {
@@ -243,7 +268,7 @@ impl ReadView {
     ///
     /// # Panics
     /// Panics if `slot >= WIRE_SLOTS`.
-    pub fn rows(&self, kind: ReadKind, slot: usize, s: usize) -> Option<Arc<Vec<Vec<u8>>>> {
+    pub fn rows(&self, kind: ReadKind, slot: usize, s: usize) -> Option<Arc<EncodedRows>> {
         assert!(slot < WIRE_SLOTS, "wire slot {slot} out of range");
         self.shards[s].rows[kind.index() * WIRE_SLOTS + slot]
             .get()
@@ -264,11 +289,11 @@ impl ReadView {
         kind: ReadKind,
         slot: usize,
         s: usize,
-        rows: Vec<Vec<u8>>,
-    ) -> Arc<Vec<Vec<u8>>> {
+        rows: EncodedRows,
+    ) -> Arc<EncodedRows> {
         assert!(slot < WIRE_SLOTS, "wire slot {slot} out of range");
         assert_eq!(
-            rows.len(),
+            rows.ends.len(),
             self.index.items_of(s).len(),
             "one encoded row per owned item"
         );
@@ -349,19 +374,39 @@ mod tests {
         Arc::new(ShardIndex::new(ShardRouter::new(k), items))
     }
 
+    /// `n` one-byte rows, each `byte`.
+    fn rows_of(n: usize, byte: u8) -> EncodedRows {
+        let mut rows = EncodedRows::default();
+        for _ in 0..n {
+            rows.push(|out| out.push(byte));
+        }
+        rows
+    }
+
+    #[test]
+    fn encoded_rows_slice_back_to_back_rows() {
+        let mut rows = EncodedRows::default();
+        for row in [&b"ab"[..], b"", b"cde"] {
+            rows.push(|out| out.extend_from_slice(row));
+        }
+        assert_eq!(rows.row(0), b"ab");
+        assert_eq!(rows.row(1), b"");
+        assert_eq!(rows.row(2), b"cde");
+    }
+
     #[test]
     fn row_cells_are_per_shard_kind_and_slot() {
         let idx = index(2, 4);
         let owned = idx.items_of(0).len();
         let view = ReadView::new(2, idx);
         assert!(view.rows(ReadKind::Predictions, 0, 0).is_none());
-        let rows = view.fill_rows(ReadKind::Predictions, 0, 0, vec![vec![7]; owned]);
-        assert_eq!(rows.len(), owned);
+        let rows = view.fill_rows(ReadKind::Predictions, 0, 0, rows_of(owned, 7));
+        assert_eq!(rows.row(owned - 1), [7]);
         assert!(view.rows(ReadKind::Predictions, 1, 0).is_none());
         assert!(view.rows(ReadKind::Predictions, 0, 1).is_none());
         assert!(view.rows(ReadKind::Estimate, 0, 0).is_none());
         // Racing fills keep the first value.
-        let kept = view.fill_rows(ReadKind::Predictions, 0, 0, vec![vec![9]; owned]);
+        let kept = view.fill_rows(ReadKind::Predictions, 0, 0, rows_of(owned, 9));
         assert!(Arc::ptr_eq(&rows, &kept));
     }
 
@@ -371,12 +416,8 @@ mod tests {
         let before = handle.current();
         let clean = before.shard_predictions_or_init(0, || vec![LabelSet::empty(2); 5]);
         let stale = before.shard_predictions_or_init(1, || vec![LabelSet::empty(2); 5]);
-        before.fill_rows(
-            ReadKind::Predictions,
-            0,
-            0,
-            vec![vec![1]; before.index().items_of(0).len()],
-        );
+        let owned = before.index().items_of(0).len();
+        before.fill_rows(ReadKind::Predictions, 0, 0, rows_of(owned, 1));
 
         handle.publish(1, &[false, true]);
         let after = handle.current();

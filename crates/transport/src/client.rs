@@ -1,10 +1,11 @@
-//! The blocking client: the `Fleet` surface, one framed round trip per
-//! call.
+//! The blocking client: one method per `FleetOp`, one framed round trip
+//! per call.
 //!
-//! A [`FleetClient`] mirrors `cpa_serve::Fleet`'s method surface
-//! (`ingest` / `refit_all` / `predict_all` / `estimate_all` / the
-//! item-ranged `predict_items` / `estimate_items` / `snapshot` /
-//! `restore`) plus [`FleetClient::shutdown`]; each call frames one
+//! A [`FleetClient`] has one method for each op — `ingest_tagged`,
+//! `refit_tagged`, `predict_tagged`, `estimate_tagged`, the item-ranged
+//! `predict_items_tagged` / `estimate_items_tagged`, `snapshot`,
+//! `restore_tagged`, [`FleetClient::shutdown`] and the two subscriptions —
+//! plus [`FleetClient::apply_op`] for any op verbatim. Each call frames one
 //! `FleetOp`, blocks for the server's `FleetReply`, and decodes it. The
 //! server applies **mutations** from all connections in one global order
 //! and answers each connection's requests FIFO; **reads** are answered from
@@ -13,18 +14,15 @@
 //! of calling the in-process fleet under a lock — bit-identically
 //! (`tests/transport_roundtrip.rs`).
 //!
-//! Every state-bearing reply carries the fleet **epoch** it reflects. The
-//! `*_tagged` variants ([`FleetClient::predict_tagged`],
-//! [`FleetClient::estimate_tagged`], [`FleetClient::ingest_tagged`],
-//! [`FleetClient::refit_tagged`], [`FleetClient::restore_tagged`]) surface
-//! it; the untagged methods keep the original signatures and drop the tag.
+//! Every state-bearing reply carries the fleet **epoch** it reflects, and
+//! the `*_tagged` methods return it beside the payload.
 //!
-//! Each connection speaks one [`WireFormat`]: JSON by default, or the
-//! negotiated binary codec when [`FleetClient::connect_with`] is given
-//! [`WireFormat::Binary`] (see [`crate::codec`] for the handshake). A
-//! binary request the server refuses degrades to JSON on the same
-//! connection — the client never fails just because the server is older
-//! or pinned to JSON.
+//! Each connection speaks the one [`WireFormat`] its constructor names:
+//! [`WireFormat::Json`], or [`WireFormat::Binary`], which
+//! [`FleetClient::connect_with`] negotiates (see [`crate::codec`] for the
+//! handshake). A binary request the server refuses degrades to JSON on the
+//! same connection — the client never fails just because the server is
+//! older; [`FleetClient::wire_format`] reports what was settled.
 //!
 //! Connections carry **socket deadlines** ([`ClientConfig`]): a server
 //! that accepts the connection but never answers — hung, partitioned,
@@ -43,7 +41,6 @@ use crate::codec::{self, WireFormat};
 use crate::error::TransportError;
 use crate::frame::{read_frame_bytes, write_frame_bytes};
 use cpa_core::truth::TruthEstimate;
-use cpa_data::answers::AnswerMatrix;
 use cpa_data::labels::LabelSet;
 use cpa_serve::{
     AppliedDelta, FleetManifest, FleetOp, FleetReply, ItemEstimate, ReadCache, ReadKind,
@@ -101,17 +98,7 @@ pub struct FleetClient {
 }
 
 impl FleetClient {
-    /// Connects to a serving fleet, requesting the codec named by
-    /// `CPA_WIRE_FORMAT` (`binary`, or JSON when unset — see
-    /// [`WireFormat::from_env`]).
-    ///
-    /// # Errors
-    /// Fails on any connect error.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, TransportError> {
-        Self::connect_with(addr, WireFormat::from_env())
-    }
-
-    /// Connects requesting a specific codec, under the default
+    /// Connects to a serving fleet speaking `format`, under the default
     /// [`ClientConfig`] deadlines. [`WireFormat::Json`] skips the
     /// handshake entirely (the pre-negotiation wire, byte for byte);
     /// [`WireFormat::Binary`] performs the `CPAW` handshake and falls back
@@ -193,25 +180,13 @@ impl FleetClient {
     }
 
     /// Ingests one arrival batch (workers plus `(item, worker, labels)`
-    /// triples — one `FleetOp::Ingest`) and returns its arrival index.
+    /// triples — one `FleetOp::Ingest`) and returns its arrival index and
+    /// the fleet epoch the ingest created.
     ///
     /// # Errors
     /// [`TransportError::Rejected`] when the batch violates the arrival
     /// contract (the message names the offending worker), or any transport
     /// failure.
-    pub fn ingest(
-        &mut self,
-        workers: Vec<usize>,
-        answers: Vec<(usize, usize, Vec<usize>)>,
-    ) -> Result<usize, TransportError> {
-        self.ingest_tagged(workers, answers).map(|(batch, _)| batch)
-    }
-
-    /// As [`FleetClient::ingest`], also returning the fleet epoch the
-    /// ingest created.
-    ///
-    /// # Errors
-    /// As [`FleetClient::ingest`].
     pub fn ingest_tagged(
         &mut self,
         workers: Vec<usize>,
@@ -223,42 +198,10 @@ impl FleetClient {
         }
     }
 
-    /// Ingests `workers` as one batch, copying all of their answers out of
-    /// `source` — the wire form of `cpa_serve::FleetOp::ingest_from` for a
-    /// batch of whole workers.
-    ///
-    /// # Errors
-    /// As [`FleetClient::ingest`].
-    pub fn push_workers(
-        &mut self,
-        source: &AnswerMatrix,
-        workers: &[usize],
-    ) -> Result<usize, TransportError> {
-        let answers = workers
-            .iter()
-            .flat_map(|&w| {
-                source
-                    .worker_answers(w)
-                    .iter()
-                    .map(move |(item, labels)| (*item as usize, w, labels.to_vec()))
-            })
-            .collect();
-        self.ingest(workers.to_vec(), answers)
-    }
-
-    /// Refits every shard.
+    /// Refits every shard, returning the fleet epoch the refit created.
     ///
     /// # Errors
     /// Any transport failure.
-    pub fn refit_all(&mut self) -> Result<(), TransportError> {
-        self.refit_tagged().map(|_| ())
-    }
-
-    /// As [`FleetClient::refit_all`], returning the fleet epoch the refit
-    /// created.
-    ///
-    /// # Errors
-    /// As [`FleetClient::refit_all`].
     pub fn refit_tagged(&mut self) -> Result<u64, TransportError> {
         match self.call(&FleetOp::Refit)? {
             FleetReply::Refitted { epoch } => Ok(epoch),
@@ -266,17 +209,9 @@ impl FleetClient {
         }
     }
 
-    /// Merged consensus predictions in global item order.
-    ///
-    /// # Errors
-    /// Any transport failure.
-    pub fn predict_all(&mut self) -> Result<Vec<LabelSet>, TransportError> {
-        self.predict_tagged().map(|(predictions, _)| predictions)
-    }
-
-    /// As [`FleetClient::predict_all`], also returning the epoch of the
-    /// read view the predictions came from — replaying the mutation prefix
-    /// up to that epoch reproduces them bit for bit
+    /// Merged consensus predictions in global item order, with the epoch of
+    /// the read view they came from — replaying the mutation prefix up to
+    /// that epoch reproduces them bit for bit
     /// (`cpa_serve::Fleet::replay_to_epoch`).
     ///
     /// # Errors
@@ -288,16 +223,8 @@ impl FleetClient {
         }
     }
 
-    /// Merged soft-truth estimate in global item order.
-    ///
-    /// # Errors
-    /// Any transport failure.
-    pub fn estimate_all(&mut self) -> Result<TruthEstimate, TransportError> {
-        self.estimate_tagged().map(|(estimate, _)| estimate)
-    }
-
-    /// As [`FleetClient::estimate_all`], also returning the epoch of the
-    /// read view the estimate came from.
+    /// Merged soft-truth estimate in global item order, with the epoch of
+    /// the read view it came from.
     ///
     /// # Errors
     /// Any transport failure.
@@ -308,26 +235,16 @@ impl FleetClient {
         }
     }
 
-    /// Consensus predictions for exactly `items`, echoed in request order
-    /// (duplicates allowed) — the item-ranged read. Reply size is bounded
-    /// by the request, and the server answers from per-item rows cached
-    /// once per (epoch, shard, codec).
+    /// Consensus predictions for exactly `items`, in request order
+    /// (duplicates allowed) — the item-ranged read — with the epoch of the
+    /// read view the rows came from. Reply size is bounded by the request,
+    /// and the server answers from per-item rows cached once per (epoch,
+    /// shard, codec). The reply echoes the requested items; a mismatch with
+    /// the request is an [`TransportError::UnexpectedReply`].
     ///
     /// # Errors
     /// [`TransportError::Rejected`] when an item is outside the served
     /// universe, or any transport failure.
-    pub fn predict_items(&mut self, items: Vec<usize>) -> Result<Vec<LabelSet>, TransportError> {
-        self.predict_items_tagged(items)
-            .map(|(predictions, _)| predictions)
-    }
-
-    /// As [`FleetClient::predict_items`], also returning the epoch of the
-    /// read view the rows came from. The reply echoes the requested items;
-    /// a mismatch with the request is an
-    /// [`TransportError::UnexpectedReply`].
-    ///
-    /// # Errors
-    /// As [`FleetClient::predict_items`].
     pub fn predict_items_tagged(
         &mut self,
         items: Vec<usize>,
@@ -354,23 +271,12 @@ impl FleetClient {
 
     /// Per-item soft-truth rows for exactly `items`, echoed in request
     /// order — the item-ranged counterpart of
-    /// [`FleetClient::estimate_all`] (see `cpa_serve::ItemEstimate` for
-    /// what a row carries).
+    /// [`FleetClient::estimate_tagged`] (see `cpa_serve::ItemEstimate` for
+    /// what a row carries) — with the epoch of the read view they came
+    /// from.
     ///
     /// # Errors
-    /// As [`FleetClient::predict_items`].
-    pub fn estimate_items(
-        &mut self,
-        items: Vec<usize>,
-    ) -> Result<Vec<ItemEstimate>, TransportError> {
-        self.estimate_items_tagged(items).map(|(rows, _)| rows)
-    }
-
-    /// As [`FleetClient::estimate_items`], also returning the epoch of the
-    /// read view the rows came from.
-    ///
-    /// # Errors
-    /// As [`FleetClient::predict_items`].
+    /// As [`FleetClient::predict_items_tagged`].
     pub fn estimate_items_tagged(
         &mut self,
         items: Vec<usize>,
@@ -406,21 +312,14 @@ impl FleetClient {
         }
     }
 
-    /// Replaces the served fleet with one restored from `manifest`.
+    /// Replaces the served fleet with one restored from `manifest`,
+    /// returning the restored fleet's epoch (adopted from the manifest — a
+    /// new lineage, possibly lower than the epochs this connection saw
+    /// before).
     ///
     /// # Errors
     /// [`TransportError::Rejected`] if the server has no restore hook or
     /// the manifest does not restore, or any transport failure.
-    pub fn restore(&mut self, manifest: FleetManifest) -> Result<(), TransportError> {
-        self.restore_tagged(manifest).map(|_| ())
-    }
-
-    /// As [`FleetClient::restore`], returning the restored fleet's epoch
-    /// (adopted from the manifest — a new lineage, possibly lower than the
-    /// epochs this connection saw before).
-    ///
-    /// # Errors
-    /// As [`FleetClient::restore`].
     pub fn restore_tagged(&mut self, manifest: FleetManifest) -> Result<u64, TransportError> {
         match self.call(&FleetOp::Restore { manifest })? {
             FleetReply::Restored { epoch } => Ok(epoch),

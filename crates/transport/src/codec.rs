@@ -1,9 +1,9 @@
-//! Per-connection wire codec: JSON by default, binary by negotiation.
+//! Per-connection wire codec: JSON, or binary by negotiation.
 //!
-//! Every frame body is one serialized `FleetOp` or `FleetReply`. Under the
-//! default [`WireFormat::Json`] codec that body is UTF-8 JSON — readable in
-//! a packet capture, diffable in an op-log, and the compatibility floor
-//! every peer speaks. Under [`WireFormat::Binary`] it is a
+//! Every frame body is one serialized `FleetOp` or `FleetReply`. Under
+//! [`WireFormat::Json`] that body is UTF-8 JSON — readable in a packet
+//! capture, diffable in an op-log, and the compatibility floor every peer
+//! speaks. Under [`WireFormat::Binary`] it is a
 //! `cpa_data::codec` document: the same value, varint-packed with
 //! interned keys, no JSON string in the middle.
 //!
@@ -31,8 +31,10 @@
 //!   version. On a non-zero ack both sides switch to binary frames; on a
 //!   zero ack the client falls back to JSON on the same connection.
 //!
-//! So each client picks its own codec: one that wants JSON just never
-//! sends the preamble.
+//! So each client picks its own codec — every `FleetClient` constructor
+//! takes it as an argument — and one that wants JSON just never sends the
+//! preamble. A reply decodes to the same value under either codec; the
+//! wire tests run each case under both.
 //!
 //! The preamble cannot be mistaken for a JSON frame: read as a big-endian
 //! length, `"CPAW"` is `0x43504157` ≈ 1.1 GiB, far beyond the 64 MiB
@@ -60,29 +62,14 @@ pub const WIRE_MAGIC: [u8; 4] = *b"CPAW";
 /// Nothing on disk is binary, so nothing migrates.
 pub const WIRE_VERSION: u32 = 2;
 
-/// Environment variable read by [`WireFormat::from_env`] (and therefore by
-/// `FleetClient::connect`): `binary` selects the binary codec, anything
-/// else — including unset — selects JSON. The CI `wire-binary` leg sets
-/// this to rerun the whole transport suite over binary frames.
-pub const WIRE_FORMAT_ENV: &str = "CPA_WIRE_FORMAT";
-
 /// How one connection's frame bodies are encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFormat {
-    /// UTF-8 JSON bodies — the default and the universal fallback.
+    /// UTF-8 JSON bodies — what a connection speaks unless its client
+    /// negotiates binary, and the universal fallback.
     Json,
     /// `cpa_data::codec` binary bodies, after a successful handshake.
     Binary,
-}
-
-impl WireFormat {
-    /// The format requested by [`WIRE_FORMAT_ENV`], defaulting to JSON.
-    pub fn from_env() -> Self {
-        match std::env::var(WIRE_FORMAT_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("binary") => WireFormat::Binary,
-            _ => WireFormat::Json,
-        }
-    }
 }
 
 /// The `cpa_serve::view::ReadView` row-cache slot this codec caches under:
@@ -102,11 +89,21 @@ pub fn encode<T: serde::Serialize + ?Sized>(
     value: &T,
 ) -> Result<Vec<u8>, TransportError> {
     let mut out = Vec::new();
-    match format {
-        WireFormat::Json => value.serialize(&mut serde_json::Writer::new(&mut out)),
-        WireFormat::Binary => value.serialize(&mut cpa_data::codec::Writer::new(&mut out)),
-    }
+    encode_into(format, value, &mut out);
     Ok(out)
+}
+
+/// Appends [`encode`]'s bytes for `value` to `out`: a standalone document
+/// under `format`, whatever `out` already holds.
+pub(crate) fn encode_into<T: serde::Serialize + ?Sized>(
+    format: WireFormat,
+    value: &T,
+    out: &mut Vec<u8>,
+) {
+    match format {
+        WireFormat::Json => value.serialize(&mut serde_json::Writer::new(out)),
+        WireFormat::Binary => value.serialize(&mut cpa_data::codec::Writer::new(out)),
+    }
 }
 
 /// Decodes one op or reply under `format`.
@@ -414,18 +411,6 @@ mod tests {
         );
         let mut granted = Peer::new(hello(WIRE_VERSION));
         assert_eq!(client_handshake(&mut granted).unwrap(), WireFormat::Binary);
-    }
-
-    #[test]
-    fn env_selects_the_binary_format_case_insensitively() {
-        // Sequential because the variable is process-global; the value is
-        // restored so other tests see a clean environment.
-        std::env::set_var(WIRE_FORMAT_ENV, "BiNaRy");
-        assert_eq!(WireFormat::from_env(), WireFormat::Binary);
-        std::env::set_var(WIRE_FORMAT_ENV, "json");
-        assert_eq!(WireFormat::from_env(), WireFormat::Json);
-        std::env::remove_var(WIRE_FORMAT_ENV);
-        assert_eq!(WireFormat::from_env(), WireFormat::Json);
     }
 
     #[test]

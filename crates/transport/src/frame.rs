@@ -1,7 +1,7 @@
 //! Length-prefixed framing: the wire format of the fleet protocol.
 //!
 //! One frame is a 4-byte **big-endian** `u32` payload length followed by
-//! that many payload bytes — UTF-8 JSON under the default codec, a
+//! that many payload bytes — UTF-8 JSON under the JSON codec, a
 //! `cpa_data::codec` document under the negotiated binary codec (see
 //! [`crate::codec`]); one serialized `FleetOp` or `FleetReply` either way.
 //! Frames larger than [`MAX_FRAME_BYTES`] are rejected before any payload

@@ -7,10 +7,10 @@
 //! - [`frame`] — the wire format: 4-byte big-endian length prefix + one
 //!   serialized `FleetOp`/`FleetReply` per frame, with truncation and
 //!   oversize hardening on both sides;
-//! - [`codec`] — the per-connection payload codec: UTF-8 JSON by default
-//!   (and as the universal fallback), or the `cpa_data::codec` binary
-//!   encoding after a `CPAW` preamble handshake — each client picks its
-//!   codec, and old JSON clients keep working unchanged;
+//! - [`codec`] — the per-connection payload codec: UTF-8 JSON (the
+//!   universal fallback), or the `cpa_data::codec` binary encoding after a
+//!   `CPAW` preamble handshake — each client names its codec when it
+//!   connects, and old JSON clients keep working unchanged;
 //! - [`FleetServer`] — accepts N concurrent clients on named handler
 //!   threads, funnels every **mutation** into one `Fleet::apply` driver
 //!   (one global op order, the arrival contract enforced per ingest),
@@ -20,11 +20,11 @@
 //!   slab), streams replies
 //!   back per-connection FIFO, and can record the accepted mutations as a
 //!   replayable op-log;
-//! - [`FleetClient`] — a blocking client mirroring the `Fleet` method
-//!   surface, one framed round trip per call, with `*_tagged` variants
-//!   exposing each reply's fleet epoch, socket deadlines ([`ClientConfig`];
-//!   a silent server surfaces as [`TransportError::TimedOut`], never a
-//!   hang), and [`FleetClient::subscribe`] — the replication tail: an
+//! - [`FleetClient`] — a blocking client with one method per op, one
+//!   framed round trip per call (reads and mutations return their reply's
+//!   fleet epoch), with socket deadlines ([`ClientConfig`]; a silent server
+//!   surfaces as [`TransportError::TimedOut`], never a hang), and
+//!   [`FleetClient::subscribe`] — the replication tail: an
 //!   [`OpSubscription`] stream of the leader's accepted mutations as
 //!   epoch-tagged frames, feeding a `cpa_serve::replica::Follower` that
 //!   serves bit-identical reads at observable lag and promotes on leader
@@ -40,7 +40,7 @@
 //! use cpa_core::engine::DynEngine;
 //! use cpa_core::{BatchCpa, CpaConfig};
 //! use cpa_serve::Fleet;
-//! use cpa_transport::{FleetClient, FleetServer, ServerConfig};
+//! use cpa_transport::{FleetClient, FleetServer, ServerConfig, WireFormat};
 //!
 //! let (i, u, c) = (6, 4, 3);
 //! let fleet = Fleet::new(2, 1, i, u, c, |_| {
@@ -51,11 +51,11 @@
 //! let addr = server.local_addr().unwrap();
 //! let running = std::thread::spawn(move || server.serve(fleet).unwrap());
 //!
-//! let mut client = FleetClient::connect(addr).unwrap();
-//! client.ingest(vec![0, 1], vec![(0, 0, vec![1]), (2, 1, vec![0, 2])]).unwrap();
-//! client.refit_all().unwrap();
-//! let consensus = client.predict_all().unwrap();
-//! assert_eq!(consensus.len(), i);
+//! let mut client = FleetClient::connect_with(addr, WireFormat::Json).unwrap();
+//! client.ingest_tagged(vec![0, 1], vec![(0, 0, vec![1]), (2, 1, vec![0, 2])]).unwrap();
+//! let refitted = client.refit_tagged().unwrap();
+//! let (consensus, epoch) = client.predict_tagged().unwrap();
+//! assert_eq!((consensus.len(), epoch), (i, refitted));
 //! client.shutdown().unwrap();
 //!
 //! let outcome = running.join().unwrap();
@@ -72,7 +72,7 @@ pub mod frame;
 pub mod server;
 
 pub use client::{ClientConfig, FleetClient, OpSubscription, ReadDelta, ReadSubscription};
-pub use codec::{WireFormat, WIRE_FORMAT_ENV, WIRE_MAGIC, WIRE_VERSION};
+pub use codec::{WireFormat, WIRE_MAGIC, WIRE_VERSION};
 pub use error::TransportError;
 pub use frame::MAX_FRAME_BYTES;
 pub use server::{FleetServer, ServeOutcome, ServerConfig};

@@ -124,7 +124,8 @@ use crate::codec::{self, Envelope, Negotiated, WireFormat};
 use crate::error::TransportError;
 use crate::frame::{read_frame_bytes_polling, write_frame_bytes};
 use cpa_serve::{
-    subscribed_items, Fleet, FleetOp, FleetReply, ItemEstimate, ReadKind, ReadView, ViewHandle,
+    subscribed_items, EncodedRows, Fleet, FleetOp, FleetReply, ItemEstimate, ReadKind, ReadView,
+    ViewHandle,
 };
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -136,6 +137,19 @@ use std::time::Duration;
 /// How long blocked reads and idle polls wait before re-checking the
 /// shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Deadline on every socket write a handler makes. A peer that stops
+/// reading fills the socket buffers, and a blocking write to it would
+/// never return: its handler (and any subscription slot it holds) would be
+/// gone for good, and `serve` could not return after a `Shutdown`. A write
+/// call that makes no progress for this long fails, which ends the
+/// connection like any other write error. A reader that drains its socket
+/// at all makes progress within milliseconds, so this only has to outlast
+/// a live client's scheduling stalls; a stalled peer is dropped within a
+/// few multiples of it (a full TCP window may still take a trickle of
+/// bytes, and each write call that moves some restarts the deadline). It
+/// guards the server, not a workload, so it is a constant.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Tuning knobs for a [`FleetServer`].
 #[derive(Debug, Clone)]
@@ -557,8 +571,8 @@ fn run_acceptor(listener: TcpListener, conn_tx: Sender<TcpStream>, shutdown: &At
         match listener.accept() {
             Ok((stream, _)) => {
                 consecutive_errors = 0;
-                // Handlers read with a timeout (shutdown polling);
-                // writes stay blocking.
+                // Handlers block with deadlines: reads poll the shutdown
+                // flag, writes give up on a peer that stops reading.
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_nodelay(true);
                 if conn_tx.send(stream).is_err() {
@@ -635,6 +649,7 @@ fn handle_connection(
     slots: &SubscriptionSlots,
 ) -> Result<(), TransportError> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     // A truncated preamble or first frame leaves nothing answerable.
     let (format, mut pending) = match codec::server_handshake(&mut stream, shutdown)? {
         Negotiated::Closed => return Ok(()),
@@ -807,7 +822,7 @@ fn splice_rows(
 ) -> Option<()> {
     let index = view.index();
     let slot = codec::wire_slot(format);
-    let mut cached: Vec<Option<Arc<Vec<Vec<u8>>>>> = vec![None; index.num_shards()];
+    let mut cached: Vec<Option<Arc<EncodedRows>>> = vec![None; index.num_shards()];
     for i in items.clone() {
         let s = index.shard_of(i);
         if cached[s].is_none() {
@@ -819,7 +834,7 @@ fn splice_rows(
     }
     let rows = items.map(|i| {
         let shard_rows = cached[index.shard_of(i)].as_ref().expect("gathered above");
-        shard_rows[index.pos_in_shard(i)].as_slice()
+        shard_rows.row(index.pos_in_shard(i))
     });
     codec::splice_reply(out, format, kind, envelope, rows, view.epoch());
     Some(())
@@ -910,35 +925,33 @@ fn pump_read_deltas(
 }
 
 /// Encodes shard `s`'s per-item reply rows for `kind` under `format` (one
-/// standalone encode per owned item, in `ShardIndex::items_of` order), or
-/// `None` if the shard's slab is not filled this epoch.
+/// standalone encode per owned item, in `ShardIndex::items_of` order, back
+/// to back in one buffer), or `None` if the shard's slab is not filled this
+/// epoch.
 fn encode_shard_rows(
     view: &ReadView,
     kind: ReadKind,
     format: WireFormat,
     s: usize,
-) -> Option<Vec<Vec<u8>>> {
-    let index = view.index();
+) -> Option<EncodedRows> {
+    let items = view.index().items_of(s).iter().map(|&i| i as usize);
+    let mut rows = EncodedRows::default();
     match kind {
         ReadKind::Predictions => {
             let slab = view.shard_predictions(s)?;
-            index
-                .items_of(s)
-                .iter()
-                .map(|&i| codec::encode(format, &slab[i as usize]).ok())
-                .collect()
+            for i in items {
+                rows.push(|out| codec::encode_into(format, &slab[i], out));
+            }
         }
         ReadKind::Estimate => {
             let slab = view.shard_estimate(s)?;
-            index
-                .items_of(s)
-                .iter()
-                .map(|&i| {
-                    codec::encode(format, &ItemEstimate::from_estimate(&slab, i as usize)).ok()
-                })
-                .collect()
+            for i in items {
+                let row = ItemEstimate::from_estimate(&slab, i);
+                rows.push(|out| codec::encode_into(format, &row, out));
+            }
         }
     }
+    Some(rows)
 }
 
 /// Tells the client the server is winding down (best effort) and ends the

@@ -67,5 +67,5 @@ pub mod prelude {
     pub use cpa_data::workers::{WorkerMix, WorkerType};
     pub use cpa_eval::metrics::{evaluate, PrMetrics};
     pub use cpa_serve::{Fleet, FleetError, FleetManifest, FleetOp, FleetReply, ShardRouter};
-    pub use cpa_transport::{FleetClient, FleetServer, ServerConfig, TransportError};
+    pub use cpa_transport::{FleetClient, FleetServer, ServerConfig, TransportError, WireFormat};
 }

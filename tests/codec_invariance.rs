@@ -218,12 +218,14 @@ fn mixed_codec_clients_round_trip_one_fleet_bit_identically() {
         } else {
             &mut binary_client
         };
-        client.ingest(workers, answers).expect("mixed ingest");
+        client
+            .ingest_tagged(workers, answers)
+            .expect("mixed ingest");
     }
-    json_client.refit_all().expect("refit over JSON");
+    json_client.refit_tagged().expect("refit over JSON");
 
-    let json_preds = json_client.predict_all().expect("predict over JSON");
-    let binary_preds = binary_client.predict_all().expect("predict over binary");
+    let (json_preds, _) = json_client.predict_tagged().expect("predict over JSON");
+    let (binary_preds, _) = binary_client.predict_tagged().expect("predict over binary");
     assert_eq!(json_preds, want, "JSON client diverged");
     assert_eq!(binary_preds, want, "binary client diverged");
     assert_eq!(
@@ -269,7 +271,7 @@ fn the_frame_cap_is_enforced_identically_under_both_codecs() {
     }
     // Both abuses left the server serving.
     let mut client = FleetClient::connect_with(addr, WireFormat::Binary).expect("connect");
-    client.refit_all().expect("healthy refit");
+    client.refit_tagged().expect("healthy refit");
     client.shutdown().expect("shutdown");
     running.join().expect("server joins");
 }
@@ -277,36 +279,39 @@ fn the_frame_cap_is_enforced_identically_under_both_codecs() {
 #[test]
 fn an_unsupported_binary_version_falls_back_to_json() {
     let (d, _) = fixture();
-    let (addr, running) = spawn_server(fleet_for(&d, 1), ServerConfig::default());
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let (addr, running) = spawn_server(fleet_for(&d, 1), ServerConfig::default());
 
-    // A future client requesting wire version 99: the server acks 0
-    // (refused) and the connection proceeds in JSON.
-    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-    let mut preamble = Vec::from(*b"CPAW");
-    preamble.extend(99u32.to_be_bytes());
-    raw.write_all(&preamble).expect("versioned preamble");
-    let mut ack = [0u8; 8];
-    raw.read_exact(&mut ack).expect("ack");
-    assert_eq!(&ack[..4], b"CPAW");
-    assert_eq!(
-        u32::from_be_bytes([ack[4], ack[5], ack[6], ack[7]]),
-        0,
-        "unsupported version must be refused, not half-spoken"
-    );
-    // JSON still works on this very connection.
-    let op = "\"Refit\"";
-    raw.write_all(&(op.len() as u32).to_be_bytes())
-        .expect("prefix");
-    raw.write_all(op.as_bytes()).expect("payload");
-    let mut prefix = [0u8; 4];
-    raw.read_exact(&mut prefix).expect("reply prefix");
-    let mut payload = vec![0u8; u32::from_be_bytes(prefix) as usize];
-    raw.read_exact(&mut payload).expect("reply payload");
-    let text = String::from_utf8(payload).expect("JSON reply");
-    assert!(text.contains("Refitted"), "{text}");
-    drop(raw);
+        // A future client requesting wire version 99: the server acks 0
+        // (refused) and the connection proceeds in JSON.
+        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+        let mut preamble = Vec::from(*b"CPAW");
+        preamble.extend(99u32.to_be_bytes());
+        raw.write_all(&preamble).expect("versioned preamble");
+        let mut ack = [0u8; 8];
+        raw.read_exact(&mut ack).expect("ack");
+        assert_eq!(&ack[..4], b"CPAW");
+        assert_eq!(
+            u32::from_be_bytes([ack[4], ack[5], ack[6], ack[7]]),
+            0,
+            "unsupported version must be refused, not half-spoken"
+        );
+        // JSON still works on this very connection.
+        let op = "\"Refit\"";
+        raw.write_all(&(op.len() as u32).to_be_bytes())
+            .expect("prefix");
+        raw.write_all(op.as_bytes()).expect("payload");
+        let mut prefix = [0u8; 4];
+        raw.read_exact(&mut prefix).expect("reply prefix");
+        let mut payload = vec![0u8; u32::from_be_bytes(prefix) as usize];
+        raw.read_exact(&mut payload).expect("reply payload");
+        let text = String::from_utf8(payload).expect("JSON reply");
+        assert!(text.contains("Refitted"), "{text}");
+        drop(raw);
 
-    let mut client = FleetClient::connect(addr).expect("connect");
-    client.shutdown().expect("shutdown");
-    running.join().expect("server joins");
+        // The refused connection left the server serving either codec.
+        let mut client = FleetClient::connect_with(addr, format).expect("connect");
+        client.shutdown().expect("shutdown");
+        running.join().expect("server joins");
+    }
 }

@@ -113,10 +113,18 @@ fn every_document_the_workspace_writes_decodes_the_same_from_json_binary_and_val
     ]);
     let mut replies: Vec<FleetReply> = ops.iter().map(|op| fleet.apply(op.clone())).collect();
     let manifest = fleet.snapshot();
-    let tail = [
+    for op in [
         FleetOp::Restore {
             manifest: manifest.clone(),
         },
+        FleetOp::Shutdown,
+    ] {
+        replies.push(fleet.apply(op.clone()));
+        ops.push(op);
+    }
+    // A fleet refuses subscriptions in process; their replies are the
+    // frames a server sends: the ack and the two kinds of bootstrap.
+    ops.extend([
         FleetOp::SubscribeOps { from_epoch: 2 },
         FleetOp::SubscribeReads {
             kind: ReadKind::Predictions,
@@ -126,12 +134,27 @@ fn every_document_the_workspace_writes_decodes_the_same_from_json_binary_and_val
             kind: ReadKind::Estimate,
             items: Some(vec![5, 2]),
         },
-        FleetOp::Shutdown,
-    ];
-    for op in tail {
-        replies.push(fleet.apply(op.clone()));
-        ops.push(op);
-    }
+    ]);
+    let epoch = fleet.epoch();
+    let ranged = vec![2, 5];
+    let mut covering: Vec<usize> = ranged.iter().map(|&i| fleet.router().route(i)).collect();
+    covering.sort_unstable();
+    covering.dedup();
+    replies.extend([
+        FleetReply::Subscribed { epoch },
+        FleetReply::PredictedDelta {
+            items: (0..i).collect(),
+            predictions: fleet.predict_all(),
+            dirty_shards: (0..fleet.num_shards()).collect(),
+            epoch,
+        },
+        FleetReply::EstimatedDelta {
+            rows: fleet.estimate_items(&ranged),
+            items: ranged,
+            dirty_shards: covering,
+            epoch,
+        },
+    ]);
     replies.push(FleetReply::OpApplied {
         epoch: 9,
         op: FleetOp::Restore {

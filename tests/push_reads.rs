@@ -27,6 +27,9 @@
 //! keeps holding as ingesting continues. A restore that shrinks the
 //! universe under a subscription's items ends that subscription with a
 //! framed error; the others keep streaming and the server keeps serving.
+//!
+//! Contracts 1 and 2 name their codec per case; every other test that
+//! talks to a server runs once per wire codec (JSON, then binary).
 
 use cpa::data::labels::LabelSet;
 use cpa::data::profile::DatasetProfile;
@@ -255,170 +258,179 @@ fn a_single_shard_ingest_pushes_exactly_the_dirty_shards_rows() {
     let (d, batches) = fixture();
     let shards = 4;
     let index = ShardIndex::new(ShardRouter::new(shards), d.num_items());
-    let (addr, running) = spawn_server(fleet_for(&d, shards), ServerConfig::default());
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let (addr, running) = spawn_server(fleet_for(&d, shards), ServerConfig::default());
 
-    // Seed one normal ingest first, so the subscription bootstraps at a
-    // non-genesis epoch.
-    let mut writer = FleetClient::connect(addr).expect("writer connects");
-    let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, &batches[0]) else {
-        unreachable!()
-    };
-    let (_, seeded_at) = writer.ingest_tagged(workers, answers).expect("seed ingest");
+        // Seed one normal ingest first, so the subscription bootstraps at a
+        // non-genesis epoch.
+        let mut writer = FleetClient::connect_with(addr, format).expect("writer connects");
+        let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, &batches[0])
+        else {
+            unreachable!()
+        };
+        let (_, seeded_at) = writer.ingest_tagged(workers, answers).expect("seed ingest");
 
-    let mut sub = FleetClient::connect(addr)
-        .expect("subscriber connects")
-        .subscribe_reads(ReadKind::Predictions, None)
-        .expect("subscription acked");
-    assert_eq!(sub.epoch(), seeded_at, "bootstrap at the current epoch");
+        let mut sub = FleetClient::connect_with(addr, format)
+            .expect("subscriber connects")
+            .subscribe_reads(ReadKind::Predictions, None)
+            .expect("subscription acked");
+        assert_eq!(sub.epoch(), seeded_at, "bootstrap at the current epoch");
 
-    // An ingest whose answers all route to one shard: keep only batch 1's
-    // triples owned by the first triple's shard. Workers still arrive at
-    // most once, so the arrival contract holds.
-    let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, &batches[1]) else {
-        unreachable!()
-    };
-    let target = index.shard_of(answers[0].0);
-    let narrowed: Vec<_> = answers
-        .into_iter()
-        .filter(|(item, _, _)| index.shard_of(*item) == target)
-        .collect();
-    assert!(!narrowed.is_empty(), "the narrowed batch still ingests");
-    let (_, acked) = writer
-        .ingest_tagged(workers, narrowed)
-        .expect("single-shard ingest");
+        // An ingest whose answers all route to one shard: keep only batch 1's
+        // triples owned by the first triple's shard. Workers still arrive at
+        // most once, so the arrival contract holds.
+        let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, &batches[1])
+        else {
+            unreachable!()
+        };
+        let target = index.shard_of(answers[0].0);
+        let narrowed: Vec<_> = answers
+            .into_iter()
+            .filter(|(item, _, _)| index.shard_of(*item) == target)
+            .collect();
+        assert!(!narrowed.is_empty(), "the narrowed batch still ingests");
+        let (_, acked) = writer
+            .ingest_tagged(workers, narrowed)
+            .expect("single-shard ingest");
 
-    let delta = sub
-        .next_delta()
-        .expect("delta frame")
-        .expect("stream not ended");
-    assert_eq!(delta.applied.epoch, acked);
-    assert_eq!(
-        delta.applied.dirty_shards, 1,
-        "a 1-of-{shards} ingest dirties one shard"
-    );
-    assert_eq!(
-        delta.applied.rows,
-        index.items_of(target).len(),
-        "the delta carries exactly the dirty shard's rows"
-    );
+        let delta = sub
+            .next_delta()
+            .expect("delta frame")
+            .expect("stream not ended");
+        assert_eq!(delta.applied.epoch, acked);
+        assert_eq!(
+            delta.applied.dirty_shards, 1,
+            "a 1-of-{shards} ingest dirties one shard"
+        );
+        assert_eq!(
+            delta.applied.rows,
+            index.items_of(target).len(),
+            "the delta carries exactly the dirty shard's rows"
+        );
 
-    // And the minimal delta still left the cache poll-identical.
-    let items = sub.cache().items().to_vec();
-    let (rows, tag) = poll_rows(&mut writer, ReadKind::Predictions, &items);
-    assert_eq!(tag, acked);
-    assert_eq!(
-        cache_rows(&sub),
-        rows,
-        "cache diverged after a minimal delta"
-    );
+        // And the minimal delta still left the cache poll-identical.
+        let items = sub.cache().items().to_vec();
+        let (rows, tag) = poll_rows(&mut writer, ReadKind::Predictions, &items);
+        assert_eq!(tag, acked);
+        assert_eq!(
+            cache_rows(&sub),
+            rows,
+            "cache diverged after a minimal delta"
+        );
 
-    writer.shutdown().expect("shutdown");
-    running.join().expect("server joins");
-    assert!(
-        sub.next_delta().expect("wind-down").is_none(),
-        "clean EOF after wind-down"
-    );
+        writer.shutdown().expect("shutdown");
+        running.join().expect("server joins");
+        assert!(
+            sub.next_delta().expect("wind-down").is_none(),
+            "clean EOF after wind-down"
+        );
+    }
 }
 
 #[test]
 fn subscriptions_cap_at_max_clients_minus_one_and_free_their_slot() {
     let (d, batches) = fixture();
-    let (addr, running) = spawn_server(
-        fleet_for(&d, 2),
-        ServerConfig {
-            max_clients: 2,
-            ..ServerConfig::default()
-        },
-    );
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let (addr, running) = spawn_server(
+            fleet_for(&d, 2),
+            ServerConfig {
+                max_clients: 2,
+                ..ServerConfig::default()
+            },
+        );
 
-    // Slot 1 of 1: granted.
-    let sub = FleetClient::connect(addr)
-        .expect("subscriber connects")
-        .subscribe_reads(ReadKind::Predictions, None)
-        .expect("first subscription granted");
+        // Slot 1 of 1: granted.
+        let sub = FleetClient::connect_with(addr, format)
+            .expect("subscriber connects")
+            .subscribe_reads(ReadKind::Predictions, None)
+            .expect("first subscription granted");
 
-    // One past the cap: refused with a readable framed error — for read
-    // and op subscriptions alike, which share the cap — and the refused
-    // connection stays usable for request/reply traffic.
-    let mut probe = FleetClient::connect(addr).expect("probe connects");
-    let err = probe
-        .apply_op(&FleetOp::SubscribeReads {
-            kind: ReadKind::Predictions,
-            items: None,
-        })
-        .expect_err("read subscription past the cap is refused");
-    assert!(
-        matches!(&err, TransportError::Rejected(m) if m.contains("subscription slots")),
-        "refusal names the cause: {err}"
-    );
-    let err = probe
-        .apply_op(&FleetOp::SubscribeOps { from_epoch: 0 })
-        .expect_err("op subscription past the cap is refused");
-    assert!(
-        matches!(&err, TransportError::Rejected(m) if m.contains("subscription slots")),
-        "refusal names the cause: {err}"
-    );
-    probe
-        .predict_all()
-        .expect("the refused connection still answers reads");
+        // One past the cap: refused with a readable framed error — for read
+        // and op subscriptions alike, which share the cap — and the refused
+        // connection stays usable for request/reply traffic.
+        let mut probe = FleetClient::connect_with(addr, format).expect("probe connects");
+        let err = probe
+            .apply_op(&FleetOp::SubscribeReads {
+                kind: ReadKind::Predictions,
+                items: None,
+            })
+            .expect_err("read subscription past the cap is refused");
+        assert!(
+            matches!(&err, TransportError::Rejected(m) if m.contains("subscription slots")),
+            "refusal names the cause: {err}"
+        );
+        let err = probe
+            .apply_op(&FleetOp::SubscribeOps { from_epoch: 0 })
+            .expect_err("op subscription past the cap is refused");
+        assert!(
+            matches!(&err, TransportError::Rejected(m) if m.contains("subscription slots")),
+            "refusal names the cause: {err}"
+        );
+        probe
+            .predict_tagged()
+            .expect("the refused connection still answers reads");
 
-    // Dropping the live subscription frees its slot once the server
-    // notices (the next push hits the dead socket); a retried
-    // subscription is then granted. The probe doubles as the writer —
-    // with `max_clients: 2` both handlers are spoken for until the
-    // dropped subscription's handler comes back.
-    drop(sub);
-    let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, &batches[0]) else {
-        unreachable!()
-    };
-    probe.ingest_tagged(workers, answers).expect("ingest");
-    let mut reclaimed = false;
-    for _ in 0..250 {
-        let head = probe.refit_tagged().expect("refit nudges the push path");
-        match probe.apply_op(&FleetOp::SubscribeOps { from_epoch: head }) {
-            Ok(FleetReply::Subscribed { .. }) => {
-                reclaimed = true;
-                break;
+        // Dropping the live subscription frees its slot once the server
+        // notices (the next push hits the dead socket); a retried
+        // subscription is then granted. The probe doubles as the writer —
+        // with `max_clients: 2` both handlers are spoken for until the
+        // dropped subscription's handler comes back.
+        drop(sub);
+        let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, &batches[0])
+        else {
+            unreachable!()
+        };
+        probe.ingest_tagged(workers, answers).expect("ingest");
+        let mut reclaimed = false;
+        for _ in 0..250 {
+            let head = probe.refit_tagged().expect("refit nudges the push path");
+            match probe.apply_op(&FleetOp::SubscribeOps { from_epoch: head }) {
+                Ok(FleetReply::Subscribed { .. }) => {
+                    reclaimed = true;
+                    break;
+                }
+                Ok(other) => panic!("unexpected subscribe reply: {}", other.name()),
+                Err(TransportError::Rejected(m)) if m.contains("subscription slots") => {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                Err(e) => panic!("unexpected refusal: {e}"),
             }
-            Ok(other) => panic!("unexpected subscribe reply: {}", other.name()),
-            Err(TransportError::Rejected(m)) if m.contains("subscription slots") => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => panic!("unexpected refusal: {e}"),
         }
-    }
-    assert!(reclaimed, "a dropped subscription's slot is reclaimed");
+        assert!(reclaimed, "a dropped subscription's slot is reclaimed");
 
-    // The probe's connection flipped to push-only when its subscription
-    // was granted; the freed handler serves the shutdown.
-    drop(probe);
-    let mut closer = FleetClient::connect(addr).expect("closer connects");
-    closer.shutdown().expect("shutdown");
-    running.join().expect("server joins");
+        // The probe's connection flipped to push-only when its subscription
+        // was granted; the freed handler serves the shutdown.
+        drop(probe);
+        let mut closer = FleetClient::connect_with(addr, format).expect("closer connects");
+        closer.shutdown().expect("shutdown");
+        running.join().expect("server joins");
+    }
 }
 
 #[test]
 fn a_read_subscription_outside_the_universe_is_refused_and_the_connection_stays_usable() {
     let (d, _) = fixture();
-    let (addr, running) = spawn_server(fleet_for(&d, 2), ServerConfig::default());
-    let mut client = FleetClient::connect(addr).expect("client connects");
-    let outside = d.num_items();
-    let err = client
-        .apply_op(&FleetOp::SubscribeReads {
-            kind: ReadKind::Predictions,
-            items: Some(vec![outside]),
-        })
-        .expect_err("an item outside the universe is refused");
-    assert!(
-        matches!(&err, TransportError::Rejected(m) if m.contains(&format!("item {outside}"))),
-        "refusal names the item: {err}"
-    );
-    let (preds, epoch) = client
-        .predict_tagged()
-        .expect("the refused connection still answers reads");
-    assert_eq!((preds.len(), epoch), (d.num_items(), 0));
-    client.shutdown().expect("shutdown");
-    running.join().expect("server joins");
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let (addr, running) = spawn_server(fleet_for(&d, 2), ServerConfig::default());
+        let mut client = FleetClient::connect_with(addr, format).expect("client connects");
+        let outside = d.num_items();
+        let err = client
+            .apply_op(&FleetOp::SubscribeReads {
+                kind: ReadKind::Predictions,
+                items: Some(vec![outside]),
+            })
+            .expect_err("an item outside the universe is refused");
+        assert!(
+            matches!(&err, TransportError::Rejected(m) if m.contains(&format!("item {outside}"))),
+            "refusal names the item: {err}"
+        );
+        let (preds, epoch) = client
+            .predict_tagged()
+            .expect("the refused connection still answers reads");
+        assert_eq!((preds.len(), epoch), (d.num_items(), 0));
+        client.shutdown().expect("shutdown");
+        running.join().expect("server joins");
+    }
 }
 
 /// Takes `sub`'s next frame and checks it against a poll over `writer` at
@@ -452,74 +464,77 @@ fn next_matches_poll(
 fn read_subscriptions_follow_a_restore_and_end_when_the_universe_shrinks() {
     let (d, batches) = fixture();
     let shards = 2;
-    let fleet = fleet_for(&d, shards).with_restore_hook(cpa::eval::runner::restore_engine);
-    let (addr, running) = spawn_server(fleet, ServerConfig::default());
-    let mut writer = FleetClient::connect(addr).expect("writer connects");
-    let ingest = |writer: &mut FleetClient, batch: &WorkerBatch| {
-        let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, batch) else {
-            unreachable!()
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let fleet = fleet_for(&d, shards).with_restore_hook(cpa::eval::runner::restore_engine);
+        let (addr, running) = spawn_server(fleet, ServerConfig::default());
+        let mut writer = FleetClient::connect_with(addr, format).expect("writer connects");
+        let ingest = |writer: &mut FleetClient, batch: &WorkerBatch| {
+            let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, batch)
+            else {
+                unreachable!()
+            };
+            writer.ingest_tagged(workers, answers).expect("ingest").1
         };
-        writer.ingest_tagged(workers, answers).expect("ingest").1
-    };
-    ingest(&mut writer, &batches[0]);
-    ingest(&mut writer, &batches[1]);
-    let manifest = writer.snapshot().expect("snapshot");
-    ingest(&mut writer, &batches[2]);
-    ingest(&mut writer, &batches[3]);
+        ingest(&mut writer, &batches[0]);
+        ingest(&mut writer, &batches[1]);
+        let manifest = writer.snapshot().expect("snapshot");
+        ingest(&mut writer, &batches[2]);
+        ingest(&mut writer, &batches[3]);
 
-    // A full predictions subscription, and a ranged estimate one over
-    // items a half-size universe still holds.
-    let small = d.num_items() / 2;
-    let subscribe = |kind, items| {
-        FleetClient::connect(addr)
-            .expect("subscriber connects")
-            .subscribe_reads(kind, items)
-            .expect("subscription acked")
-    };
-    let mut full = subscribe(ReadKind::Predictions, None);
-    let mut ranged = subscribe(ReadKind::Estimate, Some((0..small).step_by(2).collect()));
+        // A full predictions subscription, and a ranged estimate one over
+        // items a half-size universe still holds.
+        let small = d.num_items() / 2;
+        let subscribe = |kind, items| {
+            FleetClient::connect_with(addr, format)
+                .expect("subscriber connects")
+                .subscribe_reads(kind, items)
+                .expect("subscription acked")
+        };
+        let mut full = subscribe(ReadKind::Predictions, None);
+        let mut ranged = subscribe(ReadKind::Estimate, Some((0..small).step_by(2).collect()));
 
-    // Restoring the earlier manifest moves every subscription to its
-    // epoch with every row, and ingesting on from there keeps cache ≡ poll.
-    let restored = writer.restore_tagged(manifest.clone()).expect("restore");
-    assert_eq!(restored, manifest.epoch);
-    for sub in [&mut full, &mut ranged] {
-        next_matches_poll(&mut writer, sub, restored, true);
-    }
-    for batch in &batches[2..] {
-        let acked = ingest(&mut writer, batch);
+        // Restoring the earlier manifest moves every subscription to its
+        // epoch with every row, and ingesting on from there keeps cache ≡ poll.
+        let restored = writer.restore_tagged(manifest.clone()).expect("restore");
+        assert_eq!(restored, manifest.epoch);
         for sub in [&mut full, &mut ranged] {
-            next_matches_poll(&mut writer, sub, acked, false);
+            next_matches_poll(&mut writer, sub, restored, true);
         }
+        for batch in &batches[2..] {
+            let acked = ingest(&mut writer, batch);
+            for sub in [&mut full, &mut ranged] {
+                next_matches_poll(&mut writer, sub, acked, false);
+            }
+        }
+
+        // A restore over a half-size universe ends the full subscription; the
+        // ranged one keeps streaming, and the server keeps serving.
+        let (u, c) = (d.num_workers(), d.num_labels());
+        let smaller = Fleet::new(shards, 1, small, u, c, |_| {
+            Method::CpaSvi.engine(small, u, c, SEED)
+        })
+        .snapshot();
+        let restored = writer.restore_tagged(smaller).expect("smaller restore");
+        let err = full
+            .next_delta()
+            .expect_err("the watched items left the universe");
+        assert!(
+            matches!(&err, TransportError::Rejected(m) if m.contains("beyond the restored universe")),
+            "{err}"
+        );
+        next_matches_poll(&mut writer, &mut ranged, restored, true);
+        let acked = writer.refit_tagged().expect("refit");
+        next_matches_poll(&mut writer, &mut ranged, acked, true);
+        let (preds, _) = writer.predict_tagged().expect("the server keeps serving");
+        assert_eq!(preds.len(), small);
+
+        writer.shutdown().expect("shutdown");
+        running.join().expect("server joins");
+        assert!(
+            ranged.next_delta().expect("wind-down").is_none(),
+            "clean EOF after wind-down"
+        );
     }
-
-    // A restore over a half-size universe ends the full subscription; the
-    // ranged one keeps streaming, and the server keeps serving.
-    let (u, c) = (d.num_workers(), d.num_labels());
-    let smaller = Fleet::new(shards, 1, small, u, c, |_| {
-        Method::CpaSvi.engine(small, u, c, SEED)
-    })
-    .snapshot();
-    let restored = writer.restore_tagged(smaller).expect("smaller restore");
-    let err = full
-        .next_delta()
-        .expect_err("the watched items left the universe");
-    assert!(
-        matches!(&err, TransportError::Rejected(m) if m.contains("beyond the restored universe")),
-        "{err}"
-    );
-    next_matches_poll(&mut writer, &mut ranged, restored, true);
-    let acked = writer.refit_tagged().expect("refit");
-    next_matches_poll(&mut writer, &mut ranged, acked, true);
-    let (preds, _) = writer.predict_tagged().expect("the server keeps serving");
-    assert_eq!(preds.len(), small);
-
-    writer.shutdown().expect("shutdown");
-    running.join().expect("server joins");
-    assert!(
-        ranged.next_delta().expect("wind-down").is_none(),
-        "clean EOF after wind-down"
-    );
 }
 
 #[test]

@@ -20,6 +20,9 @@
 //! Contract 4 (the two serve-path bugfixes ride along): `Fleet::replay`
 //! stops at a mid-log `Shutdown`; and a client with socket deadlines
 //! surfaces a silent server as `TimedOut` instead of hanging.
+//!
+//! Every test that talks to a server runs once per wire codec: its clients
+//! speak JSON, then binary.
 
 use cpa::data::codec;
 use cpa::data::profile::DatasetProfile;
@@ -162,146 +165,154 @@ fn follower_serves_every_acked_epoch_bit_identically_and_promotes_to_the_leader_
 #[test]
 fn subscription_resumes_from_an_arbitrary_epoch_via_recorded_backlog() {
     let (d, batches) = fixture();
-    let ops = mutation_ops(&d, &batches);
-    let (addr, running) = spawn_server(
-        fleet_for(&d, 2),
-        ServerConfig {
-            record_ops: true,
-            ..ServerConfig::default()
-        },
-    );
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let ops = mutation_ops(&d, &batches);
+        let (addr, running) = spawn_server(
+            fleet_for(&d, 2),
+            ServerConfig {
+                record_ops: true,
+                ..ServerConfig::default()
+            },
+        );
 
-    let mut writer = FleetClient::connect(addr).expect("writer connects");
-    for op in ops.clone() {
-        writer.apply_op(&op).expect("mutation accepted");
+        let mut writer = FleetClient::connect_with(addr, format).expect("writer connects");
+        for op in ops.clone() {
+            writer.apply_op(&op).expect("mutation accepted");
+        }
+
+        // A follower that already holds the first `resume_at` epochs (here:
+        // seeded by local replay of the shared prefix) subscribes from there
+        // and receives exactly the backlog past it.
+        let resume_at = ops.len() as u64 / 2;
+        let mut seeded = fleet_for(&d, 2);
+        seeded.replay(ops[..resume_at as usize].iter().cloned());
+        let mut follower = Follower::new(seeded);
+        assert_eq!(follower.epoch(), resume_at);
+
+        let mut subscription = FleetClient::connect_with(addr, format)
+            .expect("subscriber connects")
+            .subscribe(resume_at)
+            .expect("resume acked");
+        assert_eq!(subscription.head(), ops.len() as u64);
+        let mut first_epoch = None;
+        while follower.epoch() < subscription.head() {
+            let (epoch, op) = subscription
+                .next_frame()
+                .expect("backlog frame")
+                .expect("backlog not exhausted early");
+            first_epoch.get_or_insert(epoch);
+            follower
+                .apply_shipped(ShippedOp::tagged(epoch, op))
+                .expect("backlog applies");
+        }
+        assert_eq!(
+            first_epoch,
+            Some(resume_at + 1),
+            "backlog starts right past from_epoch"
+        );
+
+        writer.shutdown().expect("shutdown");
+        let outcome = running.join().expect("server joins");
+        assert_eq!(
+            follower.promote().snapshot().to_json(),
+            outcome.fleet.snapshot().to_json(),
+            "{format:?}: resumed follower diverged from the leader"
+        );
     }
-
-    // A follower that already holds the first `resume_at` epochs (here:
-    // seeded by local replay of the shared prefix) subscribes from there
-    // and receives exactly the backlog past it.
-    let resume_at = ops.len() as u64 / 2;
-    let mut seeded = fleet_for(&d, 2);
-    seeded.replay(ops[..resume_at as usize].iter().cloned());
-    let mut follower = Follower::new(seeded);
-    assert_eq!(follower.epoch(), resume_at);
-
-    let mut subscription = FleetClient::connect(addr)
-        .expect("subscriber connects")
-        .subscribe(resume_at)
-        .expect("resume acked");
-    assert_eq!(subscription.head(), ops.len() as u64);
-    let mut first_epoch = None;
-    while follower.epoch() < subscription.head() {
-        let (epoch, op) = subscription
-            .next_frame()
-            .expect("backlog frame")
-            .expect("backlog not exhausted early");
-        first_epoch.get_or_insert(epoch);
-        follower
-            .apply_shipped(ShippedOp::tagged(epoch, op))
-            .expect("backlog applies");
-    }
-    assert_eq!(
-        first_epoch,
-        Some(resume_at + 1),
-        "backlog starts right past from_epoch"
-    );
-
-    writer.shutdown().expect("shutdown");
-    let outcome = running.join().expect("server joins");
-    assert_eq!(
-        follower.promote().snapshot().to_json(),
-        outcome.fleet.snapshot().to_json(),
-        "resumed follower diverged from the leader"
-    );
 }
 
 #[test]
 fn resume_from_behind_the_head_without_op_recording_is_refused() {
     let (d, batches) = fixture();
-    let (addr, running) = spawn_server(fleet_for(&d, 2), ServerConfig::default());
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let (addr, running) = spawn_server(fleet_for(&d, 2), ServerConfig::default());
 
-    let mut writer = FleetClient::connect(addr).expect("writer connects");
-    let op = FleetOp::ingest_from(&d.answers, &batches[0]);
-    writer.apply_op(&op).expect("mutation accepted");
+        let mut writer = FleetClient::connect_with(addr, format).expect("writer connects");
+        let op = FleetOp::ingest_from(&d.answers, &batches[0]);
+        writer.apply_op(&op).expect("mutation accepted");
 
-    // The server cannot replay a gap it never recorded.
-    let err = FleetClient::connect(addr)
-        .expect("subscriber connects")
-        .subscribe(0)
-        .expect_err("resume must be refused");
-    assert!(
-        matches!(&err, TransportError::Rejected(m) if m.contains("not recording")),
-        "refusal names the cause: {err}"
-    );
+        // The server cannot replay a gap it never recorded.
+        let err = FleetClient::connect_with(addr, format)
+            .expect("subscriber connects")
+            .subscribe(0)
+            .expect_err("resume must be refused");
+        assert!(
+            matches!(&err, TransportError::Rejected(m) if m.contains("not recording")),
+            "{format:?}: refusal names the cause: {err}"
+        );
 
-    // Subscribing from the current head needs no backlog and is granted.
-    let subscription = FleetClient::connect(addr)
-        .expect("subscriber connects")
-        .subscribe(1)
-        .expect("head subscription granted");
-    assert_eq!(subscription.head(), 1);
+        // Subscribing from the current head needs no backlog and is granted.
+        let subscription = FleetClient::connect_with(addr, format)
+            .expect("subscriber connects")
+            .subscribe(1)
+            .expect("head subscription granted");
+        assert_eq!(subscription.head(), 1);
 
-    writer.shutdown().expect("shutdown");
-    running.join().expect("server joins");
+        writer.shutdown().expect("shutdown");
+        running.join().expect("server joins");
+    }
 }
 
 #[test]
 fn a_subscription_from_ahead_of_the_head_is_refused() {
     let (d, batches) = fixture();
-    let (addr, running) = spawn_server(
-        fleet_for(&d, 2),
-        ServerConfig {
-            record_ops: true,
-            ..ServerConfig::default()
-        },
-    );
-    let mut writer = FleetClient::connect(addr).expect("writer connects");
-    let op = FleetOp::ingest_from(&d.answers, &batches[0]);
-    let head = writer
-        .apply_op(&op)
-        .expect("mutation accepted")
-        .epoch()
-        .unwrap();
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let (addr, running) = spawn_server(
+            fleet_for(&d, 2),
+            ServerConfig {
+                record_ops: true,
+                ..ServerConfig::default()
+            },
+        );
+        let mut writer = FleetClient::connect_with(addr, format).expect("writer connects");
+        let op = FleetOp::ingest_from(&d.answers, &batches[0]);
+        let head = writer
+            .apply_op(&op)
+            .expect("mutation accepted")
+            .epoch()
+            .unwrap();
 
-    // No backlog can reach an epoch the leader has not produced yet.
-    let err = FleetClient::connect(addr)
-        .expect("subscriber connects")
-        .subscribe(head + 5)
-        .expect_err("a future resume point must be refused");
-    let ahead = (head + 5).to_string();
-    assert!(
-        matches!(&err, TransportError::Rejected(m) if m.contains(&ahead) && m.contains(&head.to_string())),
-        "refusal names both epochs: {err}"
-    );
-    // The refused subscription leaves its connection usable.
-    let mut probe = FleetClient::connect(addr).expect("probe connects");
-    let err = probe
-        .apply_op(&FleetOp::SubscribeOps {
-            from_epoch: head + 5,
-        })
-        .expect_err("a future resume point must be refused");
-    assert!(
-        matches!(&err, TransportError::Rejected(m) if m.contains(&ahead)),
-        "{err}"
-    );
-    let (_, epoch) = probe
-        .predict_tagged()
-        .expect("the refused connection still answers reads");
-    assert_eq!(epoch, head);
+        // No backlog can reach an epoch the leader has not produced yet.
+        let err = FleetClient::connect_with(addr, format)
+            .expect("subscriber connects")
+            .subscribe(head + 5)
+            .expect_err("a future resume point must be refused");
+        let ahead = (head + 5).to_string();
+        assert!(
+            matches!(&err, TransportError::Rejected(m) if m.contains(&ahead) && m.contains(&head.to_string())),
+            "{format:?}: refusal names both epochs: {err}"
+        );
+        // The refused subscription leaves its connection usable.
+        let mut probe = FleetClient::connect_with(addr, format).expect("probe connects");
+        let err = probe
+            .apply_op(&FleetOp::SubscribeOps {
+                from_epoch: head + 5,
+            })
+            .expect_err("a future resume point must be refused");
+        assert!(
+            matches!(&err, TransportError::Rejected(m) if m.contains(&ahead)),
+            "{err}"
+        );
+        let (_, epoch) = probe
+            .predict_tagged()
+            .expect("the refused connection still answers reads");
+        assert_eq!(epoch, head);
 
-    writer.shutdown().expect("shutdown");
-    running.join().expect("server joins");
+        writer.shutdown().expect("shutdown");
+        running.join().expect("server joins");
+    }
 }
 
 /// A recording leader with a restore hook, driven by one writer through
 /// `A, snapshot, B, restore(snapshot), X, Y` — the snapshot taken at
 /// `snapshot_at` (0: before A). A, B, X and Y are arrival batches 0–3.
-/// Returns the server's address, its thread and the writer.
+/// Returns the server's address, its thread and the writer, which speaks
+/// `format`.
 fn restored_leader(
     d: &cpa::data::dataset::Dataset,
     batches: &[WorkerBatch],
     snapshot_at: usize,
+    format: WireFormat,
 ) -> (
     std::net::SocketAddr,
     std::thread::JoinHandle<cpa::transport::ServeOutcome>,
@@ -314,7 +325,7 @@ fn restored_leader(
             ..ServerConfig::default()
         },
     );
-    let mut writer = FleetClient::connect(addr).expect("writer connects");
+    let mut writer = FleetClient::connect_with(addr, format).expect("writer connects");
     let ingest = |writer: &mut FleetClient, k: usize| {
         writer
             .apply_op(&FleetOp::ingest_from(&d.answers, &batches[k]))
@@ -339,71 +350,75 @@ fn restored_leader(
 #[test]
 fn a_resume_across_a_restore_is_refused_by_naming_it() {
     let (d, batches) = fixture();
-    // A (1), snapshot M at 1, B (2), restore M (1), X (2), Y (3).
-    let (addr, running, mut writer) = restored_leader(&d, &batches, 1);
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        // A (1), snapshot M at 1, B (2), restore M (1), X (2), Y (3).
+        let (addr, running, mut writer) = restored_leader(&d, &batches, 1, format);
 
-    // A follower holding A and B at epoch 2 must not be shipped Y alone:
-    // the leader's epoch 2 is A + X, not A + B.
-    let err = FleetClient::connect(addr)
-        .expect("subscriber connects")
-        .subscribe(2)
-        .expect_err("a resume across a restore must be refused");
-    assert!(
-        matches!(&err, TransportError::Rejected(m) if m.contains("Restore") && m.contains("epoch 0")),
-        "refusal names the restore: {err}"
-    );
-    // From epoch 0 the whole log is served.
-    let subscription = FleetClient::connect(addr)
-        .expect("subscriber connects")
-        .subscribe(0)
-        .expect("a subscription from epoch 0 is granted");
-    assert_eq!(subscription.head(), 3);
+        // A follower holding A and B at epoch 2 must not be shipped Y alone:
+        // the leader's epoch 2 is A + X, not A + B.
+        let err = FleetClient::connect_with(addr, format)
+            .expect("subscriber connects")
+            .subscribe(2)
+            .expect_err("a resume across a restore must be refused");
+        assert!(
+            matches!(&err, TransportError::Rejected(m) if m.contains("Restore") && m.contains("epoch 0")),
+            "{format:?}: refusal names the restore: {err}"
+        );
+        // From epoch 0 the whole log is served.
+        let subscription = FleetClient::connect_with(addr, format)
+            .expect("subscriber connects")
+            .subscribe(0)
+            .expect("a subscription from epoch 0 is granted");
+        assert_eq!(subscription.head(), 3);
 
-    writer.shutdown().expect("shutdown");
-    running.join().expect("server joins");
+        writer.shutdown().expect("shutdown");
+        running.join().expect("server joins");
+    }
 }
 
 #[test]
 fn a_follower_from_epoch_zero_replays_a_restore_of_an_epoch_zero_manifest() {
     let (d, batches) = fixture();
-    // Snapshot M at 0, A (1), B (2), restore M (0), X (1), Y (2).
-    let (addr, running, mut writer) = restored_leader(&d, &batches, 0);
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        // Snapshot M at 0, A (1), B (2), restore M (0), X (1), Y (2).
+        let (addr, running, mut writer) = restored_leader(&d, &batches, 0, format);
 
-    let mut subscription = FleetClient::connect(addr)
-        .expect("subscriber connects")
-        .subscribe(0)
-        .expect("a subscription from epoch 0 is granted");
-    // Every recorded frame is queued at subscribe time; the shutdown then
-    // ends the stream after them.
-    writer.shutdown().expect("shutdown");
-    let mut follower = Follower::new(fleet_for(&d, 2).with_restore_hook(restore_engine));
-    let mut shipped = Vec::new();
-    while let Some((epoch, op)) = subscription.next_frame().expect("shipped frame") {
-        shipped.push((epoch, op.name()));
-        follower
-            .apply_shipped(ShippedOp::tagged(epoch, op))
-            .expect("the whole log applies in order");
+        let mut subscription = FleetClient::connect_with(addr, format)
+            .expect("subscriber connects")
+            .subscribe(0)
+            .expect("a subscription from epoch 0 is granted");
+        // Every recorded frame is queued at subscribe time; the shutdown then
+        // ends the stream after them.
+        writer.shutdown().expect("shutdown");
+        let mut follower = Follower::new(fleet_for(&d, 2).with_restore_hook(restore_engine));
+        let mut shipped = Vec::new();
+        while let Some((epoch, op)) = subscription.next_frame().expect("shipped frame") {
+            shipped.push((epoch, op.name()));
+            follower
+                .apply_shipped(ShippedOp::tagged(epoch, op))
+                .expect("the whole log applies in order");
+        }
+        assert_eq!(
+            shipped,
+            [
+                (1, "Ingest"),
+                (2, "Ingest"),
+                (0, "Restore"),
+                (1, "Ingest"),
+                (2, "Ingest")
+            ],
+            "{format:?}: the restore tagged 0 ships with the rest of the log"
+        );
+
+        let leader = running.join().expect("server joins").fleet;
+        let promoted = follower.promote();
+        assert_eq!(promoted.predict_all(), leader.predict_all());
+        assert_eq!(
+            promoted.snapshot().to_json(),
+            leader.snapshot().to_json(),
+            "the follower ends on the leader's manifest"
+        );
     }
-    assert_eq!(
-        shipped,
-        [
-            (1, "Ingest"),
-            (2, "Ingest"),
-            (0, "Restore"),
-            (1, "Ingest"),
-            (2, "Ingest")
-        ],
-        "the restore tagged 0 ships with the rest of the log"
-    );
-
-    let leader = running.join().expect("server joins").fleet;
-    let promoted = follower.promote();
-    assert_eq!(promoted.predict_all(), leader.predict_all());
-    assert_eq!(
-        promoted.snapshot().to_json(),
-        leader.snapshot().to_json(),
-        "the follower ends on the leader's manifest"
-    );
 }
 
 #[test]
@@ -452,7 +467,9 @@ fn a_silent_server_times_out_instead_of_hanging_the_client() {
     )
     .expect("TCP connect succeeds");
     let start = std::time::Instant::now();
-    let err = client.refit_all().expect_err("silent peer must not hang");
+    let err = client
+        .refit_tagged()
+        .expect_err("silent peer must not hang");
     assert!(
         matches!(err, TransportError::TimedOut),
         "typed timeout, got: {err}"

@@ -20,6 +20,9 @@
 //!
 //! Contract 4 (threads): engine steps run on the named driver thread with
 //! no data-parallel width inherited from the server's own threads.
+//!
+//! Every test that talks to a server runs once per wire codec: its clients
+//! speak JSON, then binary.
 
 use cpa::core::engine::{Checkpoint, CheckpointError, DynEngine, Engine, EngineState};
 use cpa::core::params::VariationalParams;
@@ -33,7 +36,7 @@ use cpa::eval::runner::Method;
 use cpa::math::matrix::Mat;
 use cpa::math::rng::seeded;
 use cpa::serve::{ops_from_jsonl, ops_to_jsonl, Fleet, FleetManifest, FleetOp, FleetReply};
-use cpa::transport::{FleetClient, FleetServer, ServeOutcome, ServerConfig};
+use cpa::transport::{FleetClient, FleetServer, ServeOutcome, ServerConfig, WireFormat};
 use std::collections::HashSet;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
@@ -60,12 +63,14 @@ fn ingest_ops(d: &cpa::data::dataset::Dataset, batches: &[WorkerBatch]) -> Vec<F
         .collect()
 }
 
-/// Two live connections, one deterministic global op order: the clients
-/// alternate ingest ops, handing a token back and forth; then client A
-/// refits and predicts, client B predicts, snapshots, and shuts down.
+/// Two live connections speaking `format`, one deterministic global op
+/// order: the clients alternate ingest ops, handing a token back and forth;
+/// then client A refits and predicts, client B predicts, snapshots, and
+/// shuts down.
 fn serve_two_clients(
     fleet: Fleet,
     ops: Vec<FleetOp>,
+    format: WireFormat,
 ) -> (
     Vec<cpa::data::labels::LabelSet>,
     Vec<cpa::data::labels::LabelSet>,
@@ -98,37 +103,37 @@ fn serve_two_clients(
         let to_b = to_b.clone();
         let done_tx = done_tx.clone();
         move || {
-            let mut client = FleetClient::connect(addr).expect("client A connects");
+            let mut client = FleetClient::connect_with(addr, format).expect("client A connects");
             for op in ops_a {
                 a_turn.recv().expect("turn token to A");
                 let FleetOp::Ingest { workers, answers } = op else {
                     unreachable!()
                 };
-                client.ingest(workers, answers).expect("A ingests");
+                client.ingest_tagged(workers, answers).expect("A ingests");
                 to_b.send(()).ok();
             }
             done_tx.send(()).expect("A reports its ingests done");
             phase_a.recv().expect("read phase for A");
-            client.refit_all().expect("A refits");
-            let preds = client.predict_all().expect("A predicts");
+            client.refit_tagged().expect("A refits");
+            let (preds, _) = client.predict_tagged().expect("A predicts");
             done_tx.send(()).expect("A reports the refit done");
             preds
         }
     });
     let seed_a = to_a.clone();
     let client_b = std::thread::spawn(move || {
-        let mut client = FleetClient::connect(addr).expect("client B connects");
+        let mut client = FleetClient::connect_with(addr, format).expect("client B connects");
         for op in ops_b {
             b_turn.recv().expect("turn token to B");
             let FleetOp::Ingest { workers, answers } = op else {
                 unreachable!()
             };
-            client.ingest(workers, answers).expect("B ingests");
+            client.ingest_tagged(workers, answers).expect("B ingests");
             to_a.send(()).ok();
         }
         done_tx.send(()).expect("B reports its ingests done");
         phase_b.recv().expect("read phase for B");
-        let preds = client.predict_all().expect("B predicts");
+        let (preds, _) = client.predict_tagged().expect("B predicts");
         let manifest = client.snapshot().expect("B snapshots");
         client.shutdown().expect("B shuts the server down");
         (preds, manifest)
@@ -163,32 +168,36 @@ fn two_concurrent_clients_are_bit_identical_to_the_in_process_fleet() {
         }
         reference.refit_all();
 
-        let (preds_a, preds_b, manifest, outcome) = serve_two_clients(fleet_for(&d, k), ops);
-
         let want = reference.predict_all();
-        assert_eq!(preds_a, want, "K={k}: client A diverged over loopback");
-        assert_eq!(preds_b, want, "K={k}: client B diverged over loopback");
-        assert_eq!(
-            manifest.to_json(),
-            reference.snapshot().to_json(),
-            "K={k}: wire manifest diverged from the in-process snapshot"
-        );
+        for format in [WireFormat::Json, WireFormat::Binary] {
+            let (preds_a, preds_b, manifest, outcome) =
+                serve_two_clients(fleet_for(&d, k), ops.clone(), format);
+            let at = format!("K={k} {format:?}");
+            assert_eq!(preds_a, want, "{at}: client A diverged over loopback");
+            assert_eq!(preds_b, want, "{at}: client B diverged over loopback");
+            assert_eq!(
+                manifest.to_json(),
+                reference.snapshot().to_json(),
+                "{at}: wire manifest diverged from the in-process snapshot"
+            );
 
-        // The live fleet handed back by the server equals the reference too.
-        assert_eq!(outcome.fleet.predict_all(), want, "K={k}");
+            // The live fleet handed back by the server equals the reference
+            // too.
+            assert_eq!(outcome.fleet.predict_all(), want, "{at}");
 
-        // Contract 2: record → JSONL → parse → replay on a fresh fleet
-        // reproduces the live snapshot byte for byte.
-        let jsonl = ops_to_jsonl(&outcome.op_log);
-        let replayed_ops = ops_from_jsonl(&jsonl).expect("recorded op-log parses");
-        assert_eq!(replayed_ops.len(), outcome.op_log.len());
-        let mut replayed = fleet_for(&d, k);
-        replayed.replay(replayed_ops);
-        assert_eq!(
-            replayed.snapshot().to_json(),
-            outcome.fleet.snapshot().to_json(),
-            "K={k}: op-log replay diverged from the live run"
-        );
+            // Contract 2: record → JSONL → parse → replay on a fresh fleet
+            // reproduces the live snapshot byte for byte.
+            let jsonl = ops_to_jsonl(&outcome.op_log);
+            let replayed_ops = ops_from_jsonl(&jsonl).expect("recorded op-log parses");
+            assert_eq!(replayed_ops.len(), outcome.op_log.len());
+            let mut replayed = fleet_for(&d, k);
+            replayed.replay(replayed_ops);
+            assert_eq!(
+                replayed.snapshot().to_json(),
+                outcome.fleet.snapshot().to_json(),
+                "{at}: op-log replay diverged from the live run"
+            );
+        }
     }
 }
 
@@ -202,7 +211,7 @@ fn two_concurrent_clients_are_bit_identical_to_the_in_process_fleet() {
 /// kind dirties every shard, so the next kind's first read is cold too.
 #[test]
 fn full_reads_match_the_in_process_reply_cold_warm_and_spliced() {
-    use cpa::transport::codec::{self, WireFormat};
+    use cpa::transport::codec;
     use cpa::transport::frame::{read_frame_bytes, write_frame_bytes};
 
     let (d, batches) = fixture();
@@ -232,7 +241,7 @@ fn full_reads_match_the_in_process_reply_cold_warm_and_spliced() {
             let addr = server.local_addr().expect("addr");
             let fleet = fleet_for(&d, k);
             let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
-            let mut writer = FleetClient::connect(addr).expect("writer connects");
+            let mut writer = FleetClient::connect_with(addr, format).expect("writer connects");
             for op in &mutations {
                 writer.apply_op(op).expect("mutation accepted");
             }
@@ -265,7 +274,7 @@ fn full_reads_match_the_in_process_reply_cold_warm_and_spliced() {
                         "{at}"
                     );
                 }
-                writer.refit_all().expect("refit dirties every shard");
+                writer.refit_tagged().expect("refit dirties every shard");
             }
             drop(raw);
             writer.shutdown().expect("shutdown");
@@ -277,100 +286,112 @@ fn full_reads_match_the_in_process_reply_cold_warm_and_spliced() {
 #[test]
 fn contract_violations_come_back_as_framed_errors_naming_the_worker() {
     let (d, batches) = fixture();
-    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let fleet = fleet_for(&d, 2);
-    let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let fleet = fleet_for(&d, 2);
+        let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
 
-    let mut client = FleetClient::connect(addr).expect("connect");
-    let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, &batches[0]) else {
-        unreachable!()
-    };
-    let first_worker = workers[0];
-    client
-        .ingest(workers.clone(), answers.clone())
-        .expect("first arrival is fine");
-    // The same workers again: rejected with the offending worker named,
-    // and the fleet is untouched.
-    let err = client.ingest(workers, answers).expect_err("re-arrival");
-    assert!(
-        err.to_string().contains(&format!("worker {first_worker}")),
-        "{err}"
-    );
-    // An out-of-range label is rejected before anything is mutated.
-    let err = client
-        .ingest(vec![0], vec![(0, 0, vec![d.num_labels() + 5])])
-        .expect_err("bad label");
-    assert!(err.to_string().contains("label"), "{err}");
-    // The connection is still healthy and the server still serves.
-    client.refit_all().expect("refit after rejections");
-    let preds = client.predict_all().expect("predict");
-    assert_eq!(preds.len(), d.num_items());
-    // Ranged reads ride the same connection: a slice of the full read,
-    // and an out-of-universe item is a framed rejection, not a hang.
-    let probe = vec![0usize, 3, 3, d.num_items() - 1];
-    let ranged = client.predict_items(probe.clone()).expect("ranged predict");
-    let sliced: Vec<_> = probe.iter().map(|&i| preds[i].clone()).collect();
-    assert_eq!(ranged, sliced, "ranged read diverged from the full read");
-    let err = client
-        .predict_items(vec![d.num_items()])
-        .expect_err("out-of-universe item");
-    assert!(err.to_string().contains("universe"), "{err}");
-    client.shutdown().expect("shutdown");
-    let outcome = running.join().expect("server joins");
-    assert_eq!(
-        outcome.fleet.batches_ingested(),
-        1,
-        "rejections mutated nothing"
-    );
+        let mut client = FleetClient::connect_with(addr, format).expect("connect");
+        let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, &batches[0])
+        else {
+            unreachable!()
+        };
+        let first_worker = workers[0];
+        client
+            .ingest_tagged(workers.clone(), answers.clone())
+            .expect("first arrival is fine");
+        // The same workers again: rejected with the offending worker named,
+        // and the fleet is untouched.
+        let err = client
+            .ingest_tagged(workers, answers)
+            .expect_err("re-arrival");
+        assert!(
+            err.to_string().contains(&format!("worker {first_worker}")),
+            "{format:?}: {err}"
+        );
+        // An out-of-range label is rejected before anything is mutated.
+        let err = client
+            .ingest_tagged(vec![0], vec![(0, 0, vec![d.num_labels() + 5])])
+            .expect_err("bad label");
+        assert!(err.to_string().contains("label"), "{format:?}: {err}");
+        // The connection is still healthy and the server still serves.
+        client.refit_tagged().expect("refit after rejections");
+        let (preds, _) = client.predict_tagged().expect("predict");
+        assert_eq!(preds.len(), d.num_items());
+        // Ranged reads ride the same connection: a slice of the full read,
+        // and an out-of-universe item is a framed rejection, not a hang.
+        let probe = vec![0usize, 3, 3, d.num_items() - 1];
+        let (ranged, _) = client
+            .predict_items_tagged(probe.clone())
+            .expect("ranged predict");
+        let sliced: Vec<_> = probe.iter().map(|&i| preds[i].clone()).collect();
+        assert_eq!(
+            ranged, sliced,
+            "{format:?}: ranged read diverged from the full read"
+        );
+        let err = client
+            .predict_items_tagged(vec![d.num_items()])
+            .expect_err("out-of-universe item");
+        assert!(err.to_string().contains("universe"), "{format:?}: {err}");
+        client.shutdown().expect("shutdown");
+        let outcome = running.join().expect("server joins");
+        assert_eq!(
+            outcome.fleet.batches_ingested(),
+            1,
+            "{format:?}: rejections mutated nothing"
+        );
+    }
 }
 
 #[test]
 fn truncated_and_garbage_frames_do_not_kill_the_server() {
     use std::io::{Read, Write};
     let (d, _) = fixture();
-    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let fleet = fleet_for(&d, 1);
-    let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let fleet = fleet_for(&d, 1);
+        let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
 
-    // A client that dies mid-frame: half a length prefix, then gone.
-    {
-        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-        raw.write_all(&[0x00, 0x00]).expect("partial prefix");
+        // A client that dies mid-frame: half a length prefix, then gone.
+        {
+            let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+            raw.write_all(&[0x00, 0x00]).expect("partial prefix");
+        }
+        // A client that dies mid-payload: the prefix promises 100 bytes,
+        // 3 arrive.
+        {
+            let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+            raw.write_all(&100u32.to_be_bytes()).expect("prefix");
+            raw.write_all(b"abc").expect("partial payload");
+        }
+        // A complete frame that is not an op, as text and as non-UTF-8 bytes:
+        // answered with a framed error, then the connection is dropped.
+        for garbage in [&b"this is not an op"[..], &[0xff, 0xfe]] {
+            let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+            raw.write_all(&(garbage.len() as u32).to_be_bytes())
+                .expect("prefix");
+            raw.write_all(garbage).expect("payload");
+            let mut prefix = [0u8; 4];
+            raw.read_exact(&mut prefix)
+                .expect("framed error comes back");
+            let mut payload = vec![0u8; u32::from_be_bytes(prefix) as usize];
+            raw.read_exact(&mut payload).expect("error payload");
+            let text = String::from_utf8(payload).expect("utf8 error frame");
+            assert!(text.contains("Error"), "{text}");
+            // ...and the stream ends there: the server dropped the connection.
+            assert_eq!(raw.read(&mut [0u8; 1]).expect("clean close"), 0);
+        }
+        // After all four abuses, a healthy client is served normally.
+        let mut client = FleetClient::connect_with(addr, format).expect("healthy connect");
+        client
+            .ingest_tagged(vec![0], vec![(0, 0, vec![0])])
+            .expect("healthy ingest");
+        client.refit_tagged().expect("healthy refit");
+        client.shutdown().expect("shutdown");
+        running.join().expect("server joins");
     }
-    // A client that dies mid-payload: the prefix promises 100 bytes,
-    // 3 arrive.
-    {
-        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-        raw.write_all(&100u32.to_be_bytes()).expect("prefix");
-        raw.write_all(b"abc").expect("partial payload");
-    }
-    // A complete frame that is not an op, as text and as non-UTF-8 bytes:
-    // answered with a framed error, then the connection is dropped.
-    for garbage in [&b"this is not an op"[..], &[0xff, 0xfe]] {
-        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-        raw.write_all(&(garbage.len() as u32).to_be_bytes())
-            .expect("prefix");
-        raw.write_all(garbage).expect("payload");
-        let mut prefix = [0u8; 4];
-        raw.read_exact(&mut prefix)
-            .expect("framed error comes back");
-        let mut payload = vec![0u8; u32::from_be_bytes(prefix) as usize];
-        raw.read_exact(&mut payload).expect("error payload");
-        let text = String::from_utf8(payload).expect("utf8 error frame");
-        assert!(text.contains("Error"), "{text}");
-        // ...and the stream ends there: the server dropped the connection.
-        assert_eq!(raw.read(&mut [0u8; 1]).expect("clean close"), 0);
-    }
-    // After all four abuses, a healthy client is served normally.
-    let mut client = FleetClient::connect(addr).expect("healthy connect");
-    client
-        .ingest(vec![0], vec![(0, 0, vec![0])])
-        .expect("healthy ingest");
-    client.refit_all().expect("healthy refit");
-    client.shutdown().expect("shutdown");
-    running.join().expect("server joins");
 }
 
 /// Nesting deeper than the decoders' cap is a framed decode error, never a
@@ -381,17 +402,12 @@ fn truncated_and_garbage_frames_do_not_kill_the_server() {
 #[test]
 fn deeply_nested_frames_get_a_framed_error_and_the_server_keeps_serving() {
     use cpa::data::codec::Writer;
-    use cpa::transport::codec::{self, WireFormat};
+    use cpa::transport::codec;
     use cpa::transport::frame::{read_frame_bytes, write_frame_bytes};
     use serde::Serializer;
     const DEPTH: usize = 10_000;
 
     let (d, batches) = fixture();
-    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let fleet = fleet_for(&d, 1);
-    let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
-
     let mut nested = Vec::new();
     let mut w = Writer::new(&mut nested);
     for _ in 0..DEPTH {
@@ -428,36 +444,44 @@ fn deeply_nested_frames_get_a_framed_error_and_the_server_keeps_serving() {
             "nesting deeper than 128 levels",
         ),
     ];
-    for (format, frame, cause) in cases {
-        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-        if format == WireFormat::Binary {
-            assert_eq!(
-                codec::client_handshake(&mut raw).expect("handshake"),
-                format
-            );
-        }
-        write_frame_bytes(&mut raw, &frame).expect("deep frame");
-        let reply = read_frame_bytes(&mut raw)
-            .expect("reply")
-            .expect("framed error comes back");
-        match codec::decode::<FleetReply>(format, &reply).expect("error frame decodes") {
-            FleetReply::Error { message } => {
-                assert!(message.contains(cause), "{format:?}: {message}")
-            }
-            other => panic!("{format:?}: expected an Error frame, got {}", other.name()),
-        }
-    }
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let fleet = fleet_for(&d, 1);
+        let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
 
-    let mut client = FleetClient::connect(addr).expect("healthy connect");
-    for op in ingest_ops(&d, &batches[..2]) {
-        client.apply_op(&op).expect("healthy ingest");
+        for (raw_format, frame, cause) in &cases {
+            let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+            if *raw_format == WireFormat::Binary {
+                assert_eq!(
+                    codec::client_handshake(&mut raw).expect("handshake"),
+                    *raw_format
+                );
+            }
+            write_frame_bytes(&mut raw, frame).expect("deep frame");
+            let reply = read_frame_bytes(&mut raw)
+                .expect("reply")
+                .expect("framed error comes back");
+            match codec::decode::<FleetReply>(*raw_format, &reply).expect("error frame decodes") {
+                FleetReply::Error { message } => {
+                    assert!(message.contains(cause), "{raw_format:?}: {message}")
+                }
+                other => panic!(
+                    "{raw_format:?}: expected an Error frame, got {}",
+                    other.name()
+                ),
+            }
+        }
+
+        let mut client = FleetClient::connect_with(addr, format).expect("healthy connect");
+        for op in ingest_ops(&d, &batches[..2]) {
+            client.apply_op(&op).expect("healthy ingest");
+        }
+        let (preds, _) = client.predict_tagged().expect("healthy read");
+        assert_eq!(preds.len(), d.num_items(), "{format:?}");
+        client.shutdown().expect("shutdown");
+        running.join().expect("server joins");
     }
-    assert_eq!(
-        client.predict_all().expect("healthy read").len(),
-        d.num_items()
-    );
-    client.shutdown().expect("shutdown");
-    running.join().expect("server joins");
 }
 
 #[test]
@@ -491,35 +515,41 @@ fn restore_over_the_wire_requires_and_uses_the_hook() {
         batches.clone(),
     ));
     let manifest = donor.snapshot();
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        // No hook installed: rejected.
+        let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let running = std::thread::spawn({
+            let fleet = fleet_for(&d, 2);
+            move || server.serve(fleet).expect("serve")
+        });
+        let mut client = FleetClient::connect_with(addr, format).expect("connect");
+        let err = client
+            .restore_tagged(manifest.clone())
+            .expect_err("no hook installed");
+        assert!(
+            err.to_string().contains("restore hook"),
+            "{format:?}: {err}"
+        );
+        client.shutdown().expect("shutdown");
+        running.join().expect("join");
 
-    // No hook installed: rejected.
-    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let running = std::thread::spawn({
-        let fleet = fleet_for(&d, 2);
-        move || server.serve(fleet).expect("serve")
-    });
-    let mut client = FleetClient::connect(addr).expect("connect");
-    let err = client
-        .restore(manifest.clone())
-        .expect_err("no hook installed");
-    assert!(err.to_string().contains("restore hook"), "{err}");
-    client.shutdown().expect("shutdown");
-    running.join().expect("join");
-
-    // Hook installed: the served fleet becomes the donor, bit-identically.
-    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let running = std::thread::spawn({
-        let fleet = fleet_for(&d, 2).with_restore_hook(cpa::eval::runner::restore_engine);
-        move || server.serve(fleet).expect("serve")
-    });
-    let mut client = FleetClient::connect(addr).expect("connect");
-    client.restore(manifest).expect("restore through the hook");
-    let preds = client.predict_all().expect("predict");
-    assert_eq!(preds, donor.predict_all());
-    client.shutdown().expect("shutdown");
-    running.join().expect("join");
+        // Hook installed: the served fleet becomes the donor, bit-identically.
+        let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let running = std::thread::spawn({
+            let fleet = fleet_for(&d, 2).with_restore_hook(cpa::eval::runner::restore_engine);
+            move || server.serve(fleet).expect("serve")
+        });
+        let mut client = FleetClient::connect_with(addr, format).expect("connect");
+        client
+            .restore_tagged(manifest.clone())
+            .expect("restore through the hook");
+        let (preds, _) = client.predict_tagged().expect("predict");
+        assert_eq!(preds, donor.predict_all(), "{format:?}");
+        client.shutdown().expect("shutdown");
+        running.join().expect("join");
+    }
 }
 
 /// `m` without its last entry, built the one way such a matrix reaches a
@@ -606,49 +636,52 @@ fn malformed_restores_are_refused_and_the_fleet_keeps_its_state() {
 /// goes on serving the next client from its own state.
 #[test]
 fn a_malformed_restore_frame_gets_an_error_and_the_server_keeps_serving() {
-    use cpa::transport::codec::{self, WireFormat};
+    use cpa::transport::codec;
     use cpa::transport::frame::{read_frame_bytes, write_frame_bytes};
-    let mut fleet = restorable_fleet();
-    let (before, _) = predict(&mut fleet);
-    let short_kappa = with_defect(&fleet.snapshot(), |p| p.kappa = short_by_one(&p.kappa));
-    let frames = [
-        (
-            codec::encode(
-                WireFormat::Json,
-                &FleetOp::Restore {
-                    manifest: short_kappa,
-                },
-            )
-            .expect("encode"),
-            "κ holds",
-        ),
-        // Accepted, this `seen` would panic the driver's ownership scan.
-        (
-            cut_item_offsets(&fleet.snapshot()),
-            "invariant 1: item_offsets",
-        ),
-    ];
-    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let mut fleet = restorable_fleet();
+        let (before, _) = predict(&mut fleet);
+        let short_kappa = with_defect(&fleet.snapshot(), |p| p.kappa = short_by_one(&p.kappa));
+        let frames = [
+            (
+                codec::encode(
+                    WireFormat::Json,
+                    &FleetOp::Restore {
+                        manifest: short_kappa,
+                    },
+                )
+                .expect("encode"),
+                "κ holds",
+            ),
+            // Accepted, this `seen` would panic the driver's ownership scan.
+            (
+                cut_item_offsets(&fleet.snapshot()),
+                "invariant 1: item_offsets",
+            ),
+        ];
+        let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
 
-    for (frame, defect) in frames {
-        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-        write_frame_bytes(&mut raw, &frame).expect("restore frame");
-        let reply = read_frame_bytes(&mut raw)
-            .expect("reply")
-            .expect("framed error comes back");
-        match codec::decode::<FleetReply>(WireFormat::Json, &reply).expect("reply decodes") {
-            FleetReply::Error { message } => assert!(message.contains(defect), "{message}"),
-            other => panic!("expected an Error frame, got {}", other.name()),
+        for (frame, defect) in frames {
+            let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+            write_frame_bytes(&mut raw, &frame).expect("restore frame");
+            let reply = read_frame_bytes(&mut raw)
+                .expect("reply")
+                .expect("framed error comes back");
+            match codec::decode::<FleetReply>(WireFormat::Json, &reply).expect("reply decodes") {
+                FleetReply::Error { message } => assert!(message.contains(defect), "{message}"),
+                other => panic!("expected an Error frame, got {}", other.name()),
+            }
+
+            let mut client = FleetClient::connect_with(addr, format).expect("healthy connect");
+            let (preds, _) = client.predict_tagged().expect("healthy read");
+            assert_eq!(preds, before, "{format:?}");
         }
-
-        let mut client = FleetClient::connect(addr).expect("healthy connect");
-        assert_eq!(client.predict_all().expect("healthy read"), before);
+        let mut client = FleetClient::connect_with(addr, format).expect("healthy connect");
+        client.shutdown().expect("shutdown");
+        running.join().expect("server joins");
     }
-    let mut client = FleetClient::connect(addr).expect("healthy connect");
-    client.shutdown().expect("shutdown");
-    running.join().expect("server joins");
 }
 
 /// The raw JSON `Restore` frame of `manifest`, with its first shard's
@@ -739,35 +772,37 @@ impl Engine for ThreadProbe {
 fn engine_steps_run_serially_on_the_named_driver_thread() {
     let (d, batches) = fixture();
     let (i, u, c) = (d.num_items(), d.num_workers(), d.num_labels());
-    let log = ThreadLog::default();
-    // One fleet thread: every shard step runs on the driver itself.
-    let fleet = Fleet::new(2, 1, i, u, c, |_| {
-        Box::new(ThreadProbe {
-            inner: Method::Mv.engine(i, u, c, SEED),
-            log: Arc::clone(&log),
-        }) as DynEngine
-    });
-    let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
-    let mut client = FleetClient::connect(addr).expect("connect");
-    for op in ingest_ops(&d, &batches[..3]) {
-        let FleetOp::Ingest { workers, answers } = op else {
-            unreachable!()
-        };
-        client.ingest(workers, answers).expect("ingest");
-    }
-    client.shutdown().expect("shutdown");
-    running.join().expect("server joins");
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let log = ThreadLog::default();
+        // One fleet thread: every shard step runs on the driver itself.
+        let fleet = Fleet::new(2, 1, i, u, c, |_| {
+            Box::new(ThreadProbe {
+                inner: Method::Mv.engine(i, u, c, SEED),
+                log: Arc::clone(&log),
+            }) as DynEngine
+        });
+        let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let running = std::thread::spawn(move || server.serve(fleet).expect("serve"));
+        let mut client = FleetClient::connect_with(addr, format).expect("connect");
+        for op in ingest_ops(&d, &batches[..3]) {
+            let FleetOp::Ingest { workers, answers } = op else {
+                unreachable!()
+            };
+            client.ingest_tagged(workers, answers).expect("ingest");
+        }
+        client.shutdown().expect("shutdown");
+        running.join().expect("server joins");
 
-    let log = log.lock().expect("probe log");
-    assert!(!log.is_empty(), "no engine step was recorded");
-    for (name, width) in log.iter() {
-        assert_eq!(name.as_deref(), Some("cpa-driver"));
-        assert_eq!(
-            *width, 1,
-            "a one-thread fleet's step ran {width} threads wide"
-        );
+        let log = log.lock().expect("probe log");
+        assert!(!log.is_empty(), "{format:?}: no engine step was recorded");
+        for (name, width) in log.iter() {
+            assert_eq!(name.as_deref(), Some("cpa-driver"), "{format:?}");
+            assert_eq!(
+                *width, 1,
+                "{format:?}: a one-thread fleet's step ran {width} threads wide"
+            );
+        }
     }
 }
 

@@ -279,10 +279,10 @@ fn ranged_reads_match_sliced_full_reads_over_the_wire() {
         assert_eq!(client.wire_format(), format, "{format:?} negotiates");
         for b in &batches {
             client
-                .push_workers(&d.answers, &b.workers)
+                .apply_op(&FleetOp::ingest_from(&d.answers, b))
                 .expect("ingest over the wire");
         }
-        client.refit_all().expect("refit");
+        client.refit_tagged().expect("refit");
 
         // A ranged read at a fresh epoch (no slabs filled yet) asks the
         // driver to fill the owning shards' slabs and still answers
@@ -305,10 +305,10 @@ fn ranged_reads_match_sliced_full_reads_over_the_wire() {
             .predict_items_tagged(probe.clone())
             .expect("warm ranged read");
         assert_eq!((warm_rows, warm_epoch), (sliced, full_epoch), "{format:?}");
-        assert!(client
-            .predict_items(Vec::new())
-            .expect("empty request")
-            .is_empty());
+        let (empty, _) = client
+            .predict_items_tagged(Vec::new())
+            .expect("empty request");
+        assert!(empty.is_empty(), "{format:?}");
 
         let (est, est_epoch) = client.estimate_tagged().expect("full estimate");
         let (rows, rows_epoch) = client
@@ -321,7 +321,7 @@ fn ranged_reads_match_sliced_full_reads_over_the_wire() {
         }
 
         // Out-of-range items are a protocol rejection over the wire too.
-        let err = client.predict_items(vec![num_items]).unwrap_err();
+        let err = client.predict_items_tagged(vec![num_items]).unwrap_err();
         assert!(
             matches!(err, cpa::transport::TransportError::Rejected(_)),
             "{format:?}: {err}"
