@@ -591,8 +591,10 @@ fn push_run(
             "every write reaches every subscriber exactly once"
         );
         for &(epoch, at, frame_bytes, lag) in applies {
-            // Enqueue-before-ack means a delta can land *before* the
-            // writer's ack returns; those clamp to zero one-way latency.
+            // The driver pushes a view after the ack and the warm of its
+            // dirty slabs, so the one-way latency includes the warm; a
+            // delta can still land *before* the writer has read its ack,
+            // and those clamp to zero.
             one_way += at
                 .checked_duration_since(ack_at[&epoch])
                 .map_or(0.0, |d| d.as_secs_f64());

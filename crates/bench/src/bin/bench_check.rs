@@ -143,9 +143,10 @@ const READ_SERIES_FIELDS: &[(&str, bool)] = &[
     ("read_secs", true),
     ("reads_per_sec", true),
     // Strictly positive on the request/reply legs; on the push leg this is
-    // the one-way ack→apply latency, which legitimately rounds to 0 when
-    // every delta lands before the writer's ack returns
-    // (enqueue-before-ack) — `check_read_series` enforces the split.
+    // the one-way ack→apply latency, which includes the driver's post-ack
+    // warm of the dirty slabs, and still legitimately rounds to 0 when
+    // every delta lands before the writer's ack returns —
+    // `check_read_series` enforces the split.
     ("mean_read_rtt_micros", false),
     // Replication lag: legitimately 0 on the non-replicated legs (and on a
     // follower that never trailed), so presence is checked here and the

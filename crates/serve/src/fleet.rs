@@ -616,8 +616,9 @@ impl Fleet {
     /// `cpa-transport` driver calls it when a connection handler finds a
     /// needed slab cold (the handler then splices its reply from the
     /// returned view), and once per read subscription after every accepted
-    /// mutation, before pushing the view — so handlers, which have no
-    /// engine access, splice every row straight from the view's slabs.
+    /// mutation — after the mutator's ack, before pushing the view — so
+    /// handlers, which have no engine access, splice every row straight
+    /// from the view's slabs, and no ack waits for a subscriber's fill.
     ///
     /// # Errors
     /// Names the first item of `items` outside the universe; nothing is

@@ -48,6 +48,10 @@
 //! the served payload bit for bit (`cpa_serve::Fleet::replay_to_epoch`).
 //! Because a mutation's ack is sent only after the new view is published,
 //! a client that observed its ack never reads an older epoch afterwards.
+//! The ack does not wait for any slab fill, though: a read that lands
+//! between the ack and the driver's post-ack warm (below) finds the dirty
+//! slab cold, and its fill request queues behind that warm on the driver,
+//! so it too is answered at the acked epoch.
 //!
 //! # Replication and push subscriptions
 //!
@@ -61,13 +65,12 @@
 //! manifest's, so once one was accepted an epoch no longer names one
 //! state: the driver then serves only `from_epoch: 0`, which ships the
 //! whole recorded log, and refuses any other resume point by naming the
-//! restore —
-//! enqueued the moment `apply` publishes the mutation's view, and *before*
-//! the mutator's own ack, so an acked epoch is always already on the wire
-//! to every subscriber. On server wind-down the driver drops every
-//! subscription channel, so followers see a clean EOF — the
-//! replay-to-head-complete signal that starts failover (see
-//! `cpa_serve::replica`).
+//! restore. Each `OpApplied` is enqueued the moment `apply` publishes the
+//! mutation's view, and *before* the mutator's own ack, so an acked epoch
+//! is always already on the wire to every op subscriber. On server
+//! wind-down the driver drops every subscription channel, so followers see
+//! a clean EOF — the replay-to-head-complete signal that starts failover
+//! (see `cpa_serve::replica`).
 //!
 //! A `FleetOp::SubscribeReads { kind, items }` turns its connection into a
 //! **read-delta subscription**: the driver fills the slabs of every shard
@@ -75,16 +78,20 @@
 //! whose first pushed frame is the bootstrap spliced from it (a
 //! `PredictedDelta`/`EstimatedDelta` frame carrying every subscribed row
 //! at the current epoch, every covering shard listed dirty). After every
-//! accepted mutation the driver fills the slabs each subscriber watches
-//! and pushes the published view, and the handler splices one delta frame
-//! carrying **only the dirty shards'** rows from the view's per-(epoch,
-//! shard, codec) row caches without re-encoding ([`codec::splice_reply`]),
-//! under the same enqueue-before-ack ordering as `OpApplied` (both are
-//! shipped from one place, the server-internal
-//! `Broadcast::mutation_applied`). A mutation that dirties none of the
-//! subscribed items' shards still pushes an (empty) delta, so the
-//! subscriber's epoch always tracks the head. Server wind-down is the same
-//! clean EOF as for op subscriptions.
+//! accepted mutation the driver first sends the mutator's ack, then
+//! **warms** — fills the slabs each subscriber watches — and pushes the
+//! published view, all before it takes its next op. The handler splices
+//! one delta frame carrying **only the dirty shards'** rows from the
+//! view's per-(epoch, shard, codec) row caches without re-encoding
+//! ([`codec::splice_reply`]); the slabs it reads are never cold, since the
+//! view is pushed only after the warm. So the ack costs the mutation, not
+//! the fill, and a delta may reach its subscriber after the writer's ack;
+//! every subscriber still gets every epoch in order, since each view is
+//! pushed before the next op is applied. Both sides of the ack live in
+//! one place, the server-internal `Broadcast`. A mutation that dirties
+//! none of the subscribed items' shards still pushes an (empty) delta, so
+//! the subscriber's epoch always tracks the head. Server wind-down is the
+//! same clean EOF as for op subscriptions.
 //!
 //! Both subscription kinds flip their handler to push-only and occupy its
 //! handler slot for the subscription's lifetime. To keep a pathological
@@ -100,11 +107,13 @@
 //!
 //! A [`cpa_serve::FleetOp::Shutdown`] from any client is acknowledged, then
 //! the driver raises the shutdown flag and stops; every other role winds
-//! down (in-flight requests get a framed error reply). A client that
-//! disconnects mid-frame, sends a truncated frame, or sends bytes that are
-//! not a `FleetOp` never panics the server: the connection gets a framed
-//! error where one can still be delivered and is dropped, and the next
-//! client is served normally — locked by `tests/transport_roundtrip.rs`.
+//! down. In-flight requests get a framed error reply, and so do
+//! connections still in the listen backlog that have sent their first
+//! request; a silent one is closed. A client that disconnects mid-frame,
+//! sends a truncated frame, or sends bytes that are not a `FleetOp` never
+//! panics the server: the connection gets a framed error where one can
+//! still be delivered and is dropped, and the next client is served
+//! normally — locked by `tests/transport_roundtrip.rs`.
 //!
 //! With `record_ops`, the driver keeps one epoch-tagged log of every
 //! accepted mutation — the backlog late op subscribers resume from, and
@@ -248,19 +257,22 @@ impl Drop for SlotGuard<'_> {
 /// One live read-delta subscription, as the driver tracks it: the items it
 /// watches (normalized at bootstrap time — a full subscription pins the
 /// universe it saw), so the driver can fill exactly the slabs its handler
-/// splices before pushing each view.
+/// splices before pushing each view, after the mutator's ack.
 struct ReadSub {
     kind: ReadKind,
     items: Vec<usize>,
     answer_tx: Sender<Answer>,
 }
 
-/// Everything the driver pushes to subscribers, in one place — the single
-/// enqueue-before-ack point for both `OpApplied` frames (op subscriptions)
-/// and read-delta view pushes (read subscriptions). The driver calls
-/// [`Broadcast::mutation_applied`] right after `Fleet::apply` accepts a
-/// mutation and *before* sending the mutator's ack, so an acked epoch is
-/// always already enqueued to every subscriber of either kind.
+/// Everything the driver pushes to subscribers, in one place, on either
+/// side of a mutation's ack. Right after `Fleet::apply` accepts a mutation
+/// and *before* the mutator's ack, [`Broadcast::mutation_applied`] records
+/// it and enqueues its `OpApplied` frame to every op subscriber, so an
+/// acked epoch is always already on its way to every follower. *After* the
+/// ack, and before the driver takes its next op,
+/// [`Broadcast::warm_and_push`] fills the slabs the read subscribers watch
+/// and pushes them the published view, so the ack never waits for a slab
+/// fill and every subscriber still gets every epoch in order.
 struct Broadcast {
     record: bool,
     /// Whether a `Restore` has been accepted (see `subscribe_ops`).
@@ -365,28 +377,32 @@ impl Broadcast {
         self.record || !self.op_subs.is_empty()
     }
 
-    /// THE enqueue-before-ack point: called with every accepted mutation
-    /// after `Fleet::apply` published its view and before the mutator's
-    /// ack is sent. Ships one `OpApplied` to every op subscriber and
-    /// records the mutation (`op` is `Some` exactly when
-    /// [`Broadcast::keeps_ops`]), then fills the slabs each read
-    /// subscriber watches and pushes it the published view — its handler
-    /// splices the delta under its own codec. A subscriber whose items
-    /// fell out of range (a restore shrank the universe) is not filled for
-    /// but still gets the view: its handler owns the framed error and ends
-    /// the subscription.
-    fn mutation_applied(&mut self, fleet: &Fleet, op: Option<FleetOp>) {
-        if let Some(op) = op {
-            let epoch = fleet.epoch();
-            self.op_subs.retain(|sub| {
-                let op = op.clone();
-                sub.send(Answer::Reply(FleetReply::OpApplied { epoch, op }))
-                    .is_ok()
-            });
-            if self.record {
-                self.log.push((epoch, op));
-            }
+    /// The enqueue-before-ack point for op subscriptions: called with every
+    /// accepted mutation after `Fleet::apply` published its view (at
+    /// `epoch`) and before the mutator's ack is sent. Records the mutation
+    /// and ships one `OpApplied` to every op subscriber (`op` is `Some`
+    /// exactly when [`Broadcast::keeps_ops`]), so an acked epoch is always
+    /// already enqueued to every follower.
+    fn mutation_applied(&mut self, epoch: u64, op: Option<FleetOp>) {
+        let Some(op) = op else { return };
+        self.op_subs.retain(|sub| {
+            let op = op.clone();
+            sub.send(Answer::Reply(FleetReply::OpApplied { epoch, op }))
+                .is_ok()
+        });
+        if self.record {
+            self.log.push((epoch, op));
         }
+    }
+
+    /// The warm after the ack: called once the mutator's ack is sent, and
+    /// before the driver takes its next op. Fills the slabs each read
+    /// subscriber watches, then pushes it the published view — its handler
+    /// splices the delta under its own codec from slabs that are never
+    /// cold. A subscriber whose items fell out of range (a restore shrank
+    /// the universe) is not filled for but still gets the view: its handler
+    /// owns the framed error and ends the subscription.
+    fn warm_and_push(&mut self, fleet: &Fleet) {
         for sub in &self.read_subs {
             let _ = fleet.fill(sub.kind, Some(&sub.items));
         }
@@ -525,16 +541,23 @@ fn run_driver(
                 let mutation = op.is_mutation();
                 let kept = (mutation && broadcast.keeps_ops()).then(|| op.clone());
                 let reply = fleet.apply(op);
-                if mutation && !matches!(reply, FleetReply::Error { .. }) {
+                let accepted = mutation && !matches!(reply, FleetReply::Error { .. });
+                if accepted {
                     // Ship the accepted mutation the moment its view is
                     // published (`apply` published it), and *before* the
                     // mutator's ack: a client that has seen its ack knows
-                    // every subscription — op stream or read delta —
-                    // already has the frame enqueued.
-                    broadcast.mutation_applied(&fleet, kept);
+                    // every op subscription already has the frame enqueued.
+                    broadcast.mutation_applied(fleet.epoch(), kept);
                     broadcast.restored |= matches!(reply, FleetReply::Restored { .. });
                 }
                 let _ = answer_tx.send(Answer::Reply(reply));
+                if accepted {
+                    // The ack never waits for the read subscribers' slab
+                    // fill. The warm still runs before the next op, so a
+                    // read that found the new view's slab cold queues its
+                    // fill request behind it and gets the acked epoch.
+                    broadcast.warm_and_push(&fleet);
+                }
                 if stop {
                     break;
                 }
@@ -554,9 +577,21 @@ fn run_driver(
 }
 
 /// The acceptor role: polls the non-blocking listener until shutdown and
-/// hands accepted sockets to the handlers. Returning drops `conn_tx`, the
-/// queue's only sender, which wakes every idle handler with a disconnect.
+/// hands accepted sockets to the handlers. At shutdown it first hands over
+/// every connection still in the listen backlog, so those peers end as
+/// accepted ones do instead of being reset when the listener closes: one
+/// that has sent its first request gets the framed "server is shutting
+/// down" reply, a silent one is closed. Returning drops `conn_tx`, the
+/// queue's only sender, which wakes every idle handler with a disconnect
+/// once the queue is drained.
 fn run_acceptor(listener: TcpListener, conn_tx: Sender<TcpStream>, shutdown: &AtomicBool) {
+    // Handlers block with deadlines: reads poll the shutdown flag, writes
+    // give up on a peer that stops reading.
+    let hand_over = |stream: TcpStream| {
+        let _ = stream.set_nonblocking(false);
+        let _ = stream.set_nodelay(true);
+        conn_tx.send(stream).is_ok()
+    };
     // accept() fails transiently in normal operation — a client
     // resetting mid-handshake (ECONNABORTED/ECONNRESET), a burst of
     // fd exhaustion — and those must not take the server down.
@@ -566,16 +601,17 @@ fn run_acceptor(listener: TcpListener, conn_tx: Sender<TcpStream>, shutdown: &At
     let mut consecutive_errors = 0u32;
     loop {
         if shutdown.load(Ordering::Relaxed) {
+            while let Ok((stream, _)) = listener.accept() {
+                if !hand_over(stream) {
+                    break;
+                }
+            }
             break;
         }
         match listener.accept() {
             Ok((stream, _)) => {
                 consecutive_errors = 0;
-                // Handlers block with deadlines: reads poll the shutdown
-                // flag, writes give up on a peer that stops reading.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                if conn_tx.send(stream).is_err() {
+                if !hand_over(stream) {
                     break;
                 }
             }

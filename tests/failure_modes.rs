@@ -13,16 +13,34 @@
 //!
 //! The stall is built at the socket level, below the codec: one test's
 //! stalled peer speaks binary, the other's JSON.
+//!
+//! Two more endings, each under both codecs:
+//!
+//! - a connection still waiting to be accepted when a `Shutdown` lands gets
+//!   the framed "server is shutting down" error, not a reset;
+//! - an engine panic in the slab fill the driver runs after an ack (the
+//!   warm that feeds read subscriptions) ends the server within a bound:
+//!   the writer has its ack, the subscriber's stream ends, another
+//!   connection's read is refused or closed, and `serve` re-raises the
+//!   panic.
 
+mod common;
+
+use common::{Hook, Hooked, Step};
 use cpa::eval::runner::Method;
-use cpa::serve::{Fleet, FleetOp};
+use cpa::serve::{Fleet, FleetOp, FleetReply, ReadKind};
 use cpa::transport::codec;
-use cpa::transport::frame::write_frame_bytes;
+use cpa::transport::frame::{read_frame_bytes, write_frame_bytes};
 use cpa::transport::{
-    ClientConfig, FleetClient, FleetServer, ServeOutcome, ServerConfig, WireFormat,
+    ClientConfig, FleetClient, FleetServer, ServeOutcome, ServerConfig, TransportError, WireFormat,
+    WIRE_MAGIC, WIRE_VERSION,
 };
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 const SEED: u64 = 23;
@@ -48,9 +66,13 @@ fn fleet() -> Fleet {
     })
 }
 
-/// Serves [`fleet`] with `max_clients` handlers; the receiver gets the
-/// outcome when `serve` returns.
-fn spawn_server(max_clients: usize) -> (SocketAddr, Receiver<ServeOutcome>) {
+/// Serves `fleet` with `max_clients` handlers on a thread. The receiver
+/// gets the outcome when `serve` returns; if `serve` panics it disconnects
+/// instead, and joining the thread yields the panic.
+fn spawn_server(
+    fleet: Fleet,
+    max_clients: usize,
+) -> (SocketAddr, Receiver<ServeOutcome>, JoinHandle<()>) {
     let config = ServerConfig {
         max_clients,
         ..ServerConfig::default()
@@ -58,10 +80,10 @@ fn spawn_server(max_clients: usize) -> (SocketAddr, Receiver<ServeOutcome>) {
     let server = FleetServer::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().expect("addr");
     let (done_tx, done) = channel();
-    std::thread::spawn(move || {
-        let _ = done_tx.send(server.serve(fleet()).expect("serve"));
+    let running = std::thread::spawn(move || {
+        let _ = done_tx.send(server.serve(fleet).expect("serve"));
     });
-    (addr, done)
+    (addr, done, running)
 }
 
 /// A raw connection speaking `format` that sends [`STALL_FRAMES`] `Predict`
@@ -98,7 +120,7 @@ fn client(addr: SocketAddr, format: WireFormat) -> FleetClient {
 
 #[test]
 fn a_peer_that_stops_reading_frees_the_only_handler() {
-    let (addr, done) = spawn_server(1);
+    let (addr, done, _) = spawn_server(fleet(), 1);
     let stalled = stall(addr, WireFormat::Binary);
 
     // The one handler is stuck writing to the stalled peer; this client
@@ -115,7 +137,7 @@ fn a_peer_that_stops_reading_frees_the_only_handler() {
 
 #[test]
 fn a_peer_that_stops_reading_does_not_keep_serve_from_returning() {
-    let (addr, done) = spawn_server(2);
+    let (addr, done, _) = spawn_server(fleet(), 2);
     let mut client = client(addr, WireFormat::Binary);
     // Fill the view's slabs first, so the stalled peer's reads are all
     // spliced by its handler and none waits on the driver the shutdown
@@ -129,4 +151,115 @@ fn a_peer_that_stops_reading_does_not_keep_serve_from_returning() {
         .expect("serve returns while a stalled peer holds its socket open");
     assert_eq!(outcome.fleet.epoch(), 0);
     drop(stalled);
+}
+
+/// Connects under `format` and sends one framed `Refit` (after the binary
+/// preamble) without waiting for the server to accept or answer.
+fn queued_refit(addr: SocketAddr, format: WireFormat) -> TcpStream {
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    raw.set_read_timeout(Some(DEADLINE)).expect("deadline");
+    if format == WireFormat::Binary {
+        raw.write_all(&WIRE_MAGIC).expect("preamble");
+        raw.write_all(&WIRE_VERSION.to_be_bytes())
+            .expect("preamble");
+    }
+    let refit = codec::encode(format, &FleetOp::Refit).expect("op encodes");
+    write_frame_bytes(&mut raw, &refit).expect("request");
+    raw
+}
+
+#[test]
+fn a_connection_queued_at_shutdown_gets_a_framed_error_not_a_reset() {
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        // After one round trip the acceptor has taken the closer and polls
+        // again only after a sleep, so a peer that connects now most likely
+        // still waits in the listen backlog when the shutdown flag rises
+        // (if the acceptor took it first, it waits for the one handler,
+        // which is busy with the closer).
+        let (addr, done, _) = spawn_server(fleet(), 1);
+        let mut closer = client(addr, WireFormat::Json);
+        closer.refit_tagged().expect("refit");
+        let mut queued = queued_refit(addr, format);
+        closer.shutdown().expect("shutdown");
+        drop(closer);
+
+        if format == WireFormat::Binary {
+            let mut ack = [0u8; 8];
+            queued
+                .read_exact(&mut ack)
+                .expect("a handshake ack, not a reset");
+            assert_eq!(ack[..4], WIRE_MAGIC);
+        }
+        let frame = read_frame_bytes(&mut queued)
+            .expect("a framed reply, not a reset")
+            .expect("a framed reply, not EOF");
+        match codec::decode::<FleetReply>(format, &frame).expect("reply decodes") {
+            FleetReply::Error { message } => {
+                assert!(message.contains("shutting down"), "{format:?}: {message}")
+            }
+            other => panic!(
+                "{format:?}: expected the shutdown error, got {}",
+                other.name()
+            ),
+        }
+        done.recv_timeout(DEADLINE).expect("serve returns");
+    }
+}
+
+/// The panic message of the engine hook once armed.
+const TRIPPED: &str = "tripwire: predict_all after the ack";
+
+#[test]
+fn a_panic_in_the_warm_after_an_ack_ends_the_server_within_a_bound() {
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        // Once armed, every engine's `predict_all` panics.
+        let armed = Arc::new(AtomicBool::new(false));
+        let hook: Hook = Arc::new({
+            let armed = Arc::clone(&armed);
+            move |step| {
+                let tripped = step == Step::Predict && armed.load(Ordering::Relaxed);
+                assert!(!tripped, "{TRIPPED}");
+            }
+        });
+        let fleet = Fleet::new(4, 1, ITEMS, WORKERS, LABELS, |_| {
+            Hooked::wrap(Method::Mv.engine(ITEMS, WORKERS, LABELS, SEED), &hook)
+        });
+        let (addr, done, running) = spawn_server(fleet, 4);
+
+        let mut sub = client(addr, format)
+            .subscribe_reads(ReadKind::Predictions, None)
+            .expect("subscription acked");
+        let mut reader = client(addr, format);
+        let mut writer = client(addr, format);
+        armed.store(true, Ordering::Relaxed);
+        let (_, acked) = writer
+            .ingest_tagged(vec![0], vec![(0, 0, vec![1])])
+            .expect("the ack comes before the warm that panics");
+        assert_eq!(acked, 1);
+
+        // Each wait below is bounded by the clients' read deadline.
+        match sub.next_delta() {
+            Ok(None) | Err(TransportError::Rejected(_)) => {}
+            other => panic!("{format:?}: the stream should end, got {other:?}"),
+        }
+        // The dirty shard's slab is still cold, so this read needs the dead
+        // driver: a framed refusal, or a connection closed under it.
+        match reader.predict_tagged() {
+            Err(TransportError::Rejected(m)) => assert!(m.contains("shutting down"), "{m}"),
+            Err(TransportError::Truncated { .. } | TransportError::Io(_)) => {}
+            other => panic!("{format:?}: expected a refusal or a closed connection, got {other:?}"),
+        }
+        assert!(
+            matches!(
+                done.recv_timeout(DEADLINE),
+                Err(RecvTimeoutError::Disconnected)
+            ),
+            "{format:?}: serve should end by panicking, not return or hang"
+        );
+        let panic = running.join().expect_err("serve re-raises the panic");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some(TRIPPED)
+        );
+    }
 }

@@ -28,9 +28,17 @@
 //! universe under a subscription's items ends that subscription with a
 //! framed error; the others keep streaming and the server keeps serving.
 //!
+//! Contract 6 (warm after the ack): a writer's ack does not wait for the
+//! slab fill that feeds the subscribers' deltas. A poll that lands before
+//! that fill queues behind it and reads the acked epoch, and the next
+//! delta equals that poll.
+//!
 //! Contracts 1 and 2 name their codec per case; every other test that
 //! talks to a server runs once per wire codec (JSON, then binary).
 
+mod common;
+
+use common::{Hook, Hooked, Step};
 use cpa::data::labels::LabelSet;
 use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::simulate;
@@ -44,6 +52,7 @@ use cpa::transport::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 const SEED: u64 = 10_104;
@@ -324,6 +333,111 @@ fn a_single_shard_ingest_pushes_exactly_the_dirty_shards_rows() {
             sub.next_delta().expect("wind-down").is_none(),
             "clean EOF after wind-down"
         );
+    }
+}
+
+/// A gate the test holds: [`Gate::wait_open`] blocks while it is closed.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<bool>, Condvar)>);
+
+impl Gate {
+    fn set_closed(&self, closed: bool) {
+        *self.0 .0.lock().expect("gate") = closed;
+        self.0 .1.notify_all();
+    }
+
+    fn is_open(&self) -> bool {
+        !*self.0 .0.lock().expect("gate")
+    }
+
+    fn wait_open(&self) {
+        let (closed, opened) = &*self.0;
+        let closed = closed.lock().expect("gate");
+        drop(opened.wait_while(closed, |closed| *closed).expect("gate"));
+    }
+}
+
+#[test]
+fn an_ack_does_not_wait_for_the_warm_and_a_poll_before_it_reads_the_acked_epoch() {
+    let (d, batches) = fixture();
+    let shards = 4;
+    let (i, u, c) = (d.num_items(), d.num_workers(), d.num_labels());
+    let index = ShardIndex::new(ShardRouter::new(shards), i);
+    // A bounded deadline: a server that holds the ack for the warm fails
+    // the writer with `TimedOut` instead of hanging the test.
+    let bounded = ClientConfig {
+        read_timeout: Some(Duration::from_secs(10)),
+        write_timeout: Some(Duration::from_secs(10)),
+    };
+    for format in [WireFormat::Json, WireFormat::Binary] {
+        let gate = Gate::default();
+        let hook: Hook = Arc::new({
+            let gate = gate.clone();
+            move |step| {
+                if step == Step::Predict {
+                    gate.wait_open();
+                }
+            }
+        });
+        let fleet = Fleet::new(shards, 2, i, u, c, |_| {
+            Hooked::wrap(Method::CpaSvi.engine(i, u, c, SEED), &hook)
+        });
+        let (addr, running) = spawn_server(fleet, ServerConfig::default());
+
+        // An ingest routed to one shard, and a subscription to that shard's
+        // items, bootstrapped while the gate is open.
+        let FleetOp::Ingest { workers, answers } = FleetOp::ingest_from(&d.answers, &batches[0])
+        else {
+            unreachable!()
+        };
+        let target = index.shard_of(answers[0].0);
+        let narrowed: Vec<_> = answers
+            .into_iter()
+            .filter(|(item, _, _)| index.shard_of(*item) == target)
+            .collect();
+        let watched: Vec<usize> = index.items_of(target).iter().map(|&i| i as usize).collect();
+        let mut sub = FleetClient::connect_with_config(addr, format, bounded)
+            .expect("subscriber connects")
+            .subscribe_reads(ReadKind::Predictions, Some(watched.clone()))
+            .expect("subscription acked");
+
+        gate.set_closed(true);
+        let mut writer = FleetClient::connect_with_config(addr, format, bounded).expect("writer");
+        let (_, acked) = writer
+            .ingest_tagged(workers, narrowed)
+            .expect("the ack arrives while the warm is still blocked");
+
+        // A poll of the dirty shard from a third connection finds its slab
+        // cold at the acked epoch; its fill request queues behind the warm.
+        let poll = std::thread::spawn({
+            let (gate, watched) = (gate.clone(), watched.clone());
+            move || {
+                let mut reader =
+                    FleetClient::connect_with_config(addr, format, bounded).expect("reader");
+                let polled = poll_rows(&mut reader, ReadKind::Predictions, &watched);
+                (polled, gate.is_open())
+            }
+        });
+        // Long enough for the poll to reach the driver before the gate
+        // opens; the assertions below hold however the two race.
+        std::thread::sleep(Duration::from_millis(200));
+        gate.set_closed(false);
+        let ((rows, tag), opened_first) = poll.join().expect("poll thread");
+        assert!(
+            opened_first,
+            "{format:?}: the poll returned before the warm ran"
+        );
+        assert_eq!(tag, acked, "{format:?}: the poll reads the acked epoch");
+
+        let delta = sub
+            .next_delta()
+            .expect("delta frame")
+            .expect("stream not ended");
+        assert_eq!(delta.applied.epoch, acked, "{format:?}: delta epoch");
+        assert_eq!(cache_rows(&sub), rows, "{format:?}: delta ≡ poll");
+
+        writer.shutdown().expect("shutdown");
+        running.join().expect("server joins");
     }
 }
 

@@ -24,10 +24,11 @@
 //! Every test that talks to a server runs once per wire codec: its clients
 //! speak JSON, then binary.
 
-use cpa::core::engine::{Checkpoint, CheckpointError, DynEngine, Engine, EngineState};
+mod common;
+
+use common::{Hook, Hooked, Step};
+use cpa::core::engine::{DynEngine, EngineState};
 use cpa::core::params::VariationalParams;
-use cpa::core::truth::TruthEstimate;
-use cpa::data::answers::AnswerMatrix;
 use cpa::data::labels::LabelSet;
 use cpa::data::profile::DatasetProfile;
 use cpa::data::simulate::simulate;
@@ -712,60 +713,21 @@ fn cut_item_offsets(manifest: &FleetManifest) -> Vec<u8> {
 /// threads a 64-element parallel iterator spread over there.
 type ThreadLog = Arc<Mutex<Vec<(Option<String>, usize)>>>;
 
-/// An engine that records a [`ThreadLog`] entry on every `ingest` and
-/// otherwise delegates to `inner`.
-struct ThreadProbe {
-    inner: DynEngine,
-    log: ThreadLog,
-}
-
-impl Engine for ThreadProbe {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn ingest(&mut self, answers: &AnswerMatrix, batch: &WorkerBatch) {
-        use rayon::prelude::*;
-        let ids: Vec<std::thread::ThreadId> = (0..64)
-            .into_par_iter()
-            .map(|_| {
-                // Long enough that a wide pool's spawned workers claim
-                // chunks before the calling thread drains them all.
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                std::thread::current().id()
-            })
-            .collect();
-        let width = ids.iter().collect::<HashSet<_>>().len();
-        let name = std::thread::current().name().map(str::to_owned);
-        self.log.lock().expect("probe log").push((name, width));
-        self.inner.ingest(answers, batch);
-    }
-
-    fn refit(&mut self) {
-        self.inner.refit();
-    }
-
-    fn predict_all(&self) -> Vec<LabelSet> {
-        self.inner.predict_all()
-    }
-
-    fn estimate(&self) -> TruthEstimate {
-        self.inner.estimate()
-    }
-
-    fn seen_answers(&self) -> &AnswerMatrix {
-        self.inner.seen_answers()
-    }
-
-    fn snapshot(&self) -> Checkpoint {
-        self.inner.snapshot()
-    }
-
-    fn restore(_: Checkpoint) -> Result<Self, CheckpointError> {
-        Err(CheckpointError::Invalid(
-            "a thread probe does not restore".into(),
-        ))
-    }
+/// The calling thread's [`ThreadLog`] entry.
+fn probe_thread() -> (Option<String>, usize) {
+    use rayon::prelude::*;
+    let ids: Vec<std::thread::ThreadId> = (0..64)
+        .into_par_iter()
+        .map(|_| {
+            // Long enough that a wide pool's spawned workers claim
+            // chunks before the calling thread drains them all.
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::current().id()
+        })
+        .collect();
+    let width = ids.iter().collect::<HashSet<_>>().len();
+    let name = std::thread::current().name().map(str::to_owned);
+    (name, width)
 }
 
 #[test]
@@ -774,12 +736,17 @@ fn engine_steps_run_serially_on_the_named_driver_thread() {
     let (i, u, c) = (d.num_items(), d.num_workers(), d.num_labels());
     for format in [WireFormat::Json, WireFormat::Binary] {
         let log = ThreadLog::default();
+        let hook: Hook = Arc::new({
+            let log = Arc::clone(&log);
+            move |step| {
+                if step == Step::Ingest {
+                    log.lock().expect("probe log").push(probe_thread());
+                }
+            }
+        });
         // One fleet thread: every shard step runs on the driver itself.
         let fleet = Fleet::new(2, 1, i, u, c, |_| {
-            Box::new(ThreadProbe {
-                inner: Method::Mv.engine(i, u, c, SEED),
-                log: Arc::clone(&log),
-            }) as DynEngine
+            Hooked::wrap(Method::Mv.engine(i, u, c, SEED), &hook)
         });
         let server = FleetServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
         let addr = server.local_addr().expect("addr");
